@@ -9,6 +9,7 @@ command lines (including seeds) produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -17,7 +18,7 @@ from . import __version__
 from .classifiers.kernels import KERNEL_KINDS, KernelSpec
 from .classifiers.nn import TrainingParams
 from .core import Label, make_folds, split_train_test
-from .errors import ThermalSenseError, TrainingError
+from .errors import DataFormatError, ThermalSenseError, TrainingError, UsageError
 from .evaluate import (
     CvResult,
     KnnSpec,
@@ -49,9 +50,12 @@ THREADS_ENV = "THERMAL_SENSE_THREADS"
 def _max_workers() -> int:
     raw = os.environ.get(THREADS_ENV, "1")
     try:
-        return max(1, int(raw))
+        workers = int(raw)
     except ValueError:
-        return 1
+        workers = 0
+    if workers < 1:
+        raise UsageError(f"{THREADS_ENV} must be a positive integer, got {raw!r}")
+    return workers
 
 
 def _config_dict(args: argparse.Namespace) -> dict:
@@ -247,8 +251,6 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 
 def _read_trace(path) -> list[tuple[float, Label]]:
-    from .errors import DataFormatError
-
     text = Path(path).read_text(encoding="utf-8")
     lines = text.splitlines()
     if not lines or lines[0] != "timestamp,label":
@@ -262,6 +264,8 @@ def _read_trace(path) -> list[tuple[float, Label]]:
             ts = float(fields[0])
         except ValueError:
             raise DataFormatError(f"{path}:{lineno}: bad timestamp {fields[0]!r}") from None
+        if not math.isfinite(ts):
+            raise DataFormatError(f"{path}:{lineno}: non-finite timestamp {fields[0]!r}")
         trace.append((ts, Label.from_text(fields[1])))
     return trace
 
@@ -367,6 +371,9 @@ def run(argv) -> int:
         return 0 if exc.code == 0 else 1
     try:
         return args.func(args)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except TrainingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -18,6 +18,7 @@ event sequence.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -69,6 +70,8 @@ def initial_state() -> MonitorState:
 
 def step(state: MonitorState, label: Label, ts: float,
          cfg: MonitorConfig = MonitorConfig()) -> tuple[MonitorState, list[Event]]:
+    if not math.isfinite(ts):
+        raise StreamError(f"timestamp {ts} is not finite")
     if state.last_ts is not None and ts <= state.last_ts:
         raise StreamError(f"timestamp {ts} not after previous {state.last_ts}")
 

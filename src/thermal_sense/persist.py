@@ -21,7 +21,7 @@ import numpy as np
 
 from .classifiers.kernels import KernelSpec
 from .classifiers.knn import KnnModel
-from .classifiers.nn import NnModel, TrainingParams
+from .classifiers.nn import MAX_HIDDEN, NnModel, TrainingParams
 from .classifiers.svm import SvmModel
 from .core import (
     GRID_SIZE,
@@ -74,6 +74,13 @@ def _parse_floats(text: str, path, lineno: int) -> np.ndarray:
         raise DataFormatError(f"{path}:{lineno}: bad numeric payload") from None
     if not np.all(np.isfinite(values)):
         raise DataFormatError(f"{path}:{lineno}: non-finite value in payload")
+    return values
+
+
+def _parse_row(text: str, n: int, path, lineno: int) -> np.ndarray:
+    values = _parse_floats(text, path, lineno)
+    if len(values) != n:
+        raise DataFormatError(f"{path}:{lineno}: expected {n} values, got {len(values)}")
     return values
 
 
@@ -297,9 +304,7 @@ def _knn_from_lines(lines: list[str], path) -> KnnModel:
     labels = np.empty(n_samples, dtype=np.int64)
     x = np.empty((n_samples, n_features), dtype=np.float64)
     for row_index, line in enumerate(payload):
-        values = _parse_floats(line, path, 7 + row_index)
-        if len(values) != n_features + 1:
-            raise DataFormatError(f"{path}:{7 + row_index}: expected {n_features + 1} values")
+        values = _parse_row(line, n_features + 1, path, 7 + row_index)
         labels[row_index] = int(values[0])
         x[row_index] = values[1:]
     return KnnModel(x, labels, k, weighting)
@@ -318,10 +323,8 @@ def _svm_from_lines(lines: list[str], path) -> SvmModel:
         n_features = int(_read_header_line(lines, 9, "n-features", path))
     except ValueError:
         raise DataFormatError(f"{path}: bad svm header") from None
-    mean = _parse_floats(_read_header_line(lines, 10, "feature-mean", path), path, 11)
-    scale = _parse_floats(_read_header_line(lines, 11, "feature-scale", path), path, 12)
-    if len(mean) != n_features or len(scale) != n_features:
-        raise DataFormatError(f"{path}: feature constants length mismatch")
+    mean = _parse_row(_read_header_line(lines, 10, "feature-mean", path), n_features, path, 11)
+    scale = _parse_row(_read_header_line(lines, 11, "feature-scale", path), n_features, path, 12)
     payload = lines[12:]
     if len(payload) != n_support:
         raise DataFormatError(f"{path}: expected {n_support} support lines, got {len(payload)}")
@@ -329,9 +332,7 @@ def _svm_from_lines(lines: list[str], path) -> SvmModel:
     y = np.empty(n_support)
     x = np.empty((n_support, n_features))
     for row_index, line in enumerate(payload):
-        values = _parse_floats(line, path, 13 + row_index)
-        if len(values) != n_features + 2:
-            raise DataFormatError(f"{path}:{13 + row_index}: expected {n_features + 2} values")
+        values = _parse_row(line, n_features + 2, path, 13 + row_index)
         alpha[row_index], y[row_index] = values[0], values[1]
         x[row_index] = values[2:]
     return SvmModel(KernelSpec(kind, degree, gamma, coef0), c, mean, scale, x, alpha, y, bias)
@@ -347,25 +348,21 @@ def _nn_from_lines(lines: list[str], path) -> NnModel:
         n_features = int(_read_header_line(lines, 7, "n-features", path))
     except ValueError:
         raise DataFormatError(f"{path}: bad nn header") from None
-    mean = _parse_floats(_read_header_line(lines, 8, "feature-mean", path), path, 9)
-    scale = _parse_floats(_read_header_line(lines, 9, "feature-scale", path), path, 10)
-    b1 = _parse_floats(_read_header_line(lines, 10, "b1", path), path, 11)
-    b2 = _parse_floats(_read_header_line(lines, 11, "b2", path), path, 12)
+    if not 1 <= hidden <= MAX_HIDDEN:
+        raise DataFormatError(f"{path}:3: hidden width {hidden} outside [1, {MAX_HIDDEN}]")
+    if n_features < 1:
+        raise DataFormatError(f"{path}:8: n-features must be positive, got {n_features}")
+    mean = _parse_row(_read_header_line(lines, 8, "feature-mean", path), n_features, path, 9)
+    scale = _parse_row(_read_header_line(lines, 9, "feature-scale", path), n_features, path, 10)
+    b1 = _parse_row(_read_header_line(lines, 10, "b1", path), hidden, path, 11)
+    b2 = _parse_row(_read_header_line(lines, 11, "b2", path), 2, path, 12)
     expected = n_features + hidden
-    payload = lines[12:]
-    if len(payload) != expected:
-        raise DataFormatError(f"{path}: expected {expected} weight lines, got {len(payload)}")
-    w1 = np.empty((n_features, hidden))
-    w2 = np.empty((hidden, 2))
-    for row_index in range(n_features):
-        w1[row_index] = _parse_floats(
-            _read_header_line(payload, row_index, "w1", path), path, 13 + row_index)
-    for row_index in range(hidden):
-        w2[row_index] = _parse_floats(
-            _read_header_line(payload, n_features + row_index, "w2", path),
-            path, 13 + n_features + row_index)
-    if len(b1) != hidden or len(b2) != 2 or w1.shape != (n_features, hidden):
-        raise DataFormatError(f"{path}: inconsistent nn payload shapes")
+    if len(lines) - 12 != expected:
+        raise DataFormatError(f"{path}: expected {expected} weight lines, got {len(lines) - 12}")
+    w1 = np.array([_parse_row(_read_header_line(lines, i, "w1", path), hidden, path, i + 1)
+                   for i in range(12, 12 + n_features)])
+    w2 = np.array([_parse_row(_read_header_line(lines, i, "w2", path), 2, path, i + 1)
+                   for i in range(12 + n_features, 12 + expected)])
     return NnModel(hidden, w1, b1, w2, b2, mean, scale,
                    TrainingParams(lr, batch, epochs), seed)
 

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from thermal_sense.cli import run
@@ -109,6 +111,14 @@ class TestSweep:
         assert len(plot_lines) == 9
 
 
+    @pytest.mark.parametrize("value", ["abc", "0", "-1", ""])
+    def test_bad_thread_count_is_usage_error(self, main_csv, monkeypatch, capsys, value):
+        monkeypatch.setenv("THERMAL_SENSE_THREADS", value)
+        assert cli("sweep", "--data", main_csv, "--folds", 5, "--seed", 7,
+                   "--family", "knn-grid") == 1
+        assert "THERMAL_SENSE_THREADS" in capsys.readouterr().err
+
+
 class TestTrainEvalPredict:
     def test_full_round(self, main_csv, tmp_path):
         model_path = tmp_path / "m.model"
@@ -144,6 +154,27 @@ class TestTrainEvalPredict:
                        "--hidden", 4, "--epochs", 20, "--out", out) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_nn_model_golden_bytes(self, main_csv, tmp_path):
+        out = tmp_path / "nn.model"
+        assert cli("train", "--data", main_csv, "--seed", 7, "--model", "nn",
+                   "--hidden", 4, "--epochs", 20, "--out", out) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "e8f2af357e133848168861e6446ea588bf186593a73bf3b36db2aac140f80c6c")
+
+
+    @pytest.mark.parametrize("lineno, edit", [(9, "feature-mean"), (13, "w1")])
+    def test_eval_rejects_bad_nn_model_file(self, main_csv, tmp_path, capsys, lineno, edit):
+        model = tmp_path / "nn.model"
+        assert cli("train", "--data", main_csv, "--seed", 7, "--model", "nn",
+                   "--hidden", 4, "--epochs", 2, "--out", model) == 0
+        lines = model.read_text().split("\n")
+        assert lines[lineno - 1].startswith(edit + ":")
+        lines[lineno - 1] = lines[lineno - 1].rsplit(" ", 1)[0]
+        model.write_text("\n".join(lines))
+        capsys.readouterr()
+        assert cli("eval", "--model", model, "--data", main_csv) == 2
+        assert f"{model}:{lineno}: " in capsys.readouterr().err
+
 
 class TestMonitorCommand:
     def test_replay(self, tmp_path):
@@ -171,6 +202,13 @@ class TestMonitorCommand:
         trace = tmp_path / "trace.csv"
         trace.write_text("timestamp,label\nnoon,person\n")
         assert cli("monitor", "--input", trace, "--out", tmp_path / "e.csv") == 2
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_timestamp(self, tmp_path, capsys, bad):
+        trace = tmp_path / "trace.csv"
+        trace.write_text(f"timestamp,label\n0,person\n{bad},person\n5,person\n")
+        assert cli("monitor", "--input", trace, "--out", tmp_path / "e.csv") == 2
+        assert f"{trace}:3: " in capsys.readouterr().err
 
     def test_non_monotonic_trace(self, tmp_path):
         trace = tmp_path / "trace.csv"

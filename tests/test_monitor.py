@@ -111,6 +111,14 @@ class TestContract:
         with pytest.raises(StreamError):
             step(state, P, 10.0, CFG)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_timestamp(self, bad):
+        state, _ = step(initial_state(), P, 0.0, CFG)
+        with pytest.raises(StreamError):
+            step(state, P, bad, CFG)
+        with pytest.raises(StreamError):
+            step(initial_state(), P, bad, CFG)
+
     def test_unknown_start_emits_nothing(self):
         events = replay(trace((N, 20)), MonitorConfig(debounce_frames=3, long_absence_s=1e12))
         assert events == []

@@ -1,3 +1,6 @@
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -11,8 +14,10 @@ from thermal_sense.classifiers.nn import (
     replace_weights,
     train_nn,
 )
-from thermal_sense.core import Dataset, Label
-from thermal_sense.errors import ConfigError, TrainingError
+from thermal_sense.core import Dataset, Label, make_folds
+from thermal_sense.errors import ConfigError, InvalidInputError, TrainingError
+from thermal_sense.evaluate import derive_seed
+from thermal_sense.simulate import generate_main
 
 from conftest import dataset_from_arrays
 from oracles import central_difference_gradient
@@ -56,8 +61,14 @@ class TestTrain:
 
     def test_divergence_raises(self, rng):
         ds = random_batch(rng, 20)
-        with pytest.raises(TrainingError):
+        with pytest.raises(TrainingError, match="^loss diverged at epoch 4$"):
             train_nn(ds, 8, TrainingParams(1e12, 8, 50), seed=0)
+
+    @pytest.mark.parametrize("lr, epoch", [(1e3, 19), (50.0, 34)])
+    def test_divergence_epoch(self, rng, lr, epoch):
+        ds = random_batch(rng, 20)
+        with pytest.raises(TrainingError, match=f"^loss diverged at epoch {epoch}$"):
+            train_nn(ds, 8, TrainingParams(lr, 8, 50), seed=0)
 
     def test_xor_reaches_full_training_accuracy(self):
         model = train_nn(XOR_DS, 4, TrainingParams(0.1, 4, 2000), seed=0)
@@ -67,6 +78,46 @@ class TestTrain:
     def test_finite_weights(self, rng):
         model = train_nn(random_batch(rng, 30), 16, TrainingParams(0.01, 8, 20), seed=1)
         assert np.all(np.isfinite(flatten_weights(model)))
+
+
+@pytest.fixture(scope="module")
+def main_fold():
+    """Training part of fold 0 of a 10-fold plan on main(240): 432 rows."""
+    main = generate_main(240, 7)
+    assignment = np.array(make_folds(main, 10, 7).assignment)
+    return main.subset(np.flatnonzero(assignment != 0))
+
+
+class TestGoldenWeights:
+    """SHA-256 of the trained weights' bytes, recorded before the training
+    loop was rewritten around flat buffers; any float reordering shows."""
+
+    @pytest.mark.parametrize("case, hidden, params, seed, digest", [
+        # NN(128) as in the paper; 432 = 13 * 32 + 16, so the last batch is ragged
+        ("fold", 128, TrainingParams(0.01, 32, 20), derive_seed(7, 0),
+         "97512018a04e47ed884e4725c66de44724349a91a97f5f0187da437d205dbdb5"),
+        ("small", 16, TrainingParams(0.05, 64, 30), 3,  # batch larger than n
+         "1d1daff2fb3a981e52cfc8f305385aa7de23795c3824ffc58bcb1ef85be3b4f1"),
+        ("fold", 1, TrainingParams(0.01, 32, 10), 5,
+         "143e8c0f4069ad7937c455a4ce09e9f659f68d7cc2e0bebb45d8334ec56f0321"),
+        ("small", 5, TrainingParams(0.05, 7, 40), 7,  # 22 = 3 * 7 + 1
+         "3770f618e753488da9224b9f34b046573dca9e1020cc7b13520f67b0d9c81084"),
+    ])
+    def test_weight_bytes(self, main_fold, case, hidden, params, seed, digest):
+        ds = main_fold if case == "fold" else main_fold.subset(range(0, len(main_fold), 20))
+        model = train_nn(ds, hidden, params, seed)
+        assert hashlib.sha256(flatten_weights(model).tobytes()).hexdigest() == digest
+
+
+class TestModelShapes:
+    @pytest.mark.parametrize("field, shape", [
+        ("w1", (63, 4)), ("b1", (3,)), ("b1", (4, 1)), ("w2", (4, 3)), ("b2", (3,)),
+        ("feature_mean", (63,)), ("feature_scale", (65,)),
+    ])
+    def test_mismatched_shapes_rejected(self, rng, field, shape):
+        model = train_nn(random_batch(rng, 10), 4, TrainingParams(0.1, 4, 1), 0)
+        with pytest.raises(InvalidInputError):
+            dataclasses.replace(model, **{field: np.zeros(shape)})
 
 
 class TestGradient:

@@ -166,6 +166,42 @@ class TestModelFormat:
             load_model(path)
 
 
+class TestNnModelFile:
+    """Every length in an NN model file is checked at load, with file:line."""
+
+    @pytest.fixture
+    def lines(self, tmp_path, rng):
+        x = np.vstack([rng.normal(32, 1, (6, 64)), rng.normal(21, 1, (6, 64))])
+        model = NnSpec(3, TrainingParams(0.05, 4, 2)).train_model(
+            dataset_from_arrays(x, [1] * 6 + [0] * 6), 1)
+        return model_to_text(model).rstrip("\n").split("\n")
+
+    @pytest.mark.parametrize("lineno, key", [
+        (9, "feature-mean"), (10, "feature-scale"), (11, "b1"), (12, "b2"),
+        (13, "w1"), (76, "w1"), (77, "w2"), (79, "w2"),
+    ])
+    @pytest.mark.parametrize("edit", ["drop", "extra"])
+    def test_wrong_length_names_line(self, tmp_path, lines, lineno, key, edit):
+        assert lines[lineno - 1].startswith(key + ":")
+        if edit == "drop":
+            lines[lineno - 1] = lines[lineno - 1].rsplit(" ", 1)[0]
+        else:
+            lines[lineno - 1] += " 0.5"
+        path = tmp_path / "m.txt"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataFormatError, match=f"^{path}:{lineno}: expected"):
+            load_model(path)
+
+    @pytest.mark.parametrize("lineno, text", [
+        (3, "hidden: 0"), (3, "hidden: -2"), (8, "n-features: 0")])
+    def test_bad_widths_name_line(self, tmp_path, lines, lineno, text):
+        lines[lineno - 1] = text
+        path = tmp_path / "m.txt"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataFormatError, match=f"^{path}:{lineno}: "):
+            load_model(path)
+
+
 class TestReportFormat:
     def test_round_trip_bytes(self, tmp_path):
         report = {
