@@ -110,6 +110,16 @@ class TestSweep:
         assert plot_lines[0] == "config,accuracy_mean,accuracy_std"
         assert len(plot_lines) == 9
 
+    @pytest.mark.parametrize("family", ["svm-kernels", "knn-grid"])
+    def test_report_independent_of_thread_count(self, main_csv, tmp_path, monkeypatch, family):
+        report, plot = tmp_path / "s.json", tmp_path / "s.csv"
+        outputs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("THERMAL_SENSE_THREADS", threads)
+            assert cli("sweep", "--data", main_csv, "--folds", 5, "--seed", 7,
+                       "--family", family, "--report", report, "--emit-plot-data", plot) == 0
+            outputs.append((report.read_bytes(), plot.read_bytes()))
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("value", ["abc", "0", "-1", ""])
     def test_bad_thread_count_is_usage_error(self, main_csv, monkeypatch, capsys, value):
