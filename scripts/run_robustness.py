@@ -4,21 +4,18 @@
 Trains the three reference configurations (linear SVM, 1-NN, NN with 128
 hidden units) on the synthetic main dataset, evaluates them on the
 variational dataset as a whole and per condition, and writes one report
-and one plot CSV per classifier into --out-dir.
+and one plot CSV per classifier into --out-dir, in the formats of
+`eval --by-condition`.
 """
 
 import argparse
 from pathlib import Path
 
-from thermal_sense import __version__
 from thermal_sense.classifiers.kernels import KernelSpec
+from thermal_sense.cli import build_report, eval_plot_csv, eval_results
 from thermal_sense.evaluate import KnnSpec, NnSpec, SvmSpec, evaluate_by_condition
 from thermal_sense.persist import atomic_write_text, save_dataset, save_report
 from thermal_sense.simulate import generate_main, generate_variational
-
-
-def metric_cell(value):
-    return "" if value is None else repr(value)
 
 
 def main() -> None:
@@ -55,33 +52,10 @@ def main() -> None:
             print(f"  {row_name:14s} n={rep.counts.total:3d} acc={fmt(rep.accuracy)} "
                   f"sens={fmt(rep.sensitivity)} spec={fmt(rep.specificity)}")
 
-        report = {
-            "tool": "thermal-sense",
-            "version": __version__,
-            "command": f"scripts/run_robustness {name}",
-            "config": vars(args) | {"classifier": name},
-            "results": {
-                row_name: {
-                    "n": rep.counts.total,
-                    "tp": rep.counts.tp,
-                    "fp": rep.counts.fp,
-                    "tn": rep.counts.tn,
-                    "fn": rep.counts.fn,
-                    "accuracy": rep.accuracy,
-                    "sensitivity": rep.sensitivity,
-                    "specificity": rep.specificity,
-                }
-                for row_name, rep in rows
-            },
-        }
+        report = build_report(f"scripts/run_robustness {name}", vars(args) | {"classifier": name},
+                              eval_results(overall, per))
         save_report(report, out_dir / f"robustness_{name}.json")
-        lines = ["condition,n,accuracy,sensitivity,specificity"]
-        lines += [
-            f"{row_name},{rep.counts.total},{rep.accuracy!r},"
-            f"{metric_cell(rep.sensitivity)},{metric_cell(rep.specificity)}"
-            for row_name, rep in rows
-        ]
-        atomic_write_text(out_dir / f"robustness_{name}.csv", "\n".join(lines) + "\n")
+        atomic_write_text(out_dir / f"robustness_{name}.csv", eval_plot_csv(overall, per))
 
 
 if __name__ == "__main__":

@@ -3,18 +3,21 @@
 
 Generates the main dataset, then runs all three sweep families (SVM
 kernels, k-NN grid, NN widths) on shared folds, and writes one report
-plus one plot CSV per family into --out-dir.
+plus one plot CSV per family into --out-dir, in the formats of the
+`sweep` command. THERMAL_SENSE_THREADS sets the worker count, as for
+`sweep`; an invalid value exits 1 before any work starts.
 """
 
 import argparse
-import os
+import sys
 import time
 from pathlib import Path
 
-from thermal_sense import __version__
-from thermal_sense.core import make_folds
-from thermal_sense.evaluate import NnSpec, sweep, sweep_specs
 from thermal_sense.classifiers.nn import TrainingParams
+from thermal_sense.cli import build_report, max_workers, sweep_plot_csv, sweep_results
+from thermal_sense.core import make_folds
+from thermal_sense.errors import UsageError
+from thermal_sense.evaluate import NnSpec, sweep, sweep_specs
 from thermal_sense.persist import atomic_write_text, save_dataset, save_report
 from thermal_sense.simulate import generate_main
 
@@ -28,6 +31,10 @@ def main() -> None:
     parser.add_argument("--nn-epochs", type=int, default=200,
                         help="epochs for the width sweep (wide nets train slowly)")
     args = parser.parse_args()
+    try:
+        workers = max_workers()
+    except UsageError as exc:
+        sys.exit(f"error: {exc}")
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -35,7 +42,6 @@ def main() -> None:
     ds = generate_main(args.n_per_class, args.seed)
     save_dataset(ds, out_dir / "main.csv")
     plan = make_folds(ds, args.folds, args.seed)
-    workers = max(1, int(os.environ.get("THERMAL_SENSE_THREADS", "1")))
 
     for family in ("svm-kernels", "knn-grid", "nn-widths"):
         specs = sweep_specs(family)
@@ -51,26 +57,10 @@ def main() -> None:
             print(f"  {row.label:20s} {row.result.accuracy_mean:.4f} "
                   f"+- {row.result.accuracy_std:.4f}")
 
-        report = {
-            "tool": "thermal-sense",
-            "version": __version__,
-            "command": f"scripts/run_sweeps {family}",
-            "config": vars(args) | {"family": family},
-            "results": {
-                "rows": [
-                    {
-                        "label": row.label,
-                        "accuracy_mean": row.result.accuracy_mean,
-                        "accuracy_std": row.result.accuracy_std,
-                    }
-                    for row in rows
-                ]
-            },
-        }
+        report = build_report(f"scripts/run_sweeps {family}", vars(args) | {"family": family},
+                              sweep_results(rows))
         save_report(report, out_dir / f"sweep_{family}.json")
-        lines = ["config,accuracy_mean,accuracy_std"]
-        lines += [f"{r.label},{r.result.accuracy_mean!r},{r.result.accuracy_std!r}" for r in rows]
-        atomic_write_text(out_dir / f"sweep_{family}.csv", "\n".join(lines) + "\n")
+        atomic_write_text(out_dir / f"sweep_{family}.csv", sweep_plot_csv(rows))
 
 
 if __name__ == "__main__":

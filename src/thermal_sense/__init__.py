@@ -12,13 +12,10 @@ from .core import (
     Dataset,
     FoldPlan,
     Label,
-    LabeledSample,
-    ThermalFrame,
     flatten,
     make_folds,
     quantize,
     split_train_test,
-    unflatten,
 )
 
 __all__ = [
@@ -27,11 +24,8 @@ __all__ = [
     "Dataset",
     "FoldPlan",
     "Label",
-    "LabeledSample",
-    "ThermalFrame",
     "flatten",
     "make_folds",
     "quantize",
     "split_train_test",
-    "unflatten",
 ]

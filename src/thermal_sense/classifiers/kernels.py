@@ -60,19 +60,3 @@ def kernel_matrix(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     )
     return np.exp(-gamma * np.maximum(sq, 0.0))
 
-
-def kernel_eval(spec: KernelSpec, x, y) -> float:
-    """Evaluate the kernel on a single pair of equal-length vectors."""
-    xv = np.asarray(x, dtype=np.float64)
-    yv = np.asarray(y, dtype=np.float64)
-    if xv.shape != yv.shape or xv.ndim != 1:
-        raise InvalidInputError(f"vector shapes differ: {xv.shape} vs {yv.shape}")
-    if spec.kind == "linear":
-        return float(xv @ yv)
-    gamma = _resolve_gamma(spec)
-    if spec.kind == "poly":
-        return float((gamma * (xv @ yv) + spec.coef0) ** spec.degree)
-    if spec.kind == "sigmoid":
-        return float(np.tanh(gamma * (xv @ yv) + spec.coef0))
-    diff = xv - yv
-    return float(np.exp(-gamma * (diff @ diff)))

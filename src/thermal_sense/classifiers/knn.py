@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import Dataset, Label
+from ..core import Dataset, Label, query_rows
 from ..errors import InvalidInputError
 
 WEIGHTINGS = ("uniform", "distance")
@@ -27,6 +27,8 @@ class KnnModel:
     weighting: str
 
     def __post_init__(self) -> None:
+        if not np.isin(self.train_y, (0, 1)).all():
+            raise InvalidInputError("training labels must be 0 or 1")
         if self.weighting not in WEIGHTINGS:
             raise InvalidInputError(f"unknown weighting {self.weighting!r}")
         if not (1 <= self.k <= len(self.train_y)):
@@ -36,10 +38,10 @@ class KnnModel:
 
 
 def train_knn(train: Dataset, k: int, weighting: str = "uniform") -> KnnModel:
-    return KnnModel(train.feature_matrix(), train.labels_array(), k, weighting)
+    return KnnModel(train.x, train.y, k, weighting)
 
 
-def _vote(model: KnnModel, x: np.ndarray) -> Label:
+def _vote(model: KnnModel, x: np.ndarray) -> int:
     d = np.sqrt(np.sum((model.train_x - x) ** 2, axis=1))
     order = np.argsort(d, kind="stable")[: model.k]
     labels = model.train_y[order]
@@ -50,22 +52,17 @@ def _vote(model: KnnModel, x: np.ndarray) -> Label:
         if exact.any():
             person = int(np.sum(labels[exact] == Label.PERSON))
             no_person = int(np.sum(exact)) - person
-            return Label.PERSON if person > no_person else Label.NO_PERSON
+            return int(Label.PERSON if person > no_person else Label.NO_PERSON)
         weights = 1.0 / dists
     else:
         weights = np.ones_like(dists)
 
     person_w = float(np.sum(weights[labels == Label.PERSON]))
     no_person_w = float(np.sum(weights[labels == Label.NO_PERSON]))
-    return Label.PERSON if person_w > no_person_w else Label.NO_PERSON
-
-
-def predict_knn(model: KnnModel, x) -> Label:
-    xv = np.asarray(x, dtype=np.float64)
-    if xv.shape != (model.train_x.shape[1],):
-        raise InvalidInputError(f"expected a {model.train_x.shape[1]}-vector")
-    return _vote(model, xv)
+    return int(Label.PERSON if person_w > no_person_w else Label.NO_PERSON)
 
 
 def predict_knn_batch(model: KnnModel, xs: np.ndarray) -> np.ndarray:
-    return np.array([int(_vote(model, row)) for row in np.asarray(xs, dtype=np.float64)])
+    """(n, d) queries -> (n,) 0/1 labels; a single query is a batch of one."""
+    return np.array([_vote(model, row) for row in query_rows(xs, model.train_x.shape[1])],
+                    dtype=np.int64)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import Dataset, Label
+from ..core import Dataset, Label, query_rows
 from ..errors import ConfigError, InvalidInputError, TrainingError
 from .svm import standardize_fit
 
@@ -77,15 +77,6 @@ def _views(flat: np.ndarray, d: int, h: int) -> tuple[np.ndarray, ...]:
 def _forward(model: NnModel, x_std: np.ndarray) -> np.ndarray:
     a1 = np.maximum(x_std @ model.w1 + model.b1, 0.0)
     return a1 @ model.w2 + model.b2
-
-
-def _batch_arrays(model: NnModel, batch) -> tuple[np.ndarray, np.ndarray]:
-    samples = batch.samples if isinstance(batch, Dataset) else tuple(batch)
-    if len(samples) == 0:
-        raise InvalidInputError("batch must be non-empty")
-    x = np.array([s.features for s in samples], dtype=np.float64)
-    y = np.array([int(s.label) for s in samples], dtype=np.int64)
-    return (x - model.feature_mean) / model.feature_scale, y
 
 
 def _one_hot(y: np.ndarray) -> np.ndarray:
@@ -158,8 +149,7 @@ def train_nn(train: Dataset, hidden: int, params: TrainingParams = TrainingParam
     if params.learning_rate <= 0 or params.batch_size < 1 or params.epochs < 1:
         raise ConfigError("learning_rate, batch_size and epochs must be positive")
 
-    x = train.feature_matrix()
-    y = train.labels_array()
+    x, y = train.x, train.y
     mean, scale = standardize_fit(x)
     x_std = (x - mean) / scale
     n, d = x_std.shape
@@ -202,9 +192,11 @@ def train_nn(train: Dataset, hidden: int, params: TrainingParams = TrainingParam
     return NnModel(hidden, w1, b1, w2, b2, mean, scale, params, seed)
 
 
-def _loss_and_gradient(model: NnModel, batch) -> tuple[float, np.ndarray]:
+def _loss_and_gradient(model: NnModel, batch: Dataset) -> tuple[float, np.ndarray]:
     """Mean cross-entropy over the batch and its flat gradient, via _step."""
-    x_std, y = _batch_arrays(model, batch)
+    if len(batch) == 0:
+        raise InvalidInputError("batch must be non-empty")
+    x_std, y = (batch.x - model.feature_mean) / model.feature_scale, batch.y
     n, d = x_std.shape
     probs = np.empty((n, 2))
     grad = np.empty(_param_count(d, model.hidden))
@@ -214,12 +206,12 @@ def _loss_and_gradient(model: NnModel, batch) -> tuple[float, np.ndarray]:
         return _mean_loss(probs, y), grad
 
 
-def nn_gradient(model: NnModel, batch) -> np.ndarray:
+def nn_gradient(model: NnModel, batch: Dataset) -> np.ndarray:
     """Backprop gradient of mean cross-entropy over the batch, flattened."""
     return _loss_and_gradient(model, batch)[1]
 
 
-def nn_loss(model: NnModel, batch) -> float:
+def nn_loss(model: NnModel, batch: Dataset) -> float:
     return _loss_and_gradient(model, batch)[0]
 
 
@@ -236,16 +228,7 @@ def replace_weights(model: NnModel, flat: np.ndarray) -> NnModel:
                    model.feature_mean, model.feature_scale, model.params, model.seed)
 
 
-def predict_nn(model: NnModel, x) -> Label:
-    xv = np.asarray(x, dtype=np.float64)
-    if xv.shape != (model.w1.shape[0],):
-        raise InvalidInputError(f"expected a {model.w1.shape[0]}-vector")
-    x_std = (xv - model.feature_mean) / model.feature_scale
-    logits = _forward(model, x_std[None, :])[0]
-    return Label.PERSON if logits[Label.PERSON] > logits[Label.NO_PERSON] else Label.NO_PERSON
-
-
 def predict_nn_batch(model: NnModel, xs: np.ndarray) -> np.ndarray:
-    xs_std = (np.asarray(xs, dtype=np.float64) - model.feature_mean) / model.feature_scale
+    xs_std = (query_rows(xs, len(model.feature_mean)) - model.feature_mean) / model.feature_scale
     logits = _forward(model, xs_std)
     return np.where(logits[:, 1] > logits[:, 0], int(Label.PERSON), int(Label.NO_PERSON))

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ..core import Dataset, Label
+from ..core import Dataset, Label, query_rows
 from ..errors import InvalidInputError, StratificationError, TrainingError
 from .kernels import KernelSpec, kernel_matrix
 
@@ -39,6 +39,8 @@ class SvmModel:
     bias: float
 
     def __post_init__(self) -> None:
+        if not np.isin(self.support_y, (-1.0, 1.0)).all():
+            raise InvalidInputError("support labels must be -1 or +1")
         if np.any(self.support_alpha < 0) or np.any(self.support_alpha > self.c):
             raise InvalidInputError("dual coefficients must lie in [0, C]")
         if abs(float(self.support_alpha @ self.support_y)) > 1e-8:
@@ -116,14 +118,13 @@ def train_svm(train: Dataset, kernel: KernelSpec, c: float = DEFAULT_C,
               tol: float = DEFAULT_TOL, max_iter: int = MAX_PAIR_UPDATES) -> SvmModel:
     if c <= 0:
         raise InvalidInputError("C must be positive")
-    y_int = train.labels_array()
-    if len(np.unique(y_int)) < 2:
+    if len(np.unique(train.y)) < 2:
         raise StratificationError("training set must contain both classes")
-    x = train.feature_matrix()
+    x = train.x
     mean, scale = standardize_fit(x)
     x_std = (x - mean) / scale
     spec = _resolve_kernel(kernel, x_std)
-    y = np.where(y_int == Label.PERSON, 1.0, -1.0)
+    y = np.where(train.y == Label.PERSON, 1.0, -1.0)
 
     k = kernel_matrix(spec, x_std, x_std)
     alpha, bias = _smo(k, y, float(c), float(tol), max_iter)
@@ -142,16 +143,9 @@ def train_svm(train: Dataset, kernel: KernelSpec, c: float = DEFAULT_C,
 
 
 def decision_function(model: SvmModel, xs: np.ndarray) -> np.ndarray:
-    xs_std = (np.asarray(xs, dtype=np.float64) - model.feature_mean) / model.feature_scale
+    xs_std = (query_rows(xs, len(model.feature_mean)) - model.feature_mean) / model.feature_scale
     k = kernel_matrix(model.kernel, model.support_x, xs_std)
     return (model.support_alpha * model.support_y) @ k + model.bias
-
-
-def predict_svm(model: SvmModel, x) -> Label:
-    xv = np.asarray(x, dtype=np.float64)
-    if xv.shape != (model.support_x.shape[1],):
-        raise InvalidInputError(f"expected a {model.support_x.shape[1]}-vector")
-    return Label.PERSON if decision_function(model, xv[None, :])[0] >= 0 else Label.NO_PERSON
 
 
 def predict_svm_batch(model: SvmModel, xs: np.ndarray) -> np.ndarray:

@@ -18,7 +18,13 @@ from . import __version__
 from .classifiers.kernels import KERNEL_KINDS, KernelSpec
 from .classifiers.nn import TrainingParams
 from .core import Label, make_folds, split_train_test
-from .errors import DataFormatError, ThermalSenseError, TrainingError, UsageError
+from .errors import (
+    DataFormatError,
+    InvalidInputError,
+    ThermalSenseError,
+    TrainingError,
+    UsageError,
+)
 from .evaluate import (
     CvResult,
     KnnSpec,
@@ -32,7 +38,7 @@ from .evaluate import (
     predictor,
     sweep,
 )
-from .monitor import MonitorConfig, initial_state, step
+from .monitor import MonitorConfig, replay
 from .persist import (
     atomic_write_text,
     load_dataset,
@@ -47,7 +53,8 @@ TOOL_NAME = "thermal-sense"
 THREADS_ENV = "THERMAL_SENSE_THREADS"
 
 
-def _max_workers() -> int:
+def max_workers() -> int:
+    """Sweep worker count from THERMAL_SENSE_THREADS (default 1), or UsageError."""
     raw = os.environ.get(THREADS_ENV, "1")
     try:
         workers = int(raw)
@@ -58,29 +65,21 @@ def _max_workers() -> int:
     return workers
 
 
-def _config_dict(args: argparse.Namespace) -> dict:
-    return {k: v for k, v in vars(args).items() if k != "func"}
+def build_report(command: str, config: dict, results: dict) -> dict:
+    """A report: the tool and version, the command, its full configuration, its results."""
+    return {"tool": TOOL_NAME, "version": __version__, "command": command, "config": config,
+            "results": results}
 
 
-def _base_report(args: argparse.Namespace) -> dict:
-    return {
-        "tool": TOOL_NAME,
-        "version": __version__,
-        "command": args.command,
-        "config": _config_dict(args),
-    }
+def _save_report(args: argparse.Namespace, results: dict) -> None:
+    config = {k: v for k, v in vars(args).items() if k != "func"}
+    save_report(build_report(args.command, config, results), args.report)
 
 
 def _metrics_dict(report: MetricsReport) -> dict:
-    return {
-        "tp": report.counts.tp,
-        "fp": report.counts.fp,
-        "tn": report.counts.tn,
-        "fn": report.counts.fn,
-        "accuracy": report.accuracy,
-        "sensitivity": report.sensitivity,
-        "specificity": report.specificity,
-    }
+    c = report.counts
+    return {"tp": c.tp, "fp": c.fp, "tn": c.tn, "fn": c.fn, "accuracy": report.accuracy,
+            "sensitivity": report.sensitivity, "specificity": report.specificity}
 
 
 def _cv_dict(result: CvResult) -> dict:
@@ -89,6 +88,36 @@ def _cv_dict(result: CvResult) -> dict:
         "accuracy_std": result.accuracy_std,
         "folds": [_metrics_dict(r) for r in result.fold_reports],
     }
+
+
+def sweep_results(rows) -> dict:
+    return {"rows": [{"label": row.label, "cv": _cv_dict(row.result)} for row in rows]}
+
+
+def sweep_plot_csv(rows) -> str:
+    lines = ["config,accuracy_mean,accuracy_std"]
+    lines += [f"{row.label},{row.result.accuracy_mean!r},{row.result.accuracy_std!r}"
+              for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def eval_results(overall: MetricsReport, by_condition: dict | None = None) -> dict:
+    results: dict = {"overall": _metrics_dict(overall)}
+    if by_condition is not None:
+        results["by_condition"] = {tag.value: _metrics_dict(rep)
+                                   for tag, rep in by_condition.items()}
+    return results
+
+
+def eval_plot_csv(overall: MetricsReport, by_condition: dict) -> str:
+    def cell(value: float | None) -> str:
+        return "" if value is None else repr(value)
+
+    lines = ["condition,n,accuracy,sensitivity,specificity"]
+    rows = [("overall", overall)] + [(tag.value, rep) for tag, rep in by_condition.items()]
+    lines += [f"{name},{rep.counts.total},{rep.accuracy!r},{cell(rep.sensitivity)},"
+              f"{cell(rep.specificity)}" for name, rep in rows]
+    return "\n".join(lines) + "\n"
 
 
 def _spec_from_args(args: argparse.Namespace):
@@ -149,9 +178,7 @@ def cmd_cv(args: argparse.Namespace) -> int:
     result = cross_validate(ds, plan, Trainer(spec, args.seed))
     print(f"{spec.label()}: accuracy mean={result.accuracy_mean:.4f} std={result.accuracy_std:.4f}")
     if args.report:
-        report = _base_report(args)
-        report["results"] = _cv_dict(result)
-        save_report(report, args.report)
+        _save_report(args, _cv_dict(result))
         print(f"wrote report to {args.report}")
     return 0
 
@@ -160,26 +187,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     ds = load_dataset(args.data)
     # Fold plan always regenerated from (data, seed): every row shares folds.
     plan = make_folds(ds, args.folds, args.seed)
-    rows = sweep(ds, plan, args.family, args.seed, max_workers=_max_workers())
+    rows = sweep(ds, plan, args.family, args.seed, max_workers=max_workers())
     for row in rows:
         print(f"{row.label}: accuracy mean={row.result.accuracy_mean:.4f} "
               f"std={row.result.accuracy_std:.4f}")
     if args.report:
-        report = _base_report(args)
-        report["results"] = {
-            "rows": [
-                {"label": row.label, "cv": _cv_dict(row.result)}
-                for row in rows
-            ]
-        }
-        save_report(report, args.report)
+        _save_report(args, sweep_results(rows))
     if args.emit_plot_data:
-        lines = ["config,accuracy_mean,accuracy_std"]
-        lines += [
-            f"{row.label},{row.result.accuracy_mean!r},{row.result.accuracy_std!r}"
-            for row in rows
-        ]
-        atomic_write_text(args.emit_plot_data, "\n".join(lines) + "\n")
+        atomic_write_text(args.emit_plot_data, sweep_plot_csv(rows))
         print(f"wrote plot data to {args.emit_plot_data}")
     if args.report:
         print(f"wrote report to {args.report}")
@@ -195,23 +210,12 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _metric_csv_value(value: float | None) -> str:
-    return "" if value is None else repr(value)
-
-
 def cmd_eval(args: argparse.Namespace) -> int:
     model = load_model(args.model)
     ds = load_dataset(args.data)
     overall, by_condition = evaluate_by_condition(model, ds)
     if args.report:
-        report = _base_report(args)
-        results: dict = {"overall": _metrics_dict(overall)}
-        if args.by_condition:
-            results["by_condition"] = {
-                tag.value: _metrics_dict(rep) for tag, rep in by_condition.items()
-            }
-        report["results"] = results
-        save_report(report, args.report)
+        _save_report(args, eval_results(overall, by_condition if args.by_condition else None))
 
     def fmt(value):
         return "n/a" if value is None else f"{value:.4f}"
@@ -223,16 +227,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             print(f"{tag.value}: n={rep.counts.total} accuracy={fmt(rep.accuracy)} "
                   f"sensitivity={fmt(rep.sensitivity)} specificity={fmt(rep.specificity)}")
     if args.emit_plot_data:
-        lines = ["condition,n,accuracy,sensitivity,specificity"]
-        rows = [("overall", overall)] + [
-            (tag.value, rep) for tag, rep in by_condition.items()
-        ]
-        for name, rep in rows:
-            lines.append(
-                f"{name},{rep.counts.total},{rep.accuracy!r},"
-                f"{_metric_csv_value(rep.sensitivity)},{_metric_csv_value(rep.specificity)}"
-            )
-        atomic_write_text(args.emit_plot_data, "\n".join(lines) + "\n")
+        atomic_write_text(args.emit_plot_data, eval_plot_csv(overall, by_condition))
         print(f"wrote plot data to {args.emit_plot_data}")
     if args.report:
         print(f"wrote report to {args.report}")
@@ -242,7 +237,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_predict(args: argparse.Namespace) -> int:
     model = load_model(args.model)
     ds = load_dataset(args.data)
-    labels = predictor(model)(ds.feature_matrix())
+    labels = predictor(model)(ds.x)
     lines = ["index,label"]
     lines += [f"{i},{Label(int(v)).to_text()}" for i, v in enumerate(labels)]
     atomic_write_text(args.out, "\n".join(lines) + "\n")
@@ -255,7 +250,7 @@ def _read_trace(path) -> list[tuple[float, Label]]:
     lines = text.splitlines()
     if not lines or lines[0] != "timestamp,label":
         raise DataFormatError(f"{path}:1: expected header 'timestamp,label'")
-    trace = []
+    trace: list[tuple[float, Label]] = []
     for lineno, line in enumerate(lines[1:], start=2):
         fields = line.split(",")
         if len(fields) != 2:
@@ -266,7 +261,13 @@ def _read_trace(path) -> list[tuple[float, Label]]:
             raise DataFormatError(f"{path}:{lineno}: bad timestamp {fields[0]!r}") from None
         if not math.isfinite(ts):
             raise DataFormatError(f"{path}:{lineno}: non-finite timestamp {fields[0]!r}")
-        trace.append((ts, Label.from_text(fields[1])))
+        if trace and ts <= trace[-1][0]:
+            raise DataFormatError(
+                f"{path}:{lineno}: timestamp {ts} not after previous {trace[-1][0]}")
+        try:
+            trace.append((ts, Label.from_text(fields[1])))
+        except InvalidInputError as exc:
+            raise DataFormatError(f"{path}:{lineno}: {exc}") from None
     return trace
 
 
@@ -278,11 +279,7 @@ def cmd_monitor(args: argparse.Namespace) -> int:
         max_exits=args.max_exits,
     )
     trace = _read_trace(args.input)
-    state = initial_state()
-    out_lines = []
-    for ts, label in trace:
-        state, events = step(state, label, ts, cfg)
-        out_lines += [f"{ts!r},{e.kind.value},{args.bed_id}" for e in events]
+    out_lines = [f"{e.timestamp!r},{e.kind.value},{args.bed_id}" for e in replay(trace, cfg)]
     atomic_write_text(args.out, "\n".join(out_lines) + ("\n" if out_lines else ""))
     print(f"replayed {len(trace)} frames, {len(out_lines)} events -> {args.out}")
     return 0

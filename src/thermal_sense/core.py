@@ -1,9 +1,12 @@
-"""Domain types and dataset plumbing: frames, samples, splits, folds.
+"""Domain types and dataset plumbing: frames, datasets, splits, folds.
 
-Temperatures follow the sensor contract: every stored pixel lies in
-[20, 100] degrees Celsius and is an exact multiple of 0.25. Midpoints
-(x.125, x.375, ...) round up. All types are immutable values; the
-split/fold operations are pure functions of (data, parameters, seed).
+A frame is a read-only (8, 8) float64 array; a dataset holds n frames
+flattened row-major into a read-only (n, 64) matrix, with one label and
+one condition code per row. Temperatures follow the sensor contract:
+every pixel the quantizer or the CSV reader yields lies in [20, 100]
+degrees Celsius and is an exact multiple of 0.25, with midpoints
+(x.125, x.375, ...) rounding up. The split/fold operations are pure
+functions of (data, parameters, seed).
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,49 +50,22 @@ class ConditionTag(str, Enum):
     DUVET_5 = "duvet_5"
     DUVET_10 = "duvet_10"
 
-    @classmethod
-    def from_text(cls, text: str) -> "ConditionTag":
-        try:
-            return cls(text)
-        except ValueError:
-            raise InvalidInputError(f"unknown condition {text!r}") from None
+
+# A dataset stores condition i as code i.
+CONDITIONS = tuple(ConditionTag)
 
 
-def _is_quarter(value: float) -> bool:
-    return float(value * 4.0).is_integer()
+def _frozen(values, dtype) -> np.ndarray:
+    arr = np.array(values, dtype=dtype)
+    arr.flags.writeable = False
+    return arr
 
 
-@dataclass(frozen=True)
-class ThermalFrame:
-    """One 8x8 grid of quantized temperatures, row 0 at the bed-head edge."""
-
-    pixels: tuple[tuple[float, ...], ...]
-
-    def __post_init__(self) -> None:
-        if len(self.pixels) != GRID_SIZE or any(len(r) != GRID_SIZE for r in self.pixels):
-            raise InvalidInputError("frame must be 8x8")
-        for r, row in enumerate(self.pixels):
-            for c, v in enumerate(row):
-                if not np.isfinite(v):
-                    raise InvalidInputError(f"non-finite pixel ({r}, {c})")
-                if not (TEMP_MIN_C <= v <= TEMP_MAX_C) or not _is_quarter(v):
-                    raise InvalidInputError(
-                        f"pixel ({r}, {c}) = {v!r} is not a quarter degree in [20, 100]"
-                    )
-
-    @classmethod
-    def from_array(cls, arr: np.ndarray) -> "ThermalFrame":
-        return cls(tuple(tuple(float(v) for v in row) for row in arr))
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.pixels, dtype=np.float64)
-
-
-def quantize(raw) -> ThermalFrame:
+def quantize(raw) -> np.ndarray:
     """Quantize an 8x8 array of Celsius floats to the sensor's output grid.
 
     Each pixel is rounded to the nearest quarter degree (midpoints round
-    up) and clamped to [20, 100].
+    up) and clamped to [20, 100]. The frame returned is read-only.
     """
     arr = np.asarray(raw, dtype=np.float64)
     if arr.shape != (GRID_SIZE, GRID_SIZE):
@@ -97,69 +74,83 @@ def quantize(raw) -> ThermalFrame:
     if bad.any():
         r, c = np.argwhere(bad)[0]
         raise InvalidInputError(f"non-finite value at pixel ({r}, {c})")
-    quarters = np.floor(arr * 4.0 + 0.5) / 4.0
-    return ThermalFrame.from_array(np.clip(quarters, TEMP_MIN_C, TEMP_MAX_C))
+    frame = np.clip(np.floor(arr * 4.0 + 0.5) / 4.0, TEMP_MIN_C, TEMP_MAX_C)
+    frame.flags.writeable = False
+    return frame
 
 
-def flatten(frame: ThermalFrame) -> tuple[float, ...]:
+def flatten(frame: np.ndarray) -> np.ndarray:
     """Row-major flattening of a frame into the 64-value feature vector."""
-    return tuple(v for row in frame.pixels for v in row)
+    return frame.reshape(NUM_PIXELS)
 
 
-def unflatten(features) -> ThermalFrame:
-    vec = tuple(float(v) for v in features)
-    if len(vec) != NUM_PIXELS:
-        raise InvalidInputError(f"expected 64 values, got {len(vec)}")
-    return ThermalFrame(tuple(vec[r * GRID_SIZE:(r + 1) * GRID_SIZE] for r in range(GRID_SIZE)))
+def query_rows(xs, width: int) -> np.ndarray:
+    """Classifier queries as an (n, width) float64 matrix, or InvalidInputError."""
+    arr = np.asarray(xs, dtype=np.float64)
+    if arr.ndim != 2 or arr.shape[1] != width:
+        raise InvalidInputError(f"expected query rows of {width} features, got shape {arr.shape}")
+    return arr
 
 
-@dataclass(frozen=True)
-class LabeledSample:
-    """A 64-value feature vector with its occupancy label and condition tag.
+class Sample(NamedTuple):
+    """One dataset row, as `Dataset.samples` presents it."""
 
-    Pipeline-produced samples always satisfy the frame invariants; the
-    constructor itself only checks shape and finiteness so that synthetic
-    feature vectors (toy problems, random test points) can flow through
-    the classifiers. Range/quantization is enforced at the quantizer and
-    the CSV boundary.
+    features: np.ndarray
+    label: Label
+    condition: ConditionTag
+
+
+@dataclass(frozen=True, eq=False)
+class Dataset:
+    """n feature vectors with their occupancy labels and condition codes.
+
+    `x` is (n, 64) float64, `y` holds labels 0/1 and `conditions` indexes
+    CONDITIONS (all BASELINE when omitted); all three are stored
+    read-only. The constructor checks shape, finiteness, labels and codes
+    only, so that synthetic feature vectors (toy problems, random test
+    points) can flow through the classifiers. Range and quantization are
+    enforced at the quantizer and the CSV boundary.
     """
 
-    features: tuple[float, ...]
-    label: Label
-    condition: ConditionTag = ConditionTag.BASELINE
-
-    def __post_init__(self) -> None:
-        if len(self.features) != NUM_PIXELS:
-            raise InvalidInputError(f"expected 64 features, got {len(self.features)}")
-        if not all(np.isfinite(v) for v in self.features):
-            raise InvalidInputError("non-finite feature value")
-
-
-@dataclass(frozen=True)
-class Dataset:
-    samples: tuple[LabeledSample, ...]
+    x: np.ndarray
+    y: np.ndarray
+    conditions: np.ndarray | None = None
     name: str = "dataset"
 
+    def __post_init__(self) -> None:
+        x = _frozen(self.x, np.float64)
+        if x.ndim != 2 or x.shape[1] != NUM_PIXELS:
+            raise InvalidInputError(f"expected rows of {NUM_PIXELS} features, got shape {x.shape}")
+        if not np.isfinite(x).all():
+            raise InvalidInputError("non-finite feature value")
+        n = len(x)
+        y = np.asarray(self.y)
+        if y.shape != (n,) or not np.isin(y, (0, 1)).all():
+            raise InvalidInputError(f"expected {n} labels, each 0 or 1")
+        codes = np.zeros(n, np.int8) if self.conditions is None else np.asarray(self.conditions)
+        if codes.shape != (n,) or not np.isin(codes, np.arange(len(CONDITIONS))).all():
+            raise InvalidInputError(f"expected {n} condition codes below {len(CONDITIONS)}")
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", _frozen(y, np.int64))
+        object.__setattr__(self, "conditions", _frozen(codes, np.int8))
+
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self.y)
 
     def feature_matrix(self) -> np.ndarray:
-        return np.array([s.features for s in self.samples], dtype=np.float64)
+        """The same array as `x`."""
+        return self.x
 
-    def labels_array(self) -> np.ndarray:
-        return np.array([int(s.label) for s in self.samples], dtype=np.int64)
-
-    def class_counts(self) -> dict[Label, int]:
-        counts = {Label.NO_PERSON: 0, Label.PERSON: 0}
-        for s in self.samples:
-            counts[s.label] += 1
-        return counts
+    @property
+    def samples(self) -> tuple[Sample, ...]:
+        """The rows as (features, label, condition) triples, built on each call."""
+        return tuple(Sample(row, Label(label), CONDITIONS[code]) for row, label, code
+                     in zip(self.x, self.y.tolist(), self.conditions.tolist()))
 
     def subset(self, indices, name: str | None = None) -> "Dataset":
-        return Dataset(
-            tuple(self.samples[int(i)] for i in indices),
-            name if name is not None else self.name,
-        )
+        idx = np.asarray(indices, dtype=np.intp)
+        return Dataset(self.x[idx], self.y[idx], self.conditions[idx],
+                       name if name is not None else self.name)
 
 
 @dataclass(frozen=True)
@@ -182,13 +173,6 @@ def _round_half_up(x: Fraction) -> int:
     return (2 * x.numerator + x.denominator) // (2 * x.denominator)
 
 
-def _indices_by_class(ds: Dataset) -> dict[Label, list[int]]:
-    by_class: dict[Label, list[int]] = {Label.NO_PERSON: [], Label.PERSON: []}
-    for i, s in enumerate(ds.samples):
-        by_class[s.label].append(i)
-    return by_class
-
-
 def split_train_test(ds: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
     """Stratified train/test split, deterministic in the seed.
 
@@ -200,17 +184,15 @@ def split_train_test(ds: Dataset, test_fraction: float, seed: int) -> tuple[Data
         raise InvalidInputError("test_fraction must be strictly between 0 and 1")
     frac = Fraction(str(test_fraction))
     rng = np.random.default_rng(seed)
-    test_idx: list[int] = []
-    for label, idx in _indices_by_class(ds).items():
-        if not idx:
+    test = np.zeros(len(ds), dtype=bool)
+    for label in Label:
+        idx = np.flatnonzero(ds.y == label)
+        if len(idx) == 0:
             raise StratificationError(f"class {label.to_text()} has no samples")
         n_test = _round_half_up(Fraction(len(idx)) * frac)
-        perm = rng.permutation(len(idx))
-        test_idx.extend(idx[p] for p in perm[:n_test])
-    chosen = set(test_idx)
-    train = ds.subset([i for i in range(len(ds)) if i not in chosen], f"{ds.name}-train")
-    test = ds.subset(sorted(chosen), f"{ds.name}-test")
-    return train, test
+        test[idx[rng.permutation(len(idx))[:n_test]]] = True
+    return (ds.subset(np.flatnonzero(~test), f"{ds.name}-train"),
+            ds.subset(np.flatnonzero(test), f"{ds.name}-test"))
 
 
 def make_folds(ds: Dataset, k: int, seed: int) -> FoldPlan:
@@ -218,13 +200,12 @@ def make_folds(ds: Dataset, k: int, seed: int) -> FoldPlan:
     if k < 2:
         raise InvalidInputError("k must be at least 2")
     rng = np.random.default_rng(seed)
-    assignment = [0] * len(ds)
-    for label, idx in _indices_by_class(ds).items():
+    assignment = np.zeros(len(ds), dtype=np.int64)
+    for label in Label:
+        idx = np.flatnonzero(ds.y == label)
         if len(idx) < k:
             raise StratificationError(
                 f"class {label.to_text()} has {len(idx)} samples, fewer than {k} folds"
             )
-        perm = rng.permutation(len(idx))
-        for pos, p in enumerate(perm):
-            assignment[idx[p]] = pos % k
-    return FoldPlan(k, tuple(assignment))
+        assignment[idx[rng.permutation(len(idx))]] = np.arange(len(idx)) % k
+    return FoldPlan(k, tuple(assignment.tolist()))

@@ -17,7 +17,7 @@ from .classifiers.kernels import KernelSpec
 from .classifiers.knn import KnnModel, predict_knn_batch, train_knn
 from .classifiers.nn import NnModel, TrainingParams, predict_nn_batch, train_nn
 from .classifiers.svm import MAX_PAIR_UPDATES, SvmModel, predict_svm_batch, train_svm
-from .core import ConditionTag, Dataset, FoldPlan, Label
+from .core import CONDITIONS, ConditionTag, Dataset, FoldPlan, Label
 from .errors import InvalidInputError, StratificationError
 
 
@@ -38,23 +38,17 @@ class ConfusionCounts:
 
 
 def confusion(predicted, truth) -> ConfusionCounts:
-    if len(predicted) != len(truth):
+    """Counts with PERSON as the positive class, from two label sequences."""
+    p = np.asarray(predicted) == Label.PERSON
+    t = np.asarray(truth)
+    if p.shape != t.shape:
         raise InvalidInputError("predicted and truth lengths differ")
-    if len(predicted) == 0:
+    if len(p) == 0:
         raise InvalidInputError("cannot build confusion counts from zero samples")
-    tp = fp = tn = fn = 0
-    for p, t in zip(predicted, truth):
-        if p == Label.PERSON:
-            if t == Label.PERSON:
-                tp += 1
-            else:
-                fp += 1
-        else:
-            if t == Label.NO_PERSON:
-                tn += 1
-            else:
-                fn += 1
-    return ConfusionCounts(tp, fp, tn, fn)
+    tp = int(np.count_nonzero(p & (t == Label.PERSON)))
+    tn = int(np.count_nonzero(~p & (t == Label.NO_PERSON)))
+    positives = int(np.count_nonzero(p))
+    return ConfusionCounts(tp, positives - tp, tn, len(p) - positives - tn)
 
 
 def accuracy(c: ConfusionCounts) -> float:
@@ -171,8 +165,6 @@ def cross_validate(ds: Dataset, plan: FoldPlan, trainer) -> CvResult:
     if len(plan.assignment) != len(ds):
         raise InvalidInputError("fold plan does not match dataset size")
     assignment = np.array(plan.assignment)
-    x = ds.feature_matrix()
-    y = ds.labels_array()
     reports = []
     for f in range(plan.num_folds):
         test_mask = assignment == f
@@ -180,13 +172,11 @@ def cross_validate(ds: Dataset, plan: FoldPlan, trainer) -> CvResult:
         test_idx = np.flatnonzero(test_mask)
         if len(test_idx) == 0:
             raise StratificationError(f"fold {f} is empty")
-        train_labels = y[train_idx]
-        if len(np.unique(train_labels)) < 2:
+        if len(np.unique(ds.y[train_idx])) < 2:
             raise StratificationError(f"training portion for fold {f} is missing a class")
         predict = trainer.fit(ds.subset(train_idx, f"{ds.name}-fold{f}-train"), f)
-        preds = [Label(int(p)) for p in predict(x[test_idx])]
-        truth = [Label(int(t)) for t in y[test_idx]]
-        reports.append(MetricsReport.from_counts(confusion(preds, truth)))
+        counts = confusion(predict(ds.x[test_idx]), ds.y[test_idx])
+        reports.append(MetricsReport.from_counts(counts))
     return CvResult.from_reports(reports)
 
 
@@ -240,15 +230,11 @@ def evaluate_by_condition(model, ds: Dataset) -> tuple[MetricsReport, dict[Condi
     """Metrics on the full set plus one report per condition present."""
     if len(ds) == 0:
         raise InvalidInputError("dataset is empty")
-    predict = predictor(model)
-    preds = [Label(int(p)) for p in predict(ds.feature_matrix())]
-    truth = [s.label for s in ds.samples]
-    overall = MetricsReport.from_counts(confusion(preds, truth))
+    preds = predictor(model)(ds.x)
+    overall = MetricsReport.from_counts(confusion(preds, ds.y))
     by_condition: dict[ConditionTag, MetricsReport] = {}
-    for tag in ConditionTag:
-        idx = [i for i, s in enumerate(ds.samples) if s.condition is tag]
-        if not idx:
-            continue
-        by_condition[tag] = MetricsReport.from_counts(
-            confusion([preds[i] for i in idx], [truth[i] for i in idx]))
+    for code, tag in enumerate(CONDITIONS):
+        rows = ds.conditions == code
+        if rows.any():
+            by_condition[tag] = MetricsReport.from_counts(confusion(preds[rows], ds.y[rows]))
     return overall, by_condition

@@ -24,14 +24,14 @@ from .classifiers.knn import KnnModel
 from .classifiers.nn import MAX_HIDDEN, NnModel, TrainingParams
 from .classifiers.svm import SvmModel
 from .core import (
+    CONDITIONS,
     GRID_SIZE,
+    NUM_PIXELS,
     TEMP_MAX_C,
     TEMP_MIN_C,
-    ConditionTag,
     Dataset,
     FoldPlan,
     Label,
-    LabeledSample,
 )
 from .errors import DataFormatError, FormatVersionError
 
@@ -40,10 +40,12 @@ FOLD_PLAN_FORMAT_VERSION = 1
 MODEL_FORMAT_VERSION = 1
 REPORT_FORMAT_VERSION = 1
 
-CSV_HEADER = ",".join(
-    [f"p{r}{c}" for r in range(GRID_SIZE) for c in range(GRID_SIZE)] + ["label", "condition"]
-)
-_CONDITIONS = {tag.value for tag in ConditionTag}
+_PIXEL_FIELDS = tuple(f"p{r}{c}" for r in range(GRID_SIZE) for c in range(GRID_SIZE))
+CSV_HEADER = ",".join(_PIXEL_FIELDS + ("label", "condition"))
+_LABELS = tuple(label.to_text() for label in Label)  # label i is written as _LABELS[i]
+_CONDITION_CODES = {tag.value: code for code, tag in enumerate(CONDITIONS)}
+# A CSV row: 64 temperatures with two decimals, then label and condition.
+_ROW_FORMAT = ",".join(["%.2f"] * NUM_PIXELS + ["%s", "%s"])
 
 
 def atomic_write_text(path, text: str) -> None:
@@ -86,23 +88,19 @@ def _parse_row(text: str, n: int, path, lineno: int) -> np.ndarray:
 
 # --- datasets ----------------------------------------------------------
 
-def format_temperature(value: float) -> str:
-    return f"{value:.2f}"
-
-
 def dataset_to_csv(ds: Dataset) -> str:
+    x = ds.x
+    quarters = x * 4.0
+    bad = (x < TEMP_MIN_C) | (x > TEMP_MAX_C) | (quarters != np.floor(quarters))
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        raise DataFormatError(
+            f"sample {i} field {_PIXEL_FIELDS[j]}: "
+            f"{float(x[i, j])!r} is not a quarter degree in [20, 100]"
+        )
     lines = [CSV_HEADER]
-    for i, s in enumerate(ds.samples):
-        for j, v in enumerate(s.features):
-            if not (TEMP_MIN_C <= v <= TEMP_MAX_C) or not float(v * 4).is_integer():
-                raise DataFormatError(
-                    f"sample {i} field p{j // GRID_SIZE}{j % GRID_SIZE}: "
-                    f"{v!r} is not a quarter degree in [20, 100]"
-                )
-        fields = [format_temperature(v) for v in s.features]
-        fields.append(s.label.to_text())
-        fields.append(s.condition.value)
-        lines.append(",".join(fields))
+    for row, label, code in zip(x.tolist(), ds.y.tolist(), ds.conditions.tolist()):
+        lines.append(_ROW_FORMAT % (*row, _LABELS[label], CONDITIONS[code].value))
     return "\n".join(lines) + "\n"
 
 
@@ -131,29 +129,31 @@ def dataset_from_csv(text: str, name: str, path="<memory>") -> Dataset:
     lines = text.split("\n")[:-1]
     if not lines or lines[0] != CSV_HEADER:
         raise DataFormatError(f"{path}:1: bad or missing header")
-    samples = []
-    n_fields = GRID_SIZE * GRID_SIZE + 2
-    for lineno, line in enumerate(lines[1:], start=2):
+    n = len(lines) - 1
+    x = np.empty((n, NUM_PIXELS))
+    y = np.empty(n, dtype=np.int64)
+    codes = np.empty(n, dtype=np.int8)
+    n_fields = NUM_PIXELS + 2
+    for row, line in enumerate(lines[1:]):
+        lineno = row + 2
         fields = line.split(",")
         if len(fields) != n_fields:
             raise DataFormatError(
                 f"{path}:{lineno}: expected {n_fields} fields, got {len(fields)}"
             )
-        features = tuple(
-            _parse_temperature(tok, path, lineno, f"p{j // GRID_SIZE}{j % GRID_SIZE}")
-            for j, tok in enumerate(fields[:-2])
-        )
+        x[row] = [_parse_temperature(tok, path, lineno, field)
+                  for field, tok in zip(_PIXEL_FIELDS, fields)]
         label_text = fields[-2]
-        if label_text not in ("person", "no_person"):
+        if label_text not in _LABELS:
             raise DataFormatError(f"{path}:{lineno}: field label: unknown label {label_text!r}")
+        y[row] = _LABELS.index(label_text)
         condition_text = fields[-1]
-        if condition_text not in _CONDITIONS:
+        if condition_text not in _CONDITION_CODES:
             raise DataFormatError(
                 f"{path}:{lineno}: field condition: unknown condition {condition_text!r}"
             )
-        samples.append(LabeledSample(
-            features, Label.from_text(label_text), ConditionTag(condition_text)))
-    return Dataset(tuple(samples), name)
+        codes[row] = _CONDITION_CODES[condition_text]
+    return Dataset(x, y, codes, name)
 
 
 def load_dataset(path, name: str | None = None) -> Dataset:
@@ -290,6 +290,12 @@ def load_model(path):
     raise DataFormatError(f"{path}:2: unknown model kind {kind!r}")
 
 
+def _check_width(n_features: int, path, lineno: int) -> None:
+    if n_features != NUM_PIXELS:
+        raise DataFormatError(
+            f"{path}:{lineno}: n-features must be {NUM_PIXELS}, got {n_features}")
+
+
 def _knn_from_lines(lines: list[str], path) -> KnnModel:
     try:
         k = int(_read_header_line(lines, 2, "k", path))
@@ -298,14 +304,19 @@ def _knn_from_lines(lines: list[str], path) -> KnnModel:
         n_features = int(_read_header_line(lines, 5, "n-features", path))
     except ValueError:
         raise DataFormatError(f"{path}: bad knn header") from None
+    _check_width(n_features, path, 6)
     payload = lines[6:]
     if len(payload) != n_samples:
         raise DataFormatError(f"{path}: expected {n_samples} sample lines, got {len(payload)}")
     labels = np.empty(n_samples, dtype=np.int64)
     x = np.empty((n_samples, n_features), dtype=np.float64)
     for row_index, line in enumerate(payload):
-        values = _parse_row(line, n_features + 1, path, 7 + row_index)
-        labels[row_index] = int(values[0])
+        lineno = 7 + row_index
+        values = _parse_row(line, n_features + 1, path, lineno)
+        label = line.split(None, 1)[0]
+        if label not in ("0", "1"):
+            raise DataFormatError(f"{path}:{lineno}: label must be 0 or 1, got {label!r}")
+        labels[row_index] = int(label)
         x[row_index] = values[1:]
     return KnnModel(x, labels, k, weighting)
 
@@ -323,6 +334,7 @@ def _svm_from_lines(lines: list[str], path) -> SvmModel:
         n_features = int(_read_header_line(lines, 9, "n-features", path))
     except ValueError:
         raise DataFormatError(f"{path}: bad svm header") from None
+    _check_width(n_features, path, 10)
     mean = _parse_row(_read_header_line(lines, 10, "feature-mean", path), n_features, path, 11)
     scale = _parse_row(_read_header_line(lines, 11, "feature-scale", path), n_features, path, 12)
     payload = lines[12:]
@@ -332,7 +344,11 @@ def _svm_from_lines(lines: list[str], path) -> SvmModel:
     y = np.empty(n_support)
     x = np.empty((n_support, n_features))
     for row_index, line in enumerate(payload):
-        values = _parse_row(line, n_features + 2, path, 13 + row_index)
+        lineno = 13 + row_index
+        values = _parse_row(line, n_features + 2, path, lineno)
+        if values[1] not in (-1.0, 1.0):
+            raise DataFormatError(
+                f"{path}:{lineno}: support label must be -1 or +1, got {float(values[1])!r}")
         alpha[row_index], y[row_index] = values[0], values[1]
         x[row_index] = values[2:]
     return SvmModel(KernelSpec(kind, degree, gamma, coef0), c, mean, scale, x, alpha, y, bias)
@@ -350,8 +366,7 @@ def _nn_from_lines(lines: list[str], path) -> NnModel:
         raise DataFormatError(f"{path}: bad nn header") from None
     if not 1 <= hidden <= MAX_HIDDEN:
         raise DataFormatError(f"{path}:3: hidden width {hidden} outside [1, {MAX_HIDDEN}]")
-    if n_features < 1:
-        raise DataFormatError(f"{path}:8: n-features must be positive, got {n_features}")
+    _check_width(n_features, path, 8)
     mean = _parse_row(_read_header_line(lines, 8, "feature-mean", path), n_features, path, 9)
     scale = _parse_row(_read_header_line(lines, 9, "feature-scale", path), n_features, path, 10)
     b1 = _parse_row(_read_header_line(lines, 10, "b1", path), hidden, path, 11)

@@ -24,12 +24,12 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .core import (
+    CONDITIONS,
     GRID_SIZE,
+    NUM_PIXELS,
     ConditionTag,
     Dataset,
     Label,
-    LabeledSample,
-    ThermalFrame,
     flatten,
     quantize,
 )
@@ -115,9 +115,6 @@ class SceneConfig:
     seed: int = 0
     duvet_f0: float = DEFAULT_DUVET_F0
     duvet_tau_min: float = DEFAULT_DUVET_TAU_MIN
-    # Optional body clipped at the view edge ("someone standing next to
-    # the bed"); exempt from the footprint check, off by default.
-    edge_person: PersonConfig | None = None
 
     def __post_init__(self) -> None:
         if not (15.0 <= self.room_temp_c <= 35.0):
@@ -145,17 +142,15 @@ def _ellipse_excess_distance(person: PersonConfig) -> np.ndarray:
     return np.maximum(rho - 1.0, 0.0) * min(a, b)
 
 
-def render(cfg: SceneConfig) -> ThermalFrame:
+def render(cfg: SceneConfig) -> np.ndarray:
     """Render one frame: max-composed contributions + noise, quantized."""
     field = np.full((GRID_SIZE, GRID_SIZE), cfg.room_temp_c, dtype=np.float64)
 
-    for body, duvet_minutes in ((cfg.person, cfg.duvet_minutes), (cfg.edge_person, None)):
-        if body is None:
-            continue
-        factor = 1.0 if duvet_minutes is None else duvet_factor(
-            duvet_minutes, cfg.duvet_f0, cfg.duvet_tau_min)
-        effective = cfg.room_temp_c + (body.skin_temp_c - cfg.room_temp_c) * factor
-        d = _ellipse_excess_distance(body)
+    if cfg.person is not None:
+        factor = 1.0 if cfg.duvet_minutes is None else duvet_factor(
+            cfg.duvet_minutes, cfg.duvet_f0, cfg.duvet_tau_min)
+        effective = cfg.room_temp_c + (cfg.person.skin_temp_c - cfg.room_temp_c) * factor
+        d = _ellipse_excess_distance(cfg.person)
         field = np.maximum(field, effective * np.exp(-0.5 * d * d))
 
     for src in cfg.heat_sources:
@@ -270,8 +265,23 @@ def _scene(seed_key: tuple[int, ...], p: SimParams, *, hot: bool = False,
     )
 
 
-def _sample(cfg: SceneConfig, label: Label, tag: ConditionTag) -> LabeledSample:
-    return LabeledSample(flatten(render(cfg)), label, tag)
+def _render_dataset(plan, seed: int, params: SimParams, name: str) -> Dataset:
+    """Render frame plans (stream, i, label, condition, scene options) in order.
+
+    Frame i of a stream is seeded by (seed, stream, i) and written straight
+    into the preallocated feature matrix.
+    """
+    x = np.empty((len(plan), NUM_PIXELS))
+    for row, (stream, i, _, _, scene) in enumerate(plan):
+        x[row] = flatten(render(_scene((seed, stream, i), params, **scene)))
+    labels = [label for _, _, label, _, _ in plan]
+    codes = [CONDITIONS.index(tag) for _, _, _, tag, _ in plan]
+    return Dataset(x, labels, codes, name)
+
+
+def _cell(stream: int, n: int, label: Label, tag: ConditionTag, **scene) -> list:
+    """Plans for frames 0..n-1 of a stream, all with one label, condition and scene."""
+    return [(stream, i, label, tag, scene) for i in range(n)]
 
 
 def generate_main(n_per_class: int, seed: int,
@@ -279,15 +289,9 @@ def generate_main(n_per_class: int, seed: int,
     """Baseline dataset: n occupied frames followed by n empty frames."""
     if n_per_class < 1:
         raise InvalidInputError("n_per_class must be at least 1")
-    samples = [
-        _sample(_scene((seed, 0, i), params, person=True), Label.PERSON, ConditionTag.BASELINE)
-        for i in range(n_per_class)
-    ]
-    samples += [
-        _sample(_scene((seed, 1, i), params), Label.NO_PERSON, ConditionTag.BASELINE)
-        for i in range(n_per_class)
-    ]
-    return Dataset(tuple(samples), "main")
+    plan = (_cell(0, n_per_class, Label.PERSON, ConditionTag.BASELINE, person=True)
+            + _cell(1, n_per_class, Label.NO_PERSON, ConditionTag.BASELINE))
+    return _render_dataset(plan, seed, params, "main")
 
 
 def generate_variational(n_per_cell: int, seed: int,
@@ -303,30 +307,16 @@ def generate_variational(n_per_cell: int, seed: int,
         raise InvalidInputError("n_per_cell must be at least 1")
     if n_per_cell % 3 != 0:
         raise InvalidInputError("n_per_cell must be divisible by 3 for the duvet time split")
-    third = n_per_cell // 3
-    duvet_cells = (
-        (0.0, ConditionTag.DUVET_0),
-        (5.0, ConditionTag.DUVET_5),
-        (10.0, ConditionTag.DUVET_10),
+    n = n_per_cell
+    duvet = ((0.0, ConditionTag.DUVET_0), (5.0, ConditionTag.DUVET_5),
+             (10.0, ConditionTag.DUVET_10))
+    plan = (
+        _cell(2, n, Label.PERSON, ConditionTag.HOT_ROOM, hot=True, person=True)
+        + _cell(3, n, Label.NO_PERSON, ConditionTag.HOT_ROOM, hot=True)
+        + _cell(4, n, Label.PERSON, ConditionTag.WATER_BOTTLE, person=True, bottle=True)
+        + _cell(5, n, Label.NO_PERSON, ConditionTag.WATER_BOTTLE, bottle=True)
+        + [(6, i, Label.PERSON, tag, {"person": True, "duvet_minutes": minutes})
+           for i in range(n) for minutes, tag in [duvet[i // (n // 3)]]]
+        + _cell(7, n, Label.NO_PERSON, ConditionTag.DUVET_0)
     )
-    samples = []
-    for i in range(n_per_cell):
-        samples.append(_sample(_scene((seed, 2, i), params, hot=True, person=True),
-                               Label.PERSON, ConditionTag.HOT_ROOM))
-    for i in range(n_per_cell):
-        samples.append(_sample(_scene((seed, 3, i), params, hot=True),
-                               Label.NO_PERSON, ConditionTag.HOT_ROOM))
-    for i in range(n_per_cell):
-        samples.append(_sample(_scene((seed, 4, i), params, person=True, bottle=True),
-                               Label.PERSON, ConditionTag.WATER_BOTTLE))
-    for i in range(n_per_cell):
-        samples.append(_sample(_scene((seed, 5, i), params, bottle=True),
-                               Label.NO_PERSON, ConditionTag.WATER_BOTTLE))
-    for i in range(n_per_cell):
-        minutes, tag = duvet_cells[i // third]
-        samples.append(_sample(_scene((seed, 6, i), params, person=True, duvet_minutes=minutes),
-                               Label.PERSON, tag))
-    for i in range(n_per_cell):
-        samples.append(_sample(_scene((seed, 7, i), params),
-                               Label.NO_PERSON, ConditionTag.DUVET_0))
-    return Dataset(tuple(samples), "variational")
+    return _render_dataset(plan, seed, params, "variational")

@@ -1,17 +1,11 @@
 import numpy as np
 import pytest
 
-from thermal_sense.core import Dataset, Label, LabeledSample
+from thermal_sense.core import Dataset
 
 
 def dataset_from_arrays(x, y, name="toy"):
-    return Dataset(
-        tuple(
-            LabeledSample(tuple(float(v) for v in row), Label(int(lab)))
-            for row, lab in zip(x, y)
-        ),
-        name,
-    )
+    return Dataset(x, y, name=name)
 
 
 def balanced_dataset(n_per_class, person_value=30.0, no_person_value=20.0):

@@ -66,3 +66,25 @@ def central_difference_gradient(loss_fn, theta, h=1e-5):
         down[i] -= h
         grad[i] = (loss_fn(up) - loss_fn(down)) / (2.0 * h)
     return grad
+
+
+def pairwise_kernel(spec, x, y):
+    """Reference kernel value for one pair of equal-length vectors.
+
+    Textbook formulas on a single pair; the gamma of a non-linear spec
+    must already be resolved.
+    """
+    import numpy as np
+
+    xv = np.asarray(x, dtype=np.float64)
+    yv = np.asarray(y, dtype=np.float64)
+    assert xv.shape == yv.shape and xv.ndim == 1
+    dot = float(xv @ yv)
+    if spec.kind == "linear":
+        return dot
+    if spec.kind == "poly":
+        return (spec.gamma * dot + spec.coef0) ** spec.degree
+    if spec.kind == "sigmoid":
+        return math.tanh(spec.gamma * dot + spec.coef0)
+    diff = xv - yv
+    return math.exp(-spec.gamma * float(diff @ diff))

@@ -229,7 +229,7 @@ def test_criterion_6_nn_gradient_and_xor():
 
         xor = dataset_from_arrays(embedded([[0, 0], [0, 1], [1, 0], [1, 1]]), [0, 1, 1, 0])
         model = train_nn(xor, 4, TrainingParams(0.1, 4, 2000), seed=0)
-        assert np.array_equal(predict_nn_batch(model, xor.feature_matrix()), xor.labels_array())
+        assert np.array_equal(predict_nn_batch(model, xor.feature_matrix()), xor.y)
 
 
 def test_criterion_7_determinism(tmp_path):
@@ -304,7 +304,7 @@ def test_criterion_8_quantization_range():
                 ),)
             cfg = SceneConfig(room, person, sources, duvet,
                               noise_sigma=float(rng.uniform(0.0, 0.5)), seed=i)
-            arr = render(cfg).as_array()
+            arr = render(cfg)
             assert np.all(arr >= 20.0) and np.all(arr <= 100.0)
             assert np.all((arr * 4) == np.round(arr * 4))
             checked += 1

@@ -186,6 +186,57 @@ class TestTrainEvalPredict:
         assert f"{model}:{lineno}: " in capsys.readouterr().err
 
 
+def _drop_last(line):
+    return line.rsplit(" ", 1)[0]
+
+
+def _narrow_knn(lines):
+    return lines[:5] + ["n-features: 63"] + [_drop_last(line) for line in lines[6:]]
+
+
+def _narrow_svm(lines):
+    return (lines[:9] + ["n-features: 63"]
+            + [_drop_last(line) for line in lines[10:]])
+
+
+def _narrow_nn(lines):
+    # feature mean and scale lose their last value, w1 its last row
+    return (lines[:7] + ["n-features: 63"] + [_drop_last(line) for line in lines[8:10]]
+            + lines[10:12 + 63] + lines[12 + 64:])
+
+
+def _set_token(lineno, index, value):
+    def edit(lines):
+        tokens = lines[lineno - 1].split(" ")
+        tokens[index] = value
+        return lines[:lineno - 1] + [" ".join(tokens)] + lines[lineno:]
+    return edit
+
+
+class TestModelFileChecks:
+    """A model file whose labels or width break the model's invariants exits 2 with file:line."""
+
+    @pytest.mark.parametrize("kind, edit, lineno", [
+        ("knn", _set_token(7, 0, "7"), 7),
+        ("knn", _set_token(8, 0, "1.9"), 8),
+        ("svm", _set_token(13, 1, "2.0"), 13),
+        ("knn", _narrow_knn, 6),
+        ("svm", _narrow_svm, 10),
+        ("nn", _narrow_nn, 8),
+    ], ids=["knn-label-7", "knn-label-1.9", "svm-label-2", "knn-width-63", "svm-width-63",
+            "nn-width-63"])
+    def test_eval_rejects_model_file(self, main_csv, tmp_path, capsys, kind, edit, lineno):
+        model = tmp_path / f"{kind}.model"
+        flags = ("--hidden", 4, "--epochs", 2) if kind == "nn" else ()
+        assert cli("train", "--data", main_csv, "--seed", 7, "--model", kind, *flags,
+                   "--out", model) == 0
+        lines = edit(model.read_text().rstrip("\n").split("\n"))
+        model.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert cli("eval", "--model", model, "--data", main_csv) == 2
+        assert capsys.readouterr().err.startswith(f"error: {model}:{lineno}: ")
+
+
 class TestMonitorCommand:
     def test_replay(self, tmp_path):
         trace = tmp_path / "trace.csv"
@@ -224,6 +275,17 @@ class TestMonitorCommand:
         trace = tmp_path / "trace.csv"
         trace.write_text("timestamp,label\n10,person\n10,person\n")
         assert cli("monitor", "--input", trace, "--out", tmp_path / "e.csv") == 2
+
+    @pytest.mark.parametrize("rows, lineno, message", [
+        ("0,person\n5,persn\n", 3, "unknown label 'persn'"),
+        ("0,person\n5,person\n3,person\n", 4, "timestamp 3.0 not after previous 5.0"),
+        ("10,person\n10,person\n", 3, "timestamp 10.0 not after previous 10.0"),
+    ])
+    def test_trace_errors_name_the_line(self, tmp_path, capsys, rows, lineno, message):
+        trace = tmp_path / "trace.csv"
+        trace.write_text("timestamp,label\n" + rows)
+        assert cli("monitor", "--input", trace, "--out", tmp_path / "e.csv") == 2
+        assert f"error: {trace}:{lineno}: {message}\n" == capsys.readouterr().err
 
 
 class TestExitCodes:

@@ -4,15 +4,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from thermal_sense.core import (
+    ConditionTag,
+    Dataset,
     FoldPlan,
     Label,
-    LabeledSample,
-    ThermalFrame,
     flatten,
     make_folds,
     quantize,
     split_train_test,
-    unflatten,
 )
 from thermal_sense.errors import InvalidInputError, StratificationError
 
@@ -40,7 +39,7 @@ class TestQuantize:
         ],
     )
     def test_examples(self, raw, expected):
-        assert quantize(frame_of(raw)).pixels[0][0] == expected
+        assert quantize(frame_of(raw))[0, 0] == expected
 
     def test_non_finite_names_pixel(self):
         arr = frame_of(25.0)
@@ -56,42 +55,40 @@ class TestQuantize:
     def test_idempotent_and_in_range(self, values):
         arr = np.array(values).reshape(8, 8)
         once = quantize(arr)
-        twice = quantize(once.as_array())
-        assert once == twice
-        for row in once.pixels:
-            for v in row:
-                assert 20.0 <= v <= 100.0
-                assert float(v * 4).is_integer()
+        twice = quantize(once)
+        assert np.array_equal(once, twice)
+        assert not once.flags.writeable
+        for v in once.ravel().tolist():
+            assert 20.0 <= v <= 100.0
+            assert float(v * 4).is_integer()
 
 
 class TestFlatten:
     def test_constant(self):
         f = quantize(frame_of(20.25))
-        assert flatten(f) == tuple([20.25] * 64)
+        assert flatten(f).tolist() == [20.25] * 64
 
     def test_single_hot_pixel(self):
         arr = frame_of(20.0)
         arr[0, 0] = 25.0
         vec = flatten(quantize(arr))
         assert vec[0] == 25.0
-        assert set(vec[1:]) == {20.0}
+        assert set(vec[1:].tolist()) == {20.0}
 
     @given(st.lists(quarter_temps, min_size=64, max_size=64))
     def test_round_trip(self, values):
-        frame = unflatten(values)
-        assert unflatten(flatten(frame)) == frame
-
-    def test_unflatten_wrong_length(self):
-        with pytest.raises(InvalidInputError):
-            unflatten([20.0] * 63)
+        # quarter-degree values pass the quantizer unchanged, row-major
+        frame = quantize(np.array(values).reshape(8, 8))
+        assert flatten(frame).tolist() == values
+        assert np.array_equal(flatten(frame).reshape(8, 8), frame)
 
 
 class TestSplit:
     def test_paper_counts(self):
         train, test = split_train_test(balanced_dataset(240), 0.2, 7)
         assert len(test) == 96
-        assert test.class_counts()[Label.PERSON] == 48
-        assert test.class_counts()[Label.NO_PERSON] == 48
+        assert np.count_nonzero(test.y == Label.PERSON) == 48
+        assert np.count_nonzero(test.y == Label.NO_PERSON) == 48
         assert len(train) == 384
 
     def test_half_fraction_rounds_up(self):
@@ -104,8 +101,10 @@ class TestSplit:
         ds = balanced_dataset(5)
         a = split_train_test(ds, 0.2, 11)
         b = split_train_test(ds, 0.2, 11)
-        assert a[0].samples == b[0].samples
-        assert a[1].samples == b[1].samples
+        for part_a, part_b in zip(a, b):
+            assert np.array_equal(part_a.x, part_b.x)
+            assert np.array_equal(part_a.y, part_b.y)
+            assert np.array_equal(part_a.conditions, part_b.conditions)
 
     def test_disjoint_union(self, rng):
         x = rng.normal(25, 2, (30, 64))
@@ -113,8 +112,11 @@ class TestSplit:
         y[:2] = [0, 1]
         ds = dataset_from_arrays(x, y)
         train, test = split_train_test(ds, 0.3, 5)
-        combined = sorted(train.samples + test.samples, key=lambda s: s.features)
-        assert combined == sorted(ds.samples, key=lambda s: s.features)
+
+        def rows(*parts):
+            return sorted(tuple(r) for p in parts for r in np.column_stack([p.x, p.y]).tolist())
+
+        assert rows(train, test) == rows(ds)
 
     def test_empty_class_errors(self):
         x = np.full((4, 64), 25.0)
@@ -138,7 +140,7 @@ class TestFolds:
         plan = make_folds(balanced_dataset(2), 2, 0)
         ds = balanced_dataset(2)
         for f in range(2):
-            labels = [ds.samples[i].label for i, a in enumerate(plan.assignment) if a == f]
+            labels = [Label(ds.y[i]) for i, a in enumerate(plan.assignment) if a == f]
             assert sorted(labels) == [Label.NO_PERSON, Label.PERSON]
 
     def test_deterministic(self):
@@ -165,7 +167,7 @@ class TestFolds:
                 sum(
                     1
                     for i, a in enumerate(plan.assignment)
-                    if a == f and ds.samples[i].label is label
+                    if a == f and ds.y[i] == label
                 )
                 for f in range(k)
             ]
@@ -173,13 +175,35 @@ class TestFolds:
 
 
 class TestTypes:
-    def test_frame_rejects_off_grid_values(self):
-        with pytest.raises(InvalidInputError):
-            ThermalFrame(tuple(tuple([20.1] * 8) for _ in range(8)))
-
     def test_sample_needs_64_features(self):
         with pytest.raises(InvalidInputError):
-            LabeledSample(tuple([20.0] * 63), Label.PERSON)
+            Dataset(np.full((1, 63), 20.0), [Label.PERSON])
+
+    @pytest.mark.parametrize("field, value", [
+        ("x", np.nan), ("x", np.inf), ("y", 2), ("y", 0.5), ("conditions", 6),
+        ("conditions", -1)])
+    def test_dataset_rejects_invalid_rows(self, field, value):
+        arrays = {"x": np.full((2, 64), 20.0), "y": np.array([0.0, 1.0]),
+                  "conditions": np.array([0.0, 5.0])}
+        Dataset(**arrays)
+        arrays[field][1] = value
+        with pytest.raises(InvalidInputError):
+            Dataset(**arrays)
+
+    def test_dataset_arrays_are_read_only_copies(self):
+        x = np.full((2, 64), 20.0)
+        ds = Dataset(x, [0, 1])
+        x[0, 0] = 30.0
+        assert ds.x[0, 0] == 20.0
+        for arr in (ds.x, ds.y, ds.conditions):
+            assert not arr.flags.writeable
+
+    def test_samples_view(self):
+        ds = Dataset(np.arange(128.0).reshape(2, 64), [1, 0], [3, 0])
+        (a, b) = ds.samples
+        assert a.label is Label.PERSON and b.label is Label.NO_PERSON
+        assert a.condition is ConditionTag.DUVET_0 and b.condition is ConditionTag.BASELINE
+        assert np.array_equal(a.features, ds.x[0])
 
     def test_fold_plan_bounds(self):
         with pytest.raises(InvalidInputError):

@@ -3,7 +3,7 @@ import pytest
 
 from thermal_sense.classifiers.kernels import KernelSpec
 from thermal_sense.classifiers.nn import TrainingParams
-from thermal_sense.core import ConditionTag, Dataset, FoldPlan, Label, LabeledSample, make_folds
+from thermal_sense.core import CONDITIONS, ConditionTag, Dataset, FoldPlan, Label, make_folds
 from thermal_sense.errors import InvalidInputError, StratificationError
 from thermal_sense.evaluate import (
     ConfusionCounts,
@@ -200,14 +200,15 @@ class TestEvaluateByCondition:
 
     def test_partition_sums_to_overall(self, rng):
         model, _ = self.build(rng)
-        samples = []
+        x, y, codes = [], [], []
         gen = np.random.default_rng(5)
         for tag in (ConditionTag.BASELINE, ConditionTag.HOT_ROOM, ConditionTag.DUVET_0):
             for label, level in ((Label.PERSON, 32.0), (Label.NO_PERSON, 20.5)):
                 for _ in range(3):
-                    samples.append(LabeledSample(
-                        tuple(gen.normal(level, 0.5, 64)), label, tag))
-        ds = Dataset(tuple(samples), "mixed")
+                    x.append(gen.normal(level, 0.5, 64))
+                    y.append(label)
+                    codes.append(CONDITIONS.index(tag))
+        ds = Dataset(x, y, codes, "mixed")
         overall, per = evaluate_by_condition(model, ds)
         assert sum(r.counts.total for r in per.values()) == overall.counts.total
         assert sum(r.counts.tp for r in per.values()) == overall.counts.tp
@@ -216,11 +217,9 @@ class TestEvaluateByCondition:
     def test_single_class_subset_gets_none_marker(self, rng):
         model, _ = self.build(rng)
         gen = np.random.default_rng(6)
-        samples = [
-            LabeledSample(tuple(gen.normal(32, 0.5, 64)), Label.PERSON, ConditionTag.DUVET_5)
-            for _ in range(4)
-        ]
-        overall, per = evaluate_by_condition(model, Dataset(tuple(samples), "only-person"))
+        ds = Dataset(gen.normal(32, 0.5, (4, 64)), [Label.PERSON] * 4,
+                     [CONDITIONS.index(ConditionTag.DUVET_5)] * 4, "only-person")
+        overall, per = evaluate_by_condition(model, ds)
         assert per[ConditionTag.DUVET_5].specificity is None
         assert overall.specificity is None
 

@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
 
-from thermal_sense.classifiers.knn import predict_knn, predict_knn_batch, train_knn
+from thermal_sense.classifiers.knn import KnnModel, predict_knn_batch, train_knn
 from thermal_sense.core import Label
 from thermal_sense.errors import InvalidInputError
 
 from conftest import dataset_from_arrays
 from oracles import brute_force_knn
+
+
+def predict_one(model, x):
+    return predict_knn_batch(model, np.asarray(x)[None, :])[0]
 
 
 def unit_vector(index, value=1.0):
@@ -40,41 +44,48 @@ class TestTrain:
         y = rng.integers(0, 2, 12)
         model = train_knn(dataset_from_arrays(x, y), 1)
         for row, lab in zip(x, y):
-            assert predict_knn(model, row) == Label(int(lab))
+            assert predict_one(model, row) == Label(int(lab))
 
 
 class TestPredict:
     def test_exact_match_wins_with_distance_weighting(self):
         x = np.stack([unit_vector(0, 2.0), unit_vector(1, 5.0), unit_vector(2, 5.0)])
         model = train_knn(dataset_from_arrays(x, [1, 0, 0]), 3, "distance")
-        assert predict_knn(model, unit_vector(0, 2.0)) == Label.PERSON
+        assert predict_one(model, unit_vector(0, 2.0)) == Label.PERSON
 
     def test_uniform_majority(self):
         x = np.stack([unit_vector(0, 1.0), unit_vector(0, 1.1), unit_vector(0, 5.0)])
         model = train_knn(dataset_from_arrays(x, [1, 1, 0]), 3, "uniform")
-        assert predict_knn(model, unit_vector(0, 1.05)) == Label.PERSON
+        assert predict_one(model, unit_vector(0, 1.05)) == Label.PERSON
 
     def test_weight_tie_goes_to_no_person(self):
         # neighbors at d=1 (no person) and d=2, d=2 (person): 1.0 vs 0.5+0.5
         x = np.stack([unit_vector(0, 1.0), unit_vector(0, -2.0), unit_vector(1, 2.0)])
         model = train_knn(dataset_from_arrays(x, [0, 1, 1]), 3, "distance")
-        assert predict_knn(model, np.zeros(64)) == Label.NO_PERSON
+        assert predict_one(model, np.zeros(64)) == Label.NO_PERSON
 
     def test_uniform_even_k_tie_goes_to_no_person(self):
         x = np.stack([unit_vector(0, 1.0), unit_vector(0, -1.0)])
         model = train_knn(dataset_from_arrays(x, [1, 0]), 2, "uniform")
-        assert predict_knn(model, np.zeros(64)) == Label.NO_PERSON
+        assert predict_one(model, np.zeros(64)) == Label.NO_PERSON
 
     def test_distance_ties_break_by_stored_index(self):
         # two stored points equidistant from the query; k=1 must pick index 0
         x = np.stack([unit_vector(0, 1.0), unit_vector(0, -1.0)])
         model = train_knn(dataset_from_arrays(x, [1, 0]), 1, "uniform")
-        assert predict_knn(model, np.zeros(64)) == Label.PERSON
+        assert predict_one(model, np.zeros(64)) == Label.PERSON
 
     def test_wrong_query_shape(self):
         model = train_knn(dataset_from_arrays(np.zeros((2, 64)), [0, 1]), 1)
         with pytest.raises(InvalidInputError):
-            predict_knn(model, np.zeros(8))
+            predict_one(model, np.zeros(8))
+        with pytest.raises(InvalidInputError):
+            predict_knn_batch(model, np.zeros(64))
+
+    @pytest.mark.parametrize("label", [7, -1, 2])
+    def test_labels_must_be_binary(self, label):
+        with pytest.raises(InvalidInputError, match="labels"):
+            KnnModel(np.zeros((2, 64)), np.array([0, label]), 1, "uniform")
 
 
 class TestInvariance:

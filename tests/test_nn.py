@@ -9,7 +9,6 @@ from thermal_sense.classifiers.nn import (
     flatten_weights,
     nn_gradient,
     nn_loss,
-    predict_nn,
     predict_nn_batch,
     replace_weights,
     train_nn,
@@ -20,6 +19,10 @@ from thermal_sense.evaluate import derive_seed
 from thermal_sense.simulate import generate_main
 
 from conftest import dataset_from_arrays
+
+
+def predict_one(model, x):
+    return predict_nn_batch(model, np.asarray(x)[None, :])[0]
 from oracles import central_difference_gradient
 
 
@@ -73,7 +76,7 @@ class TestTrain:
     def test_xor_reaches_full_training_accuracy(self):
         model = train_nn(XOR_DS, 4, TrainingParams(0.1, 4, 2000), seed=0)
         preds = predict_nn_batch(model, XOR_DS.feature_matrix())
-        assert np.array_equal(preds, XOR_DS.labels_array())
+        assert np.array_equal(preds, XOR_DS.y)
 
     def test_finite_weights(self, rng):
         model = train_nn(random_batch(rng, 30), 16, TrainingParams(0.01, 8, 20), seed=1)
@@ -141,7 +144,8 @@ class TestGradient:
     def test_duplicated_batch_keeps_mean_gradient(self, rng):
         batch = random_batch(rng, 6)
         model = train_nn(batch, 8, TrainingParams(0.05, 4, 3), seed=0)
-        doubled = Dataset(batch.samples + batch.samples, "doubled")
+        doubled = Dataset(np.vstack([batch.x, batch.x]), np.concatenate([batch.y, batch.y]),
+                          name="doubled")
         assert np.allclose(nn_gradient(model, batch), nn_gradient(model, doubled),
                            rtol=0, atol=1e-15)
 
@@ -157,14 +161,19 @@ class TestPredict:
         # symmetric network: both logits equal, probability 1/2, tie -> NO_PERSON
         model = zeroed(train_nn(random_batch(rng, 10), 4, TrainingParams(0.1, 4, 1), 0))
         assert nn_loss(model, random_batch(rng, 5)) == pytest.approx(np.log(2.0))
-        assert predict_nn(model, rng.normal(0, 1, 64)) == Label.NO_PERSON
+        assert predict_one(model, rng.normal(0, 1, 64)) == Label.NO_PERSON
 
     def test_reproduces_toy_labels(self):
         model = train_nn(XOR_DS, 4, TrainingParams(0.1, 4, 2000), seed=0)
         for s in XOR_DS.samples:
-            assert predict_nn(model, np.array(s.features)) == s.label
+            assert predict_one(model, s.features) == s.label
 
     def test_pure_function(self, rng):
         model = train_nn(random_batch(rng, 10), 4, TrainingParams(0.1, 4, 5), 0)
         x = rng.normal(0, 1, 64)
-        assert predict_nn(model, x) == predict_nn(model, x)
+        assert predict_one(model, x) == predict_one(model, x)
+
+    def test_wrong_query_width(self, rng):
+        model = train_nn(random_batch(rng, 10), 4, TrainingParams(0.1, 4, 5), 0)
+        with pytest.raises(InvalidInputError):
+            predict_nn_batch(model, np.zeros((1, 63)))

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from thermal_sense.classifiers.kernels import KernelSpec
 from thermal_sense.classifiers.nn import TrainingParams
-from thermal_sense.core import ConditionTag, Dataset, Label, LabeledSample, make_folds
+from thermal_sense.core import CONDITIONS, Dataset, Label, make_folds
 from thermal_sense.errors import DataFormatError, FormatVersionError
 from thermal_sense.evaluate import KnnSpec, NnSpec, SvmSpec, predictor
 from thermal_sense.persist import (
@@ -28,11 +28,10 @@ from thermal_sense.simulate import generate_main
 from conftest import balanced_dataset, dataset_from_arrays
 
 quarter_temps = st.integers(80, 400).map(lambda q: q / 4.0)
-sample_strategy = st.builds(
-    LabeledSample,
-    st.lists(quarter_temps, min_size=64, max_size=64).map(tuple),
+sample_strategy = st.tuples(
+    st.lists(quarter_temps, min_size=64, max_size=64),
     st.sampled_from(list(Label)),
-    st.sampled_from(list(ConditionTag)),
+    st.integers(0, len(CONDITIONS) - 1),
 )
 
 
@@ -48,10 +47,13 @@ class TestDatasetFormat:
     @settings(max_examples=30)
     @given(st.lists(sample_strategy, min_size=1, max_size=8))
     def test_round_trip_random_datasets(self, samples):
-        ds = Dataset(tuple(samples), "x")
+        x, y, codes = zip(*samples)
+        ds = Dataset(x, y, codes, "x")
         text = dataset_to_csv(ds)
         again = dataset_from_csv(text, "x")
-        assert again.samples == ds.samples
+        assert again.x.tolist() == ds.x.tolist()
+        assert again.y.tolist() == ds.y.tolist()
+        assert again.conditions.tolist() == ds.conditions.tolist()
         assert dataset_to_csv(again) == text
 
     def test_header_shape(self):
@@ -85,6 +87,17 @@ class TestDatasetFormat:
     def test_rejects_out_of_range_value(self):
         row = ",".join(["19.75"] + ["20.00"] * 63 + ["person", "baseline"])
         with pytest.raises(DataFormatError, match="quarter degree"):
+            dataset_from_csv(CSV_HEADER + "\n" + row + "\n", "x")
+
+    def test_rejects_off_grid_values(self):
+        # 20.1 is no sensor value: the writer refuses it, the reader refuses 20.10
+        ds = dataset_from_arrays(np.full((1, 64), 20.1), [1])
+        with pytest.raises(DataFormatError,
+                           match=r"^sample 0 field p00: 20.1 is not a quarter degree"):
+            dataset_to_csv(ds)
+        row = ",".join(["20.00"] * 9 + ["20.10"] * 55 + ["person", "baseline"])
+        with pytest.raises(DataFormatError,
+                           match=r"^<memory>:2: field p11: 20.10 is not a quarter degree"):
             dataset_from_csv(CSV_HEADER + "\n" + row + "\n", "x")
 
     def test_rejects_missing_trailing_newline(self):

@@ -1,0 +1,68 @@
+"""Smoke runs of scripts/run_sweeps.py and scripts/run_robustness.py on tiny inputs."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from thermal_sense.cli import run
+from thermal_sense.persist import load_report
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_script(name, *args, threads=None):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    if threads is not None:
+        env["THERMAL_SENSE_THREADS"] = threads
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *map(str, args)],
+                          capture_output=True, text=True, env=env, timeout=600)
+
+
+def test_run_sweeps(tmp_path):
+    # 8 per class leaves 8 training rows per fold, enough for the k-NN grid's k=7
+    out = tmp_path / "out"
+    done = run_script("run_sweeps.py", "--out-dir", out, "--n-per-class", 8, "--folds", 2,
+                      "--nn-epochs", 1)
+    assert done.returncode == 0, done.stderr
+    for family, size in (("svm-kernels", 4), ("knn-grid", 8), ("nn-widths", 11)):
+        rows = load_report(out / f"sweep_{family}.json")["results"]["rows"]
+        assert len(rows) == size
+        assert all(len(row["cv"]["folds"]) == 2 for row in rows)
+        lines = (out / f"sweep_{family}.csv").read_text().splitlines()
+        assert lines[0] == "config,accuracy_mean,accuracy_std"
+        assert len(lines) == size + 1
+    # the same results as the sweep command on the same data, seed and folds
+    report = tmp_path / "knn.json"
+    assert run(["sweep", "--data", str(out / "main.csv"), "--folds", "2", "--seed", "7",
+                "--family", "knn-grid", "--report", str(report)]) == 0
+    assert (load_report(report)["results"]
+            == load_report(out / "sweep_knn-grid.json")["results"])
+
+
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_run_sweeps_bad_thread_count(tmp_path, value):
+    out = tmp_path / "out"
+    done = run_script("run_sweeps.py", "--out-dir", out, "--n-per-class", 8, "--folds", 2,
+                      "--nn-epochs", 1, threads=value)
+    assert done.returncode == 1
+    assert done.stderr.startswith("error: THERMAL_SENSE_THREADS")
+    assert not out.exists()  # refused before the dataset was generated
+
+
+def test_run_robustness(tmp_path):
+    out = tmp_path / "out"
+    done = run_script("run_robustness.py", "--out-dir", out, "--n-per-class", 6,
+                      "--n-per-cell", 3)
+    assert done.returncode == 0, done.stderr
+    for name in ("svm_linear", "knn_1", "nn_128"):
+        results = load_report(out / f"robustness_{name}.json")["results"]
+        assert set(results["by_condition"]) == {
+            "hot_room", "water_bottle", "duvet_0", "duvet_5", "duvet_10"}
+        lines = (out / f"robustness_{name}.csv").read_text().splitlines()
+        assert lines[0] == "condition,n,accuracy,sensitivity,specificity"
+        assert lines[1].startswith("overall,18,")
+        assert len(lines) == 7

@@ -1,10 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from thermal_sense.classifiers.kernels import KernelSpec, kernel_eval, kernel_matrix
+from thermal_sense.classifiers.kernels import KernelSpec, kernel_matrix
 from thermal_sense.classifiers.svm import (
     decision_function,
-    predict_svm,
     predict_svm_batch,
     train_svm,
 )
@@ -12,6 +13,11 @@ from thermal_sense.core import Label
 from thermal_sense.errors import InvalidInputError, StratificationError, TrainingError
 
 from conftest import dataset_from_arrays
+from oracles import pairwise_kernel
+
+
+def predict_one(model, x):
+    return predict_svm_batch(model, np.asarray(x)[None, :])[0]
 
 
 def embedded(points):
@@ -25,31 +31,38 @@ XOR_X = embedded([[0, 0], [0, 1], [1, 0], [1, 1]])
 XOR_Y = [0, 1, 1, 0]
 
 
+def kernel_pair(spec, x, y):
+    """The library's kernel on one pair, after checking it against the oracle."""
+    value = float(kernel_matrix(spec, x[None, :], y[None, :])[0, 0])
+    assert value == pytest.approx(pairwise_kernel(spec, x, y), rel=1e-12)
+    return value
+
+
 class TestKernels:
     def test_rbf_at_zero_distance(self):
         x = np.arange(64, dtype=float)
-        assert kernel_eval(KernelSpec("rbf", gamma=0.5), x, x) == pytest.approx(1.0)
+        assert kernel_pair(KernelSpec("rbf", gamma=0.5), x, x) == pytest.approx(1.0)
 
     def test_linear_self_is_squared_norm(self):
         x = np.arange(64, dtype=float)
-        assert kernel_eval(KernelSpec("linear"), x, x) == pytest.approx(float(x @ x))
+        assert kernel_pair(KernelSpec("linear"), x, x) == pytest.approx(float(x @ x))
 
     def test_poly_degree_two(self):
         x = np.zeros(64)
         y = np.zeros(64)
         x[0], y[0] = 3.0, 1.0  # x . y = 3
-        assert kernel_eval(KernelSpec("poly", degree=2, gamma=1.0, coef0=0.0), x, y) == 9.0
+        assert kernel_pair(KernelSpec("poly", degree=2, gamma=1.0, coef0=0.0), x, y) == 9.0
 
     def test_sigmoid(self):
         x = np.zeros(4)
         y = np.zeros(4)
         x[0], y[0] = 2.0, 1.0
         spec = KernelSpec("sigmoid", gamma=0.5, coef0=-1.0)
-        assert kernel_eval(spec, x, y) == pytest.approx(np.tanh(0.0))
+        assert kernel_pair(spec, x, y) == pytest.approx(np.tanh(0.0))
 
     def test_length_mismatch(self):
         with pytest.raises(InvalidInputError):
-            kernel_eval(KernelSpec("linear"), np.zeros(3), np.zeros(4))
+            kernel_matrix(KernelSpec("linear"), np.zeros((1, 3)), np.zeros((1, 4)))
 
     def test_matrix_agrees_with_eval(self, rng):
         a = rng.normal(0, 1, (5, 64))
@@ -63,7 +76,7 @@ class TestKernels:
             m = kernel_matrix(spec, a, b)
             for i in range(5):
                 for j in range(4):
-                    assert m[i, j] == pytest.approx(kernel_eval(spec, a[i], b[j]), rel=1e-12)
+                    assert m[i, j] == pytest.approx(pairwise_kernel(spec, a[i], b[j]), rel=1e-12)
 
     def test_gamma_must_be_positive(self):
         with pytest.raises(InvalidInputError):
@@ -71,13 +84,13 @@ class TestKernels:
 
 
 def max_kkt_violation(model, x, y01, c):
-    """Recompute y_i f(x_i) from scratch through kernel_eval."""
+    """Recompute y_i f(x_i) from scratch through the pairwise oracle."""
     x_std = (x - model.feature_mean) / model.feature_scale
     y = np.where(np.asarray(y01) == 1, 1.0, -1.0)
     f = np.array(
         [
             sum(
-                a * sy * kernel_eval(model.kernel, sv, q)
+                a * sy * pairwise_kernel(model.kernel, sv, q)
                 for a, sy, sv in zip(model.support_alpha, model.support_y, model.support_x)
             )
             + model.bias
@@ -170,19 +183,31 @@ class TestPredict:
         model = train_svm(dataset_from_arrays(x, [0, 1]), KernelSpec("linear"), c=1e6)
         probe = np.zeros(64)
         probe[0] = 0.5
-        assert predict_svm(model, probe) == Label.PERSON
-        assert predict_svm(model, -probe) == Label.NO_PERSON
+        assert predict_one(model, probe) == Label.PERSON
+        assert predict_one(model, -probe) == Label.NO_PERSON
 
     def test_support_vector_on_its_own_side(self):
         x = embedded([[-1.0], [1.0]])
         model = train_svm(dataset_from_arrays(x, [0, 1]), KernelSpec("linear"), c=1e6)
-        assert predict_svm(model, x[1]) == Label.PERSON
+        assert predict_one(model, x[1]) == Label.PERSON
 
     def test_tie_at_zero_is_person(self):
         x = embedded([[-1.0], [1.0]])
         model = train_svm(dataset_from_arrays(x, [0, 1]), KernelSpec("linear"), c=1e6)
         assert abs(decision_function(model, np.zeros((1, 64)))[0]) < 1e-9
-        assert predict_svm(model, np.zeros(64)) == Label.PERSON
+        assert predict_one(model, np.zeros(64)) == Label.PERSON
+
+    def test_wrong_query_width(self):
+        x = embedded([[-1.0], [1.0]])
+        model = train_svm(dataset_from_arrays(x, [0, 1]), KernelSpec("linear"), c=1e6)
+        with pytest.raises(InvalidInputError):
+            predict_svm_batch(model, np.zeros((1, 63)))
+
+    def test_support_labels_must_be_signs(self):
+        x = embedded([[-1.0], [1.0]])
+        model = train_svm(dataset_from_arrays(x, [0, 1]), KernelSpec("linear"), c=1e6)
+        with pytest.raises(InvalidInputError, match="support labels"):
+            dataclasses.replace(model, support_y=model.support_y * 2)
 
     def test_translation_invariance(self, rng):
         x = rng.normal(25, 2, (30, 64))
