@@ -109,9 +109,9 @@ def save_dataset(ds: Dataset, path) -> None:
 
 
 def _parse_temperature(tok: str, path, lineno: int, field: str) -> float:
-    # Writer emits exactly two decimals; accept nothing looser.
+    # Writer emits exactly two decimals of ASCII digits; accept nothing looser.
     whole, dot, frac = tok.partition(".")
-    if not (whole.isdigit() and dot and len(frac) == 2 and frac.isdigit()):
+    if not (whole.isdigit() and dot and len(frac) == 2 and frac.isdigit() and tok.isascii()):
         raise DataFormatError(f"{path}:{lineno}: field {field}: malformed temperature {tok!r}")
     value = float(tok)
     if not (TEMP_MIN_C <= value <= TEMP_MAX_C) or not (value * 4).is_integer():

@@ -84,6 +84,12 @@ class TestDatasetFormat:
         with pytest.raises(DataFormatError, match="p00"):
             dataset_from_csv(CSV_HEADER + "\n" + row + "\n", "x")
 
+    @pytest.mark.parametrize("token", ["\u00b20.00", "\uff12\uff10.00", "20.\u0662\u0665"])
+    def test_rejects_non_ascii_digits(self, token):
+        row = ",".join(["20.00", token] + ["20.00"] * 62 + ["person", "baseline"])
+        with pytest.raises(DataFormatError, match=r"^<memory>:2: field p01: malformed"):
+            dataset_from_csv(CSV_HEADER + "\n" + row + "\n", "x")
+
     def test_rejects_out_of_range_value(self):
         row = ",".join(["19.75"] + ["20.00"] * 63 + ["person", "baseline"])
         with pytest.raises(DataFormatError, match="quarter degree"):
