@@ -5,11 +5,19 @@ Deterministic tie handling, documented once here:
   - tied votes (uniform counts or equal weight sums): NO_PERSON;
   - distance weighting with an exact match (d = 0): the majority label of
     the zero-distance neighbors wins outright.
+
+Search is exact filter-and-refine. One matrix product per block of
+queries gives approximate squared distances |q|^2 + |t|^2 - 2 q.t; every
+row within a rounding margin of a query's k-th smallest approximate value
+is a candidate, and only candidates get the exact per-row distance
+sqrt(sum((t - q)^2)). The margin bounds the error of both forms, so the
+true k nearest rows, all rows tied with the k-th included, are always
+candidates: labels are those of a full sort of the exact distances.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -17,52 +25,98 @@ from ..core import Dataset, Label, query_rows
 from ..errors import InvalidInputError
 
 WEIGHTINGS = ("uniform", "distance")
+PERSON, NO_PERSON = int(Label.PERSON), int(Label.NO_PERSON)
+
+# Approximate-distance entries (queries x training rows) per query block;
+# bounds the working set of a large batch.
+BLOCK = 1 << 16
+# Candidate margin per unit of |q|^2 + max|t|^2. Each distance form errs by
+# at most 2*gamma_70 (about 1.6e-14) of that sum, and taking the square root
+# merges only sums within a few ulps; 1e-12 covers all of it many times over.
+_MARGIN = 1e-12
+# Absolute margin floor: covers products and sums that underflow.
+_MARGIN_FLOOR = np.finfo(np.float64).tiny
 
 
 @dataclass(frozen=True, eq=False)
 class KnnModel:
-    train_x: np.ndarray  # (n, 64) stored verbatim
+    train_x: np.ndarray  # (n, 64), stored as a read-only float64 copy
     train_y: np.ndarray  # (n,) 0/1
     k: int
     weighting: str
+    train_sq: np.ndarray = field(init=False, repr=False)  # squared row norms of train_x
 
     def __post_init__(self) -> None:
         if not np.isin(self.train_y, (0, 1)).all():
             raise InvalidInputError("training labels must be 0 or 1")
+        if np.ndim(self.train_x) != 2 or len(self.train_x) != len(self.train_y):
+            raise InvalidInputError(
+                f"expected {len(self.train_y)} training rows, got shape {np.shape(self.train_x)}")
+        if not np.isfinite(self.train_x).all():
+            raise InvalidInputError("non-finite training feature value")
         if self.weighting not in WEIGHTINGS:
             raise InvalidInputError(f"unknown weighting {self.weighting!r}")
         if not (1 <= self.k <= len(self.train_y)):
             raise InvalidInputError(
                 f"k={self.k} out of range for {len(self.train_y)} training samples"
             )
+        x = np.array(self.train_x, dtype=np.float64, order="C")
+        x.flags.writeable = False
+        with np.errstate(over="ignore"):
+            sq = np.einsum("ij,ij->i", x, x)
+        object.__setattr__(self, "train_x", x)
+        object.__setattr__(self, "train_sq", sq)
 
 
 def train_knn(train: Dataset, k: int, weighting: str = "uniform") -> KnnModel:
     return KnnModel(train.x, train.y, k, weighting)
 
 
-def _vote(model: KnnModel, x: np.ndarray) -> int:
-    d = np.sqrt(np.sum((model.train_x - x) ** 2, axis=1))
-    order = np.argsort(d, kind="stable")[: model.k]
-    labels = model.train_y[order]
-    dists = d[order]
-
-    if model.weighting == "distance":
+def _vote(labels: np.ndarray, dists: np.ndarray, weighting: str) -> int:
+    """One query's label from its k neighbors' labels (0/1) and distances."""
+    if weighting == "distance":
         exact = dists == 0.0
         if exact.any():
-            person = int(np.sum(labels[exact] == Label.PERSON))
-            no_person = int(np.sum(exact)) - person
-            return int(Label.PERSON if person > no_person else Label.NO_PERSON)
+            person = int(np.count_nonzero(labels[exact]))
+            return PERSON if person > int(np.count_nonzero(exact)) - person else NO_PERSON
         weights = 1.0 / dists
     else:
         weights = np.ones_like(dists)
+    person = labels == PERSON
+    return PERSON if float(np.sum(weights[person])) > float(np.sum(weights[~person])) else NO_PERSON
 
-    person_w = float(np.sum(weights[labels == Label.PERSON]))
-    no_person_w = float(np.sum(weights[labels == Label.NO_PERSON]))
-    return int(Label.PERSON if person_w > no_person_w else Label.NO_PERSON)
+
+def _nearest(model: KnnModel, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(m, k) indices and exact distances of each query's k nearest rows."""
+    train_x, train_sq, k = model.train_x, model.train_sq, model.k
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow only widens the filter
+        q_sq = np.einsum("ij,ij->i", q, q)
+        approx = q @ train_x.T
+        approx *= -2.0
+        approx += train_sq
+        approx += q_sq[:, None]
+        kth = np.partition(approx, k - 1, axis=1)[:, k - 1]
+        bound = kth + 2.0 * (_MARGIN * (q_sq + train_sq.max()) + _MARGIN_FLOOR)
+    # The negated test admits NaN entries, and every row when the bound is
+    # NaN or inf (overflowed squares).
+    qi, ti = np.nonzero(~(approx > bound[:, None]))
+    d = np.sqrt(np.sum((train_x[ti] - q[qi]) ** 2, axis=1))
+    order = np.lexsort((ti, d, qi))  # by query, then distance, then stored index
+    # Every query has at least k candidates; keep the first k of each.
+    counts = np.bincount(qi, minlength=len(q))
+    first = np.cumsum(counts) - counts
+    top = order[first[:, None] + np.arange(k)]
+    return ti[top], d[top]
 
 
 def predict_knn_batch(model: KnnModel, xs: np.ndarray) -> np.ndarray:
     """(n, d) queries -> (n,) 0/1 labels; a single query is a batch of one."""
-    return np.array([_vote(model, row) for row in query_rows(xs, model.train_x.shape[1])],
-                    dtype=np.int64)
+    queries = query_rows(xs, model.train_x.shape[1])
+    step = max(1, BLOCK // len(model.train_x))
+    out = np.empty(len(queries), dtype=np.int64)
+    for start in range(0, len(queries), step):
+        idx, dists = _nearest(model, queries[start:start + step])
+        labels = model.train_y[idx]
+        out[start:start + step] = [_vote(lab, d, model.weighting)
+                                   for lab, d in zip(labels, dists)]
+    return out

@@ -85,10 +85,12 @@ def flatten(frame: np.ndarray) -> np.ndarray:
 
 
 def query_rows(xs, width: int) -> np.ndarray:
-    """Classifier queries as an (n, width) float64 matrix, or InvalidInputError."""
+    """Classifier queries as a finite (n, width) float64 matrix, or InvalidInputError."""
     arr = np.asarray(xs, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != width:
         raise InvalidInputError(f"expected query rows of {width} features, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise InvalidInputError("non-finite query value")
     return arr
 
 

@@ -36,6 +36,37 @@ def brute_force_knn(train_x, train_y, k, weighting, query):
     return 1 if person_w > no_person_w else 0
 
 
+def per_row_knn(train_x, train_y, k, weighting, query):
+    """Reference k-NN as numpy arithmetic, one query at a time.
+
+    The predictor before candidate search, verbatim: per-row broadcast
+    distance summed over the contiguous feature axis, full stable
+    argsort, then the vote. Its distances are bit-identical to the
+    library's, so the two must agree on every finite input.
+    """
+    import numpy as np
+    from thermal_sense.core import Label
+
+    d = np.sqrt(np.sum((train_x - query) ** 2, axis=1))
+    order = np.argsort(d, kind="stable")[:k]
+    labels = train_y[order]
+    dists = d[order]
+
+    if weighting == "distance":
+        exact = dists == 0.0
+        if exact.any():
+            person = int(np.sum(labels[exact] == Label.PERSON))
+            no_person = int(np.sum(exact)) - person
+            return int(Label.PERSON if person > no_person else Label.NO_PERSON)
+        weights = 1.0 / dists
+    else:
+        weights = np.ones_like(dists)
+
+    person_w = float(np.sum(weights[labels == Label.PERSON]))
+    no_person_w = float(np.sum(weights[labels == Label.NO_PERSON]))
+    return int(Label.PERSON if person_w > no_person_w else Label.NO_PERSON)
+
+
 def direct_count_metrics(predicted, truth):
     """Counts by direct enumeration; metrics as exact Fractions (None if undefined)."""
     tp = tn = fp = fn = 0

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from thermal_sense.classifiers.knn import KnnModel, predict_knn_batch, train_knn
+from thermal_sense.classifiers import knn
+from thermal_sense.classifiers.knn import WEIGHTINGS, KnnModel, predict_knn_batch, train_knn
 from thermal_sense.core import Label
 from thermal_sense.errors import InvalidInputError
 
 from conftest import dataset_from_arrays
-from oracles import brute_force_knn
+from oracles import brute_force_knn, per_row_knn
 
 
 def predict_one(model, x):
@@ -26,6 +27,7 @@ class TestTrain:
         model = train_knn(dataset_from_arrays(x, y), 3)
         assert np.array_equal(model.train_x, x)
         assert np.array_equal(model.train_y, y)
+        assert not model.train_x.flags.writeable
 
     def test_k_out_of_range(self):
         ds = dataset_from_arrays(np.zeros((4, 64)), [0, 1, 0, 1])
@@ -87,6 +89,26 @@ class TestPredict:
         with pytest.raises(InvalidInputError, match="labels"):
             KnnModel(np.zeros((2, 64)), np.array([0, label]), 1, "uniform")
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_query_rejected(self, value):
+        model = train_knn(dataset_from_arrays(np.zeros((2, 64)), [0, 1]), 1)
+        queries = np.zeros((3, 64))
+        queries[2, 7] = value
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            predict_knn_batch(model, queries)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_training_rows_rejected(self, value):
+        x = np.zeros((2, 64))
+        x[1, 3] = value
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            KnnModel(x, np.array([0, 1]), 1, "uniform")
+
+    @pytest.mark.parametrize("shape", [(3, 64), (1, 64), (128,)])
+    def test_training_rows_must_match_labels(self, shape):
+        with pytest.raises(InvalidInputError, match="training rows"):
+            KnnModel(np.zeros(shape), np.array([0, 1]), 1, "uniform")
+
 
 class TestInvariance:
     def test_translation_leaves_predictions_unchanged(self, rng):
@@ -127,3 +149,77 @@ class TestOracleEquivalence:
                     for q in queries
                 ]
                 assert got.tolist() == expected, (trial, weighting)
+
+
+def ulp_near_rows(rng, n, spread=2):
+    """n copies of one row, each moved by up to `spread` ulps in one pixel."""
+    x = np.tile(rng.normal(25, 4, 64), (n, 1))
+    rows, cols = np.arange(n), rng.integers(0, 64, n)
+    x[rows, cols] += rng.integers(-spread, spread + 1, n) * np.spacing(x[rows, cols])
+    return x
+
+
+def differential_cases(rng):
+    """(name, train_x, queries) instances that stress the candidate filter."""
+    normal = rng.normal(25, 4, (60, 64))
+    grid = rng.integers(80, 400, (60, 64)) / 4.0  # quarter degrees in [20, 100)
+    near = ulp_near_rows(rng, 40)
+    yield "ulp-near ties", near, np.vstack([near[:5], ulp_near_rows(rng, 5), near.mean(0)])
+    same = np.tile(grid[0], (12, 1))
+    yield "identical rows", same, np.vstack([same[:2], grid[1:4]])
+    # 128 rows at distance exactly 1 from the centre: a tie far wider than k
+    centre = grid[0]
+    star = np.vstack([centre + np.eye(64), centre - np.eye(64), grid[:8]])
+    yield "wide tie at k-th", star, np.vstack([centre, grid[:3]])
+    yield "on-grid", grid, rng.integers(80, 400, (20, 64)) / 4.0
+    yield "on-grid duplicates", np.vstack([grid, grid[:20]]), grid[10:30]
+    yield "off-grid", normal, rng.normal(25, 4, (20, 64))
+    yield "x1e150", normal * 1e150, np.vstack([normal[:3], rng.normal(25, 4, (5, 64))]) * 1e150
+    huge = normal * 1e155
+    assert not np.isfinite(np.sum(huge ** 2, axis=1)).any()  # squares overflow to inf
+    yield "overflow", huge, np.vstack([huge[:3], huge[:3] * (1 + 1e-12),
+                                       rng.normal(25, 4, (5, 64)) * 1e155])
+    tiny = normal * 1e-160
+    yield "underflow", tiny, np.vstack([tiny[:3], rng.normal(25, 4, (5, 64)) * 1e-160])
+
+
+class TestPerRowEquivalence:
+    """Candidate search against the per-row reference, bit for bit."""
+
+    @staticmethod
+    def assert_matches(x, y, queries, ks):
+        for k in ks:
+            for weighting in WEIGHTINGS:
+                got = predict_knn_batch(KnnModel(x, y, k, weighting), queries)
+                expected = [per_row_knn(x, y, k, weighting, q) for q in queries]
+                assert got.tolist() == expected, (k, weighting)
+            # the same neighbors at the same distances as a full stable sort
+            idx, dists = knn._nearest(KnnModel(x, y, k, "uniform"), queries)
+            for q, row_idx, row_d in zip(queries, idx, dists):
+                d = np.sqrt(np.sum((x - q) ** 2, axis=1))
+                order = np.argsort(d, kind="stable")[:k]
+                assert np.array_equal(row_idx, order), k
+                assert np.array_equal(row_d, d[order]), k
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_stress_cases(self, rng):
+        for name, x, queries in differential_cases(rng):
+            y = rng.integers(0, 2, len(x))
+            ks = sorted({1, 2, 3, 5, 7, len(x) - 1, len(x)})
+            try:
+                self.assert_matches(x, y, queries, ks)
+            except AssertionError as exc:
+                raise AssertionError(f"{name}: {exc}") from None
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_query_counts_around_block(self, rng, offset):
+        x = rng.integers(80, 120, (300, 64)) / 4.0
+        y = rng.integers(0, 2, len(x))
+        block = max(1, knn.BLOCK // len(x))
+        queries = rng.integers(80, 120, (block + offset, 64)) / 4.0
+        self.assert_matches(x, y, queries, (1, 4))
+
+    def test_single_query(self, rng):
+        x = rng.normal(25, 4, (50, 64))
+        y = rng.integers(0, 2, len(x))
+        self.assert_matches(x, y, x[7:8] + 0.25, (1, 3, 50))

@@ -177,3 +177,11 @@ class TestPredict:
         model = train_nn(random_batch(rng, 10), 4, TrainingParams(0.1, 4, 5), 0)
         with pytest.raises(InvalidInputError):
             predict_nn_batch(model, np.zeros((1, 63)))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_query_rejected(self, rng, value):
+        model = train_nn(random_batch(rng, 10), 4, TrainingParams(0.1, 4, 5), 0)
+        queries = np.zeros((2, 64))
+        queries[1, 5] = value
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            predict_nn_batch(model, queries)

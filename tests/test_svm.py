@@ -203,6 +203,15 @@ class TestPredict:
         with pytest.raises(InvalidInputError):
             predict_svm_batch(model, np.zeros((1, 63)))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_query_rejected(self, value):
+        x = embedded([[-1.0], [1.0]])
+        model = train_svm(dataset_from_arrays(x, [0, 1]), KernelSpec("linear"), c=1e6)
+        queries = np.zeros((2, 64))
+        queries[1, 5] = value
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            predict_svm_batch(model, queries)
+
     def test_support_labels_must_be_signs(self):
         x = embedded([[-1.0], [1.0]])
         model = train_svm(dataset_from_arrays(x, [0, 1]), KernelSpec("linear"), c=1e6)
