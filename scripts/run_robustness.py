@@ -5,20 +5,22 @@ Trains the three reference configurations (linear SVM, 1-NN, NN with 128
 hidden units) on the synthetic main dataset, evaluates them on the
 variational dataset as a whole and per condition, and writes one report
 and one plot CSV per classifier into --out-dir, in the formats of
-`eval --by-condition`.
+`eval --by-condition`. Errors exit as in the CLI: 2 for bad data or
+input, 3 for a training failure, each with one `error: ...` line.
 """
 
 import argparse
+import sys
 from pathlib import Path
 
 from thermal_sense.classifiers.kernels import KernelSpec
-from thermal_sense.cli import build_report, eval_plot_csv, eval_results
+from thermal_sense.cli import build_report, eval_plot_csv, eval_results, exit_on_error
 from thermal_sense.evaluate import KnnSpec, NnSpec, SvmSpec, evaluate_by_condition
 from thermal_sense.persist import atomic_write_text, save_dataset, save_report
 from thermal_sense.simulate import generate_main, generate_variational
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out-dir", required=True)
     parser.add_argument("--seed", type=int, default=7)
@@ -56,7 +58,8 @@ def main() -> None:
                               eval_results(overall, per))
         save_report(report, out_dir / f"robustness_{name}.json")
         atomic_write_text(out_dir / f"robustness_{name}.csv", eval_plot_csv(overall, per))
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(exit_on_error(main))

@@ -5,7 +5,8 @@ Generates the main dataset, then runs all three sweep families (SVM
 kernels, k-NN grid, NN widths) on shared folds, and writes one report
 plus one plot CSV per family into --out-dir, in the formats of the
 `sweep` command. THERMAL_SENSE_THREADS sets the worker count, as for
-`sweep`; an invalid value exits 1 before any work starts.
+`sweep`; an invalid value exits 1 before any work starts. Other errors
+exit as in the CLI: 2 for bad data or input, 3 for a training failure.
 """
 
 import argparse
@@ -14,15 +15,20 @@ import time
 from pathlib import Path
 
 from thermal_sense.classifiers.nn import TrainingParams
-from thermal_sense.cli import build_report, max_workers, sweep_plot_csv, sweep_results
+from thermal_sense.cli import (
+    build_report,
+    exit_on_error,
+    max_workers,
+    sweep_plot_csv,
+    sweep_results,
+)
 from thermal_sense.core import make_folds
-from thermal_sense.errors import UsageError
 from thermal_sense.evaluate import NnSpec, sweep, sweep_specs
 from thermal_sense.persist import atomic_write_text, save_dataset, save_report
 from thermal_sense.simulate import generate_main
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out-dir", required=True)
     parser.add_argument("--seed", type=int, default=7)
@@ -31,10 +37,7 @@ def main() -> None:
     parser.add_argument("--nn-epochs", type=int, default=200,
                         help="epochs for the width sweep (wide nets train slowly)")
     args = parser.parse_args()
-    try:
-        workers = max_workers()
-    except UsageError as exc:
-        sys.exit(f"error: {exc}")
+    workers = max_workers()
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -61,7 +64,8 @@ def main() -> None:
                               sweep_results(rows))
         save_report(report, out_dir / f"sweep_{family}.json")
         atomic_write_text(out_dir / f"sweep_{family}.csv", sweep_plot_csv(rows))
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(exit_on_error(main))

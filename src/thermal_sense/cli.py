@@ -360,23 +360,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def exit_on_error(func, *args) -> int:
+    """func(*args), or the exit code of the package or OS error it raised.
+
+    The error is printed as one `error: ...` line on stderr.
+    """
+    try:
+        return func(*args)
+    except (ThermalSenseError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, UsageError):
+            return 1
+        return 3 if isinstance(exc, TrainingError) else 2
+
+
 def run(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
-    try:
-        return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except TrainingError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (ThermalSenseError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    return exit_on_error(args.func, args)
 
 
 def main() -> None:

@@ -43,6 +43,14 @@ def test_run_sweeps(tmp_path):
             == load_report(out / "sweep_knn-grid.json")["results"])
 
 
+def test_run_sweeps_input_error_exits_2(tmp_path):
+    # 6 per class leaves 6 training rows per fold: the k-NN grid's k=7 is out of range
+    done = run_script("run_sweeps.py", "--out-dir", tmp_path / "out", "--n-per-class", 6,
+                      "--folds", 2, "--nn-epochs", 1)
+    assert done.returncode == 2
+    assert done.stderr == "error: k=7 out of range for 6 training samples\n"
+
+
 @pytest.mark.parametrize("value", ["abc", "0"])
 def test_run_sweeps_bad_thread_count(tmp_path, value):
     out = tmp_path / "out"
@@ -51,6 +59,15 @@ def test_run_sweeps_bad_thread_count(tmp_path, value):
     assert done.returncode == 1
     assert done.stderr.startswith("error: THERMAL_SENSE_THREADS")
     assert not out.exists()  # refused before the dataset was generated
+
+
+def test_run_robustness_input_error_exits_2(tmp_path):
+    # the output directory's parent is a file, so it cannot be created
+    (tmp_path / "file").write_text("")
+    done = run_script("run_robustness.py", "--out-dir", tmp_path / "file" / "out",
+                      "--n-per-class", 6, "--n-per-cell", 3)
+    assert done.returncode == 2
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
 
 
 def test_run_robustness(tmp_path):
