@@ -179,12 +179,25 @@ def _read_header_line(lines: list[str], index: int, key: str, path) -> str:
     return lines[index][len(key) + 1:].strip()
 
 
-def _check_version(lines: list[str], supported: int, path) -> None:
-    raw = _read_header_line(lines, 0, "format-version", path)
+def _header_value(lines: list[str], index: int, key: str, path, parse=int):
+    """The parsed value of header line `index` (`key: value`), or DataFormatError at that line."""
+    raw = _read_header_line(lines, index, key, path)
     try:
-        version = int(raw)
+        return parse(raw)
     except ValueError:
-        raise DataFormatError(f"{path}:1: bad format version {raw!r}") from None
+        raise DataFormatError(f"{path}:{index + 1}: bad {key} {raw!r}") from None
+
+
+def _ints(text: str) -> tuple[int, ...]:
+    return tuple(int(tok) for tok in text.split())
+
+
+def _gamma(text: str) -> float | None:
+    return None if text == "none" else float(text)
+
+
+def _check_version(lines: list[str], supported: int, path) -> None:
+    version = _header_value(lines, 0, "format-version", path)
     if version > supported:
         raise FormatVersionError(
             f"{path}: format-version {version} is newer than supported ({supported})"
@@ -196,11 +209,8 @@ def load_fold_plan(path) -> FoldPlan:
     _check_version(lines, FOLD_PLAN_FORMAT_VERSION, path)
     if _read_header_line(lines, 1, "artifact", path) != "fold-plan":
         raise DataFormatError(f"{path}:2: not a fold-plan file")
-    try:
-        num_folds = int(_read_header_line(lines, 2, "num-folds", path))
-        assignment = tuple(int(tok) for tok in _read_header_line(lines, 3, "assignment", path).split())
-    except ValueError:
-        raise DataFormatError(f"{path}: bad fold plan payload") from None
+    num_folds = _header_value(lines, 2, "num-folds", path)
+    assignment = _header_value(lines, 3, "assignment", path, _ints)
     return FoldPlan(num_folds, assignment)
 
 
@@ -297,13 +307,10 @@ def _check_width(n_features: int, path, lineno: int) -> None:
 
 
 def _knn_from_lines(lines: list[str], path) -> KnnModel:
-    try:
-        k = int(_read_header_line(lines, 2, "k", path))
-        weighting = _read_header_line(lines, 3, "weighting", path)
-        n_samples = int(_read_header_line(lines, 4, "n-samples", path))
-        n_features = int(_read_header_line(lines, 5, "n-features", path))
-    except ValueError:
-        raise DataFormatError(f"{path}: bad knn header") from None
+    k = _header_value(lines, 2, "k", path)
+    weighting = _read_header_line(lines, 3, "weighting", path)
+    n_samples = _header_value(lines, 4, "n-samples", path)
+    n_features = _header_value(lines, 5, "n-features", path)
     _check_width(n_features, path, 6)
     payload = lines[6:]
     if len(payload) != n_samples:
@@ -322,18 +329,14 @@ def _knn_from_lines(lines: list[str], path) -> KnnModel:
 
 
 def _svm_from_lines(lines: list[str], path) -> SvmModel:
-    try:
-        kind = _read_header_line(lines, 2, "kernel", path)
-        degree = int(_read_header_line(lines, 3, "degree", path))
-        gamma_raw = _read_header_line(lines, 4, "gamma", path)
-        gamma = None if gamma_raw == "none" else float(gamma_raw)
-        coef0 = float(_read_header_line(lines, 5, "coef0", path))
-        c = float(_read_header_line(lines, 6, "c", path))
-        bias = float(_read_header_line(lines, 7, "bias", path))
-        n_support = int(_read_header_line(lines, 8, "n-support", path))
-        n_features = int(_read_header_line(lines, 9, "n-features", path))
-    except ValueError:
-        raise DataFormatError(f"{path}: bad svm header") from None
+    kind = _read_header_line(lines, 2, "kernel", path)
+    degree = _header_value(lines, 3, "degree", path)
+    gamma = _header_value(lines, 4, "gamma", path, _gamma)
+    coef0 = _header_value(lines, 5, "coef0", path, float)
+    c = _header_value(lines, 6, "c", path, float)
+    bias = _header_value(lines, 7, "bias", path, float)
+    n_support = _header_value(lines, 8, "n-support", path)
+    n_features = _header_value(lines, 9, "n-features", path)
     _check_width(n_features, path, 10)
     mean = _parse_row(_read_header_line(lines, 10, "feature-mean", path), n_features, path, 11)
     scale = _parse_row(_read_header_line(lines, 11, "feature-scale", path), n_features, path, 12)
@@ -355,15 +358,12 @@ def _svm_from_lines(lines: list[str], path) -> SvmModel:
 
 
 def _nn_from_lines(lines: list[str], path) -> NnModel:
-    try:
-        hidden = int(_read_header_line(lines, 2, "hidden", path))
-        lr = float(_read_header_line(lines, 3, "learning-rate", path))
-        batch = int(_read_header_line(lines, 4, "batch-size", path))
-        epochs = int(_read_header_line(lines, 5, "epochs", path))
-        seed = int(_read_header_line(lines, 6, "seed", path))
-        n_features = int(_read_header_line(lines, 7, "n-features", path))
-    except ValueError:
-        raise DataFormatError(f"{path}: bad nn header") from None
+    hidden = _header_value(lines, 2, "hidden", path)
+    lr = _header_value(lines, 3, "learning-rate", path, float)
+    batch = _header_value(lines, 4, "batch-size", path)
+    epochs = _header_value(lines, 5, "epochs", path)
+    seed = _header_value(lines, 6, "seed", path)
+    n_features = _header_value(lines, 7, "n-features", path)
     if not 1 <= hidden <= MAX_HIDDEN:
         raise DataFormatError(f"{path}:3: hidden width {hidden} outside [1, {MAX_HIDDEN}]")
     _check_width(n_features, path, 8)

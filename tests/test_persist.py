@@ -136,6 +136,15 @@ class TestFoldPlanFormat:
         with pytest.raises(DataFormatError):
             load_fold_plan(path)
 
+    @pytest.mark.parametrize("lineno, text", [(3, "num-folds: x"), (4, "assignment: 0 one")])
+    def test_bad_header_names_line(self, tmp_path, lineno, text):
+        lines = ["format-version: 1", "artifact: fold-plan", "num-folds: 2", "assignment: 0 1"]
+        lines[lineno - 1] = text
+        path = tmp_path / "plan.txt"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataFormatError, match=f"^{path}:{lineno}: bad "):
+            load_fold_plan(path)
+
 
 class TestModelFormat:
     @pytest.fixture
@@ -182,6 +191,35 @@ class TestModelFormat:
         text = path.read_text().rstrip("\n").split("\n")
         path.write_text("\n".join(text[:-1]) + "\n")
         with pytest.raises(DataFormatError):
+            load_model(path)
+
+
+class TestModelHeaders:
+    """An unparsable header field names its file and line."""
+
+    @pytest.mark.parametrize("spec, lineno, text", [
+        (KnnSpec(1), 3, "k: one"),
+        (KnnSpec(1), 5, "n-samples: 2.5"),
+        (KnnSpec(1), 6, "n-features: ?"),
+        (SvmSpec(KernelSpec("linear")), 4, "degree: three"),
+        (SvmSpec(KernelSpec("linear")), 5, "gamma: auto"),
+        (SvmSpec(KernelSpec("linear")), 7, "c: big"),
+        (SvmSpec(KernelSpec("linear")), 9, "n-support: 1e3"),
+        (NnSpec(3, TrainingParams(0.05, 4, 2)), 3, "hidden: wide"),
+        (NnSpec(3, TrainingParams(0.05, 4, 2)), 4, "learning-rate: fast"),
+        (NnSpec(3, TrainingParams(0.05, 4, 2)), 7, "seed: 0x7"),
+    ], ids=["knn-k", "knn-n-samples", "knn-n-features", "svm-degree", "svm-gamma", "svm-c",
+            "svm-n-support", "nn-hidden", "nn-learning-rate", "nn-seed"])
+    def test_bad_field_names_line(self, tmp_path, rng, spec, lineno, text):
+        x = np.vstack([rng.normal(32, 1, (6, 64)), rng.normal(21, 1, (6, 64))])
+        model = spec.train_model(dataset_from_arrays(x, [1] * 6 + [0] * 6), 1)
+        lines = model_to_text(model).rstrip("\n").split("\n")
+        key = text.split(":")[0]
+        assert lines[lineno - 1].startswith(key + ":")
+        lines[lineno - 1] = text
+        path = tmp_path / "m.txt"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataFormatError, match=f"^{path}:{lineno}: bad {key} "):
             load_model(path)
 
 
