@@ -1,7 +1,17 @@
-"""Kernel functions shared by the SVM."""
+"""Kernel functions shared by the SVM.
+
+Gram matrices are built in place from one matrix product, so a
+kernel costs one (n, m) array plus its arithmetic. `kernel_matrix(spec,
+x, x)` is bitwise symmetric: numpy computes `x @ x.T` as a symmetric
+rank-k update, and every later step is elementwise (the RBF norm sum
+adds the same two numbers either way round). The SMO solver relies on it
+to read Gram rows in place of columns.
+"""
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -9,6 +19,8 @@ import numpy as np
 from ..errors import InvalidInputError
 
 KERNEL_KINDS = ("linear", "poly", "rbf", "sigmoid")
+# Gram entries per block of the elementwise passes (512 KiB of float64).
+BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -27,10 +39,13 @@ class KernelSpec:
     def __post_init__(self) -> None:
         if self.kind not in KERNEL_KINDS:
             raise InvalidInputError(f"unknown kernel {self.kind!r}")
-        if self.gamma is not None and self.gamma <= 0:
-            raise InvalidInputError("gamma must be positive")
-        if self.degree < 1:
-            raise InvalidInputError("degree must be at least 1")
+        if (isinstance(self.degree, bool) or not isinstance(self.degree, numbers.Integral)
+                or self.degree < 1):
+            raise InvalidInputError(f"degree must be an integer of at least 1, got {self.degree!r}")
+        if self.gamma is not None and not (math.isfinite(self.gamma) and self.gamma > 0):
+            raise InvalidInputError(f"gamma must be finite and positive, got {self.gamma!r}")
+        if not math.isfinite(self.coef0):
+            raise InvalidInputError(f"coef0 must be finite, got {self.coef0!r}")
 
 
 def _resolve_gamma(spec: KernelSpec) -> float:
@@ -41,22 +56,52 @@ def _resolve_gamma(spec: KernelSpec) -> float:
     return spec.gamma
 
 
+def _power(base: np.ndarray, degree: int) -> np.ndarray:
+    """base ** degree for an integer degree >= 1 by repeated squaring; overwrites base.
+
+    Takes O(log degree) array passes. Degrees 1 and 2 match numpy's `**`
+    bit for bit; higher degrees are within a few ulps of libm `pow`.
+    """
+    result = None
+    while True:
+        if degree & 1:
+            if result is None:
+                result = base if degree == 1 else base.copy()
+            else:
+                result *= base
+        degree >>= 1
+        if not degree:
+            return result
+        base *= base
+
+
 def kernel_matrix(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Gram matrix K[i, j] = k(a[i], b[j]) for row-vector matrices a, b."""
     if a.shape[1] != b.shape[1]:
         raise InvalidInputError("feature dimensions differ")
+    k = a @ b.T
     if spec.kind == "linear":
-        return a @ b.T
+        return k
     gamma = _resolve_gamma(spec)
-    if spec.kind == "poly":
-        return (gamma * (a @ b.T) + spec.coef0) ** spec.degree
-    if spec.kind == "sigmoid":
-        return np.tanh(gamma * (a @ b.T) + spec.coef0)
-    # rbf
-    sq = (
-        np.sum(a * a, axis=1)[:, None]
-        + np.sum(b * b, axis=1)[None, :]
-        - 2.0 * (a @ b.T)
-    )
-    return np.exp(-gamma * np.maximum(sq, 0.0))
-
+    if spec.kind == "rbf":
+        na = np.sum(a * a, axis=1)
+        nb = np.sum(b * b, axis=1)
+    # The elementwise passes run over blocks of rows that stay in cache.
+    rows = max(1, BLOCK // max(1, k.shape[1]))
+    for start in range(0, len(k), rows):
+        block = k[start:start + rows]
+        if spec.kind == "rbf":
+            # exp(-gamma * max(|a|^2 + |b|^2 - 2 a.b, 0))
+            block *= 2.0
+            np.subtract(na[start:start + rows, None] + nb[None, :], block, out=block)
+            np.maximum(block, 0.0, out=block)
+            block *= -gamma
+            np.exp(block, out=block)
+            continue
+        block *= gamma
+        block += spec.coef0
+        if spec.kind == "poly":
+            np.copyto(block, _power(block, spec.degree))
+        else:
+            np.tanh(block, out=block)
+    return k

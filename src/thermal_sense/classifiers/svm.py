@@ -14,6 +14,7 @@ mapped to PERSON (the tie at exactly 0 goes to PERSON).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -25,6 +26,13 @@ from .kernels import KernelSpec, kernel_matrix
 DEFAULT_C = 1.0
 DEFAULT_TOL = 1e-3
 MAX_PAIR_UPDATES = 1_000_000
+
+
+def check_c(c: float) -> float:
+    """C as a float, or InvalidInputError unless it is finite and positive."""
+    if not (math.isfinite(c) and c > 0):
+        raise InvalidInputError(f"C must be finite and positive, got {c!r}")
+    return float(c)
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,6 +47,9 @@ class SvmModel:
     bias: float
 
     def __post_init__(self) -> None:
+        check_c(self.c)
+        if self.kernel.kind != "linear" and self.kernel.gamma is None:
+            raise InvalidInputError(f"{self.kernel.kind} kernel needs a resolved gamma")
         if not np.isin(self.support_y, (-1.0, 1.0)).all():
             raise InvalidInputError("support labels must be -1 or +1")
         if np.any(self.support_alpha < 0) or np.any(self.support_alpha > self.c):
@@ -67,26 +78,39 @@ def _resolve_kernel(spec: KernelSpec, x_std: np.ndarray) -> KernelSpec:
 
 def _smo(k: np.ndarray, y: np.ndarray, c: float, tol: float,
          max_iter: int) -> tuple[np.ndarray, float]:
+    """Dual coefficients and bias for Gram matrix k and labels y in {-1, +1}.
+
+    k must be bitwise symmetric, as `kernel_matrix(spec, x, x)` is: the
+    gradient update reads rows k[i], k[j] (contiguous in a C-ordered
+    matrix) where the algorithm calls for columns.
+    """
     n = len(y)
     alpha = np.zeros(n)
     grad = -np.ones(n)  # gradient of the dual objective at alpha = 0
+    neg_y = -y
     pos = y > 0
+    # Membership of I_up and I_low as additive masks: 0 where alpha[t] may
+    # move that way, -inf (up) or +inf (low) where it is at its bound. Only
+    # alpha[i] and alpha[j] change in an update, so only they are refreshed.
+    up_mask = np.where(pos, 0.0, -np.inf)
+    low_mask = np.where(pos, np.inf, 0.0)
+    yg, masked, step_y, row = (np.empty(n) for _ in range(4))
 
     for _ in range(max_iter):
-        yg = -y * grad
-        up = np.where(pos, alpha < c, alpha > 0)
-        low = np.where(pos, alpha > 0, alpha < c)
-        i = int(np.flatnonzero(up)[np.argmax(yg[up])])
-        j = int(np.flatnonzero(low)[np.argmin(yg[low])])
-        m_up, m_low = yg[i], yg[j]
+        np.multiply(neg_y, grad, out=yg)
+        # argmax/argmin return the first extreme index, as over the
+        # compacted index sets I_up and I_low.
+        i = int(np.add(yg, up_mask, out=masked).argmax())
+        j = int(np.add(yg, low_mask, out=masked).argmin())
+        m_up, m_low = float(yg[i]), float(yg[j])
         if m_up - m_low <= tol:
             break
 
-        quad = k[i, i] + k[j, j] - 2.0 * k[i, j]
+        quad = float(k[i, i] + k[j, j] - 2.0 * k[i, j])
         step = (m_up - m_low) / max(quad, 1e-12)
         room_i = c - alpha[i] if y[i] > 0 else alpha[i]
         room_j = alpha[j] if y[j] > 0 else c - alpha[j]
-        step = min(step, room_i, room_j)
+        step = float(min(step, room_i, room_j))
         # Snap exactly onto the box bound so alpha stays in [0, C] bitwise.
         if step == room_i:
             alpha[i] = c if y[i] > 0 else 0.0
@@ -96,12 +120,17 @@ def _smo(k: np.ndarray, y: np.ndarray, c: float, tol: float,
             alpha[j] = 0.0 if y[j] > 0 else c
         else:
             alpha[j] -= y[j] * step
-        grad += step * y * (k[:, i] - k[:, j])
+        for t in (i, j):
+            up_mask[t] = 0.0 if (alpha[t] < c if pos[t] else alpha[t] > 0) else -np.inf
+            low_mask[t] = 0.0 if (alpha[t] > 0 if pos[t] else alpha[t] < c) else np.inf
+        # grad += step * y * (k[:, i] - k[:, j]), in place
+        np.multiply(y, step, out=step_y)
+        np.subtract(k[i], k[j], out=row)
+        step_y *= row
+        grad += step_y
     else:
-        yg = -y * grad
-        up = np.where(pos, alpha < c, alpha > 0)
-        low = np.where(pos, alpha > 0, alpha < c)
-        violation = float(np.max(yg[up]) - np.min(yg[low]))
+        np.multiply(neg_y, grad, out=yg)
+        violation = float(np.max(yg + up_mask) - np.min(yg + low_mask))
         raise TrainingError(
             f"SMO did not converge in {max_iter} pair updates; max KKT violation {violation:.3e}"
         )
@@ -116,8 +145,7 @@ def _smo(k: np.ndarray, y: np.ndarray, c: float, tol: float,
 
 def train_svm(train: Dataset, kernel: KernelSpec, c: float = DEFAULT_C,
               tol: float = DEFAULT_TOL, max_iter: int = MAX_PAIR_UPDATES) -> SvmModel:
-    if c <= 0:
-        raise InvalidInputError("C must be positive")
+    c = check_c(c)
     if len(np.unique(train.y)) < 2:
         raise StratificationError("training set must contain both classes")
     x = train.x
@@ -126,13 +154,19 @@ def train_svm(train: Dataset, kernel: KernelSpec, c: float = DEFAULT_C,
     spec = _resolve_kernel(kernel, x_std)
     y = np.where(train.y == Label.PERSON, 1.0, -1.0)
 
-    k = kernel_matrix(spec, x_std, x_std)
-    alpha, bias = _smo(k, y, float(c), float(tol), max_iter)
+    try:
+        with np.errstate(over="raise"):
+            k = kernel_matrix(spec, x_std, x_std)
+    except FloatingPointError:
+        raise TrainingError(
+            f"{spec.kind} kernel overflows on the training set; lower its degree or gamma"
+        ) from None
+    alpha, bias = _smo(k, y, c, float(tol), max_iter)
 
     sv = alpha > 0
     return SvmModel(
         kernel=spec,
-        c=float(c),
+        c=c,
         feature_mean=mean,
         feature_scale=scale,
         support_x=x_std[sv],

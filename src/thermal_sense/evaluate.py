@@ -16,7 +16,7 @@ import numpy as np
 from .classifiers.kernels import KernelSpec
 from .classifiers.knn import KnnModel, predict_knn_batch, train_knn
 from .classifiers.nn import NnModel, TrainingParams, predict_nn_batch, train_nn
-from .classifiers.svm import MAX_PAIR_UPDATES, SvmModel, predict_svm_batch, train_svm
+from .classifiers.svm import MAX_PAIR_UPDATES, SvmModel, check_c, predict_svm_batch, train_svm
 from .core import CONDITIONS, ConditionTag, Dataset, FoldPlan, Label
 from .errors import InvalidInputError, StratificationError
 
@@ -109,6 +109,9 @@ class SvmSpec:
     c: float = 1.0
     tol: float = 1e-3
     max_iter: int = MAX_PAIR_UPDATES
+
+    def __post_init__(self) -> None:
+        check_c(self.c)
 
     def label(self) -> str:
         return f"svm {self.kernel.kind}"

@@ -15,14 +15,16 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from .classifiers.kernels import KernelSpec
-from .classifiers.knn import KnnModel
+from .classifiers.knn import WEIGHTINGS, KnnModel
 from .classifiers.nn import MAX_HIDDEN, NnModel, TrainingParams
-from .classifiers.svm import SvmModel
+from .classifiers.svm import SvmModel, check_c
 from .core import (
     CONDITIONS,
     GRID_SIZE,
@@ -33,7 +35,7 @@ from .core import (
     FoldPlan,
     Label,
 )
-from .errors import DataFormatError, FormatVersionError
+from .errors import DataFormatError, FormatVersionError, InvalidInputError
 
 DATASET_FORMAT_VERSION = 1
 FOLD_PLAN_FORMAT_VERSION = 1
@@ -179,28 +181,58 @@ def _read_header_line(lines: list[str], index: int, key: str, path) -> str:
     return lines[index][len(key) + 1:].strip()
 
 
-def _header_value(lines: list[str], index: int, key: str, path, parse=int):
-    """The parsed value of header line `index` (`key: value`), or DataFormatError at that line."""
-    raw = _read_header_line(lines, index, key, path)
+@contextmanager
+def _bad_value(lines: list[str], index: int, key: str, path):
+    """Report a ValueError raised in the block as a bad value on header line `index`.
+
+    An InvalidInputError is an invariant of the object being built, so its
+    message is kept as the reason.
+    """
     try:
+        yield
+    except ValueError as exc:
+        raw = lines[index][len(key) + 1:].strip()
+        reason = f": {exc}" if isinstance(exc, InvalidInputError) else ""
+        raise DataFormatError(f"{path}:{index + 1}: bad {key} {raw!r}{reason}") from None
+
+
+def _header_value(lines: list[str], index: int, key: str, path, parse=int):
+    """The parsed value of header line `index` (`key: value`), or DataFormatError at that line.
+
+    `parse` may also check the value: whatever ValueError it raises names the line.
+    """
+    raw = _read_header_line(lines, index, key, path)
+    with _bad_value(lines, index, key, path):
         return parse(raw)
-    except ValueError:
-        raise DataFormatError(f"{path}:{index + 1}: bad {key} {raw!r}") from None
 
 
 def _ints(text: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in text.split())
 
 
-def _gamma(text: str) -> float | None:
-    return None if text == "none" else float(text)
+def _gamma(text: str, kind: str) -> float | None:
+    # Only a linear kernel may leave gamma unresolved in a trained model.
+    return None if text == "none" and kind == "linear" else float(text)
+
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
+def _weighting(text: str) -> str:
+    if text not in WEIGHTINGS:
+        raise ValueError(text)
+    return text
 
 
 def _check_version(lines: list[str], supported: int, path) -> None:
     version = _header_value(lines, 0, "format-version", path)
     if version > supported:
         raise FormatVersionError(
-            f"{path}: format-version {version} is newer than supported ({supported})"
+            f"{path}:1: format-version {version} is newer than supported ({supported})"
         )
 
 
@@ -209,9 +241,11 @@ def load_fold_plan(path) -> FoldPlan:
     _check_version(lines, FOLD_PLAN_FORMAT_VERSION, path)
     if _read_header_line(lines, 1, "artifact", path) != "fold-plan":
         raise DataFormatError(f"{path}:2: not a fold-plan file")
-    num_folds = _header_value(lines, 2, "num-folds", path)
-    assignment = _header_value(lines, 3, "assignment", path, _ints)
-    return FoldPlan(num_folds, assignment)
+    # The plan is built once per field, so a value that breaks one of its
+    # invariants names its own line.
+    plan = _header_value(lines, 2, "num-folds", path, lambda t: FoldPlan(int(t), ()))
+    return _header_value(lines, 3, "assignment", path,
+                         lambda t: FoldPlan(plan.num_folds, _ints(t)))
 
 
 # --- models --------------------------------------------------------------
@@ -308,13 +342,13 @@ def _check_width(n_features: int, path, lineno: int) -> None:
 
 def _knn_from_lines(lines: list[str], path) -> KnnModel:
     k = _header_value(lines, 2, "k", path)
-    weighting = _read_header_line(lines, 3, "weighting", path)
+    weighting = _header_value(lines, 3, "weighting", path, _weighting)
     n_samples = _header_value(lines, 4, "n-samples", path)
     n_features = _header_value(lines, 5, "n-features", path)
     _check_width(n_features, path, 6)
     payload = lines[6:]
     if len(payload) != n_samples:
-        raise DataFormatError(f"{path}: expected {n_samples} sample lines, got {len(payload)}")
+        raise DataFormatError(f"{path}:5: expected {n_samples} sample lines, got {len(payload)}")
     labels = np.empty(n_samples, dtype=np.int64)
     x = np.empty((n_samples, n_features), dtype=np.float64)
     for row_index, line in enumerate(payload):
@@ -325,16 +359,20 @@ def _knn_from_lines(lines: list[str], path) -> KnnModel:
             raise DataFormatError(f"{path}:{lineno}: label must be 0 or 1, got {label!r}")
         labels[row_index] = int(label)
         x[row_index] = values[1:]
-    return KnnModel(x, labels, k, weighting)
+    with _bad_value(lines, 2, "k", path):  # k is checked against the row count
+        return KnnModel(x, labels, k, weighting)
 
 
 def _svm_from_lines(lines: list[str], path) -> SvmModel:
-    kind = _read_header_line(lines, 2, "kernel", path)
-    degree = _header_value(lines, 3, "degree", path)
-    gamma = _header_value(lines, 4, "gamma", path, _gamma)
-    coef0 = _header_value(lines, 5, "coef0", path, float)
-    c = _header_value(lines, 6, "c", path, float)
-    bias = _header_value(lines, 7, "bias", path, float)
+    # The kernel is rebuilt as each of its fields is read, so a value that
+    # breaks a KernelSpec invariant names its own line.
+    spec = _header_value(lines, 2, "kernel", path, KernelSpec)
+    spec = _header_value(lines, 3, "degree", path, lambda t: replace(spec, degree=int(t)))
+    spec = _header_value(lines, 4, "gamma", path,
+                         lambda t: replace(spec, gamma=_gamma(t, spec.kind)))
+    spec = _header_value(lines, 5, "coef0", path, lambda t: replace(spec, coef0=float(t)))
+    c = _header_value(lines, 6, "c", path, lambda t: check_c(float(t)))
+    bias = _header_value(lines, 7, "bias", path, _finite)
     n_support = _header_value(lines, 8, "n-support", path)
     n_features = _header_value(lines, 9, "n-features", path)
     _check_width(n_features, path, 10)
@@ -342,7 +380,7 @@ def _svm_from_lines(lines: list[str], path) -> SvmModel:
     scale = _parse_row(_read_header_line(lines, 11, "feature-scale", path), n_features, path, 12)
     payload = lines[12:]
     if len(payload) != n_support:
-        raise DataFormatError(f"{path}: expected {n_support} support lines, got {len(payload)}")
+        raise DataFormatError(f"{path}:9: expected {n_support} support lines, got {len(payload)}")
     alpha = np.empty(n_support)
     y = np.empty(n_support)
     x = np.empty((n_support, n_features))
@@ -352,9 +390,14 @@ def _svm_from_lines(lines: list[str], path) -> SvmModel:
         if values[1] not in (-1.0, 1.0):
             raise DataFormatError(
                 f"{path}:{lineno}: support label must be -1 or +1, got {float(values[1])!r}")
+        if not 0.0 <= values[0] <= c:
+            raise DataFormatError(
+                f"{path}:{lineno}: dual coefficient {float(values[0])!r} outside [0, C]")
         alpha[row_index], y[row_index] = values[0], values[1]
         x[row_index] = values[2:]
-    return SvmModel(KernelSpec(kind, degree, gamma, coef0), c, mean, scale, x, alpha, y, bias)
+    # What is left to check, sum(alpha * y) = 0, spans the whole support set.
+    with _bad_value(lines, 8, "n-support", path):
+        return SvmModel(spec, c, mean, scale, x, alpha, y, bias)
 
 
 def _nn_from_lines(lines: list[str], path) -> NnModel:

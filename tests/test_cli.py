@@ -237,6 +237,24 @@ class TestModelFileChecks:
         assert capsys.readouterr().err.startswith(f"error: {model}:{lineno}: ")
 
 
+    @pytest.mark.parametrize("lineno, text", [
+        (3, "kernel: cubic"), (4, "degree: 0"), (4, "degree: 2.5"), (5, "gamma: nan"),
+        (5, "gamma: inf"), (6, "coef0: nan"), (7, "c: nan"), (7, "c: 0"),
+    ])
+    def test_eval_rejects_bad_svm_header(self, main_csv, tmp_path, capsys, lineno, text):
+        model = tmp_path / "svm.model"
+        assert cli("train", "--data", main_csv, "--seed", 7, "--model", "svm", "--kernel", "rbf",
+                   "--out", model) == 0
+        lines = model.read_text().rstrip("\n").split("\n")
+        key, value = text.split(": ")
+        assert lines[lineno - 1].startswith(key + ":")
+        lines[lineno - 1] = text
+        model.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert cli("eval", "--model", model, "--data", main_csv) == 2
+        assert capsys.readouterr().err.startswith(f"error: {model}:{lineno}: bad {key} {value!r}")
+
+
 class TestMonitorCommand:
     def test_replay(self, tmp_path):
         trace = tmp_path / "trace.csv"

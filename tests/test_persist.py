@@ -1,9 +1,13 @@
+import functools
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thermal_sense.classifiers.kernels import KernelSpec
+from thermal_sense.classifiers.kernels import KERNEL_KINDS, KernelSpec
 from thermal_sense.classifiers.nn import TrainingParams
 from thermal_sense.core import CONDITIONS, Dataset, Label, make_folds
 from thermal_sense.errors import DataFormatError, FormatVersionError
@@ -145,6 +149,20 @@ class TestFoldPlanFormat:
         with pytest.raises(DataFormatError, match=f"^{path}:{lineno}: bad "):
             load_fold_plan(path)
 
+    @pytest.mark.parametrize("lineno, text, reason", [
+        (3, "num-folds: 1", "need at least 2 folds"),
+        (4, "assignment: 0 1 2", "fold index 2 out of range"),
+    ])
+    def test_plan_invariant_names_line(self, tmp_path, lineno, text, reason):
+        lines = ["format-version: 1", "artifact: fold-plan", "num-folds: 2", "assignment: 0 1"]
+        lines[lineno - 1] = text
+        path = tmp_path / "plan.txt"
+        path.write_text("\n".join(lines) + "\n")
+        key, value = text.split(": ")
+        with pytest.raises(DataFormatError) as info:
+            load_fold_plan(path)
+        assert str(info.value) == f"{path}:{lineno}: bad {key} {value!r}: {reason}"
+
 
 class TestModelFormat:
     @pytest.fixture
@@ -221,6 +239,133 @@ class TestModelHeaders:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(DataFormatError, match=f"^{path}:{lineno}: bad {key} "):
             load_model(path)
+
+
+def _svm_lines(kind="poly"):
+    x = np.vstack([np.full((3, 64), 30.0), np.full((3, 64), 21.0)])
+    x[:, 0] += np.arange(6)
+    model = SvmSpec(KernelSpec(kind, coef0=1.0)).train_model(
+        dataset_from_arrays(x, [1] * 3 + [0] * 3), 0)
+    return model_to_text(model).rstrip("\n").split("\n")
+
+
+def _write(path, lines):
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+class TestModelInvariants:
+    """A field that breaks a model constructor's invariant names its file and line."""
+
+    @pytest.mark.parametrize("lineno, text", [
+        (3, "kernel: cubic"), (4, "degree: 0"), (4, "degree: -3"),
+        (5, "gamma: nan"), (5, "gamma: inf"), (5, "gamma: 0.0"), (5, "gamma: -0.5"),
+        (5, "gamma: none"), (6, "coef0: nan"), (6, "coef0: -inf"),
+        (7, "c: nan"), (7, "c: inf"), (7, "c: 0.0"), (7, "c: -1.0"), (8, "bias: nan"),
+    ])
+    def test_svm_header(self, tmp_path, lineno, text):
+        lines = _svm_lines()
+        key, value = text.split(": ")
+        assert lines[lineno - 1].startswith(key + ":")
+        lines[lineno - 1] = text
+        path = _write(tmp_path / "m.txt", lines)
+        with pytest.raises(DataFormatError, match=f"^{re.escape(str(path))}:{lineno}: "
+                                                  f"bad {key} {re.escape(repr(value))}"):
+            load_model(path)
+
+    def test_linear_kernel_may_leave_gamma_unresolved(self, tmp_path):
+        lines = _svm_lines("linear")
+        assert lines[4] == "gamma: none"
+        assert load_model(_write(tmp_path / "m.txt", lines)).kernel.gamma is None
+
+    def test_svm_alpha_above_c(self, tmp_path):
+        lines = _svm_lines()
+        lines[6] = "c: 1e-9"
+        path = _write(tmp_path / "m.txt", lines)
+        with pytest.raises(DataFormatError, match=f"^{re.escape(str(path))}:13: dual coefficient"):
+            load_model(path)
+
+    def test_svm_alpha_sum(self, tmp_path):
+        lines = _svm_lines()
+        tokens = lines[12].split(" ")
+        tokens[0] = repr(float(tokens[0]) / 2)
+        lines[12] = " ".join(tokens)
+        path = _write(tmp_path / "m.txt", lines)
+        with pytest.raises(DataFormatError,
+                           match=f"^{re.escape(str(path))}:9: bad n-support .*sum\\(alpha"):
+            load_model(path)
+
+    @pytest.mark.parametrize("lineno, text, reason", [
+        (3, "k: 5", "k=5 out of range for 2 training samples"),
+        (3, "k: 0", "k=0 out of range for 2 training samples"),
+        (4, "weighting: cosine", None),
+    ])
+    def test_knn_header(self, tmp_path, lineno, text, reason):
+        model = KnnSpec(1).train_model(dataset_from_arrays(np.zeros((2, 64)), [0, 1]), 0)
+        lines = model_to_text(model).rstrip("\n").split("\n")
+        lines[lineno - 1] = text
+        path = _write(tmp_path / "m.txt", lines)
+        key, value = text.split(": ")
+        with pytest.raises(DataFormatError) as info:
+            load_model(path)
+        expected = f"{path}:{lineno}: bad {key} {value!r}"
+        assert str(info.value) == (expected if reason is None else f"{expected}: {reason}")
+
+
+def assert_svm_invariants(model):
+    """Every SvmModel/KernelSpec invariant, checked independently of the constructors."""
+    spec = model.kernel
+    assert spec.kind in KERNEL_KINDS
+    assert isinstance(spec.degree, int) and not isinstance(spec.degree, bool)
+    assert spec.degree >= 1
+    if spec.gamma is None:
+        assert spec.kind == "linear"
+    else:
+        assert math.isfinite(spec.gamma) and spec.gamma > 0
+    assert math.isfinite(spec.coef0)
+    assert math.isfinite(model.c) and model.c > 0
+    assert math.isfinite(model.bias)
+    n = len(model.support_alpha)
+    assert model.support_x.shape == (n, 64) and model.support_y.shape == (n,)
+    assert model.feature_mean.shape == model.feature_scale.shape == (64,)
+    for values in (model.support_x, model.feature_mean, model.feature_scale):
+        assert np.isfinite(values).all()
+    assert np.isin(model.support_y, (-1.0, 1.0)).all()
+    assert ((model.support_alpha >= 0) & (model.support_alpha <= model.c)).all()
+    assert abs(float(model.support_alpha @ model.support_y)) <= 1e-8
+
+
+@functools.cache
+def _fuzz_base():
+    return tuple(_svm_lines())
+
+
+_field_values = st.one_of(
+    st.text(),
+    st.floats().map(repr),
+    st.integers().map(str),
+    st.sampled_from(["none", "nan", "inf", "-inf", "0", "-0.0", "-1", "1e400", "1e-320",
+                     "linear", "poly", "rbf", "sigmoid", "knn", "nn", "True", "2.5"]),
+)
+
+
+class TestSvmModelFuzz:
+    """Any value in any SVM header field loads with the invariants intact or names file:line."""
+
+    @pytest.mark.parametrize("index", range(12))
+    @settings(max_examples=60, deadline=None)
+    @given(value=_field_values)
+    def test_header_field(self, tmp_path_factory, index, value):
+        lines = list(_fuzz_base())
+        key = lines[index].split(":")[0]
+        lines[index] = f"{key}: {value}"
+        path = _write(tmp_path_factory.getbasetemp() / f"fuzz{index}.txt", lines)
+        try:
+            model = load_model(path)
+        except DataFormatError as exc:
+            assert re.match(rf"{re.escape(str(path))}:\d+: ", str(exc)), str(exc)
+        else:
+            assert_svm_invariants(model)
 
 
 class TestNnModelFile:

@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import time
 
 import numpy as np
 import pytest
@@ -9,8 +11,11 @@ from thermal_sense.classifiers.svm import (
     predict_svm_batch,
     train_svm,
 )
-from thermal_sense.core import Label
+from thermal_sense.core import Label, make_folds
 from thermal_sense.errors import InvalidInputError, StratificationError, TrainingError
+from thermal_sense.evaluate import SvmSpec
+from thermal_sense.persist import model_to_text
+from thermal_sense.simulate import generate_main
 
 from conftest import dataset_from_arrays
 from oracles import pairwise_kernel
@@ -82,6 +87,47 @@ class TestKernels:
         with pytest.raises(InvalidInputError):
             KernelSpec("rbf", gamma=-1.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("kind", "cubic"), ("degree", 0), ("degree", -1), ("degree", 2.5), ("degree", True),
+        ("degree", "3"), ("gamma", 0.0), ("gamma", np.nan), ("gamma", np.inf),
+        ("coef0", np.nan), ("coef0", -np.inf),
+    ])
+    def test_spec_invariants(self, field, value):
+        with pytest.raises(InvalidInputError, match="kernel|degree|gamma|coef0"):
+            KernelSpec(**{"kind": "poly", field: value})
+
+    def test_numpy_integer_degree_accepted(self):
+        assert KernelSpec("poly", degree=np.int64(4)).degree == 4
+
+    @pytest.mark.parametrize("kind", ["linear", "poly", "rbf", "sigmoid"])
+    @pytest.mark.parametrize("n", [432, 1728])
+    def test_gram_matrix_bitwise_symmetric(self, rng, kind, n):
+        # The SMO solver reads Gram rows where it needs columns.
+        x = rng.normal(0, 1, (n, 64))
+        k = kernel_matrix(KernelSpec(kind, gamma=1 / 64, coef0=1.0), x, x)
+        assert np.array_equal(k, k.T)
+
+    @pytest.mark.parametrize("coef0", [0.0, 1.0])
+    @pytest.mark.parametrize("degree", range(1, 8))
+    def test_poly_matches_pow(self, rng, degree, coef0):
+        a = rng.normal(0, 1, (6, 64))
+        b = rng.normal(0, 1, (5, 64))
+        spec = KernelSpec("poly", degree=degree, gamma=0.1, coef0=coef0)
+        m = kernel_matrix(spec, a, b)
+        assert (m < 0).any() or degree % 2 == 0  # odd degrees see negative bases
+        for i in range(6):
+            for j in range(5):
+                assert m[i, j] == pytest.approx(pairwise_kernel(spec, a[i], b[j]), rel=1e-12)
+
+    def test_huge_degree_is_prompt(self, rng):
+        x = rng.normal(0, 1e-4, (4, 64))
+        spec = KernelSpec("poly", degree=2 ** 20, gamma=1e-3, coef0=1.0)
+        start = time.perf_counter()
+        m = kernel_matrix(spec, x, x)
+        assert time.perf_counter() - start < 1.0
+        # 20 squarings compound rounding to about 2**20 ulps
+        assert m[0, 1] == pytest.approx(pairwise_kernel(spec, x[0], x[1]), rel=1e-8)
+
 
 def max_kkt_violation(model, x, y01, c):
     """Recompute y_i f(x_i) from scratch through the pairwise oracle."""
@@ -148,6 +194,28 @@ class TestTrain:
         with pytest.raises(StratificationError):
             train_svm(ds, KernelSpec("linear"))
 
+    @pytest.mark.parametrize("c", [0.0, -1.0, np.nan, np.inf])
+    def test_c_must_be_finite_and_positive(self, c):
+        x = embedded([[-1.0], [1.0]])
+        model = train_svm(dataset_from_arrays(x, [0, 1]), KernelSpec("linear"))
+        for build in (lambda: train_svm(dataset_from_arrays(x, [0, 1]), KernelSpec("linear"), c=c),
+                      lambda: SvmSpec(c=c),
+                      lambda: dataclasses.replace(model, c=c)):
+            with pytest.raises(InvalidInputError, match="C must be finite and positive"):
+                build()
+
+    def test_model_needs_resolved_gamma(self):
+        x = embedded([[-1.0], [1.0]])
+        model = train_svm(dataset_from_arrays(x, [0, 1]), KernelSpec("rbf"))
+        with pytest.raises(InvalidInputError, match="resolved gamma"):
+            dataclasses.replace(model, kernel=KernelSpec("rbf"))
+
+    def test_kernel_overflow_is_a_training_error(self, rng):
+        x = rng.normal(0, 1, (20, 64))
+        y = np.arange(20) % 2
+        with pytest.raises(TrainingError, match="poly kernel overflows"):
+            train_svm(dataset_from_arrays(x, y), KernelSpec("poly", degree=10 ** 6, coef0=1.0))
+
     def test_iteration_cap(self, rng):
         x = rng.normal(0, 1, (30, 64))
         y = rng.integers(0, 2, 30)
@@ -175,6 +243,31 @@ class TestTrain:
             assert np.all(model.support_alpha <= c)
             assert abs(float(model.support_alpha @ model.support_y)) <= 1e-8
             assert max_kkt_violation(model, x, y, c) <= 1e-3
+
+
+# SHA-256 of the model file trained on fold 0 of main(240, seed 7), 10 folds.
+# linear, rbf and sigmoid were recorded before the Gram matrix was built in
+# place and SMO read rows; poly was recorded after its kernel switched from
+# pow to repeated squaring (same 66 support vectors).
+GOLDEN_MODEL_FILES = {
+    "linear": "84544ccfa2ecd36409d24056b60d0f03c61e2cbe455c2362413a42e269f3d231",
+    "poly": "44982dc7199f8ad694e5cad72dd2f0d0044930eb2e4cef885519f87a027815ee",
+    "rbf": "e75387a6e3a7173e57d6b2bc8e42dda1365a197c530d5713258e07e95c4f4aed",
+    "sigmoid": "cb2bdf33d0b7db6346b59e38f4462066f4a5c440b6d33d40f39e08aae106eb2f",
+}
+
+
+class TestGoldenModelFiles:
+    @pytest.fixture(scope="class")
+    def fold(self):
+        ds = generate_main(240, 7)
+        assignment = np.array(make_folds(ds, 10, 7).assignment)
+        return ds.subset(np.flatnonzero(assignment != 0))
+
+    @pytest.mark.parametrize("kind", sorted(GOLDEN_MODEL_FILES))
+    def test_model_file_digest(self, fold, kind):
+        text = model_to_text(train_svm(fold, KernelSpec(kind)))
+        assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_MODEL_FILES[kind]
 
 
 class TestPredict:
