@@ -48,14 +48,6 @@ class KernelSpec:
             raise InvalidInputError(f"coef0 must be finite, got {self.coef0!r}")
 
 
-def _resolve_gamma(spec: KernelSpec) -> float:
-    if spec.kind == "linear":
-        return 0.0
-    if spec.gamma is None:
-        raise InvalidInputError(f"{spec.kind} kernel needs gamma resolved before evaluation")
-    return spec.gamma
-
-
 def _power(base: np.ndarray, degree: int) -> np.ndarray:
     """base ** degree for an integer degree >= 1 by repeated squaring; overwrites base.
 
@@ -82,7 +74,9 @@ def kernel_matrix(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     k = a @ b.T
     if spec.kind == "linear":
         return k
-    gamma = _resolve_gamma(spec)
+    gamma = spec.gamma
+    if gamma is None:
+        raise InvalidInputError(f"{spec.kind} kernel needs gamma resolved before evaluation")
     if spec.kind == "rbf":
         na = np.sum(a * a, axis=1)
         nb = np.sum(b * b, axis=1)
@@ -97,11 +91,11 @@ def kernel_matrix(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
             np.maximum(block, 0.0, out=block)
             block *= -gamma
             np.exp(block, out=block)
-            continue
-        block *= gamma
-        block += spec.coef0
-        if spec.kind == "poly":
-            np.copyto(block, _power(block, spec.degree))
         else:
-            np.tanh(block, out=block)
+            block *= gamma
+            block += spec.coef0
+            if spec.kind == "poly":
+                np.copyto(block, _power(block, spec.degree))
+            else:
+                np.tanh(block, out=block)
     return k

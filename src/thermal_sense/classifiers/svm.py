@@ -121,8 +121,9 @@ def _smo(k: np.ndarray, y: np.ndarray, c: float, tol: float,
         else:
             alpha[j] -= y[j] * step
         for t in (i, j):
-            up_mask[t] = 0.0 if (alpha[t] < c if pos[t] else alpha[t] > 0) else -np.inf
-            low_mask[t] = 0.0 if (alpha[t] > 0 if pos[t] else alpha[t] < c) else np.inf
+            below_c, above_0 = alpha[t] < c, alpha[t] > 0
+            up_mask[t] = 0.0 if (below_c if pos[t] else above_0) else -np.inf
+            low_mask[t] = 0.0 if (above_0 if pos[t] else below_c) else np.inf
         # grad += step * y * (k[:, i] - k[:, j]), in place
         np.multiply(y, step, out=step_y)
         np.subtract(k[i], k[j], out=row)
