@@ -191,7 +191,7 @@ def _bad_value(lines: list[str], index: int, key: str, path):
     try:
         yield
     except ValueError as exc:
-        raw = lines[index][len(key) + 1:].strip()
+        raw = _read_header_line(lines, index, key, path)
         reason = f": {exc}" if isinstance(exc, InvalidInputError) else ""
         raise DataFormatError(f"{path}:{index + 1}: bad {key} {raw!r}{reason}") from None
 
