@@ -13,6 +13,10 @@ is a candidate, and only candidates get the exact per-row distance
 sqrt(sum((t - q)^2)). The margin bounds the error of both forms, so the
 true k nearest rows, all rows tied with the k-th included, are always
 candidates: labels are those of a full sort of the exact distances.
+
+A block's votes are array operations over its (m, k) neighbor labels and
+distances, bit for bit the per-query vote; distance votes with k >= 8
+stay per query (see _MASKED_SUM_K).
 """
 
 from __future__ import annotations
@@ -36,6 +40,11 @@ BLOCK = 1 << 16
 _MARGIN = 1e-12
 # Absolute margin floor: covers products and sums that underflow.
 _MARGIN_FLOOR = np.finfo(np.float64).tiny
+# numpy adds fewer than 8 terms left to right and more in pairwise blocks,
+# so only below this k does a masked row sum (zeros for the other class)
+# equal the sum of one class's compacted weights. Distance votes over more
+# neighbors are taken one query at a time.
+_MASKED_SUM_K = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,18 +81,37 @@ def train_knn(train: Dataset, k: int, weighting: str = "uniform") -> KnnModel:
     return KnnModel(train.x, train.y, k, weighting)
 
 
-def _vote(labels: np.ndarray, dists: np.ndarray, weighting: str) -> int:
-    """One query's label from its k neighbors' labels (0/1) and distances."""
-    if weighting == "distance":
-        exact = dists == 0.0
-        if exact.any():
-            person = int(np.count_nonzero(labels[exact]))
-            return PERSON if person > int(np.count_nonzero(exact)) - person else NO_PERSON
-        weights = 1.0 / dists
-    else:
-        weights = np.ones_like(dists)
+def _distance_vote(labels: np.ndarray, dists: np.ndarray) -> int:
+    """One query's distance-weighted label from its k neighbors' labels (0/1) and distances."""
+    exact = dists == 0.0
+    if exact.any():
+        person = int(np.count_nonzero(labels[exact]))
+        return PERSON if person > int(np.count_nonzero(exact)) - person else NO_PERSON
+    weights = 1.0 / dists
     person = labels == PERSON
     return PERSON if float(np.sum(weights[person])) > float(np.sum(weights[~person])) else NO_PERSON
+
+
+def _votes(labels: np.ndarray, dists: np.ndarray, weighting: str) -> np.ndarray:
+    """(m,) labels from the (m, k) labels (0/1) and distances of each query's neighbors."""
+    person = labels == PERSON
+    k = labels.shape[1]
+    if weighting == "uniform":
+        return np.where(2 * np.count_nonzero(person, axis=1) > k, PERSON, NO_PERSON)
+    # A zero or subnormal distance weighs inf; a row with an exact match is
+    # decided by the exact matches alone.
+    with np.errstate(divide="ignore", over="ignore"):
+        if k >= _MASKED_SUM_K:
+            return np.array([_distance_vote(lab, d) for lab, d in zip(labels, dists)],
+                            dtype=np.int64)
+        weights = 1.0 / dists
+    exact = dists == 0.0
+    n_exact = np.count_nonzero(exact, axis=1)
+    person_w = np.add.reduce(np.where(person, weights, 0.0), axis=1)
+    other_w = np.add.reduce(np.where(person, 0.0, weights), axis=1)
+    wins = np.where(n_exact > 0, 2 * np.count_nonzero(exact & person, axis=1) > n_exact,
+                    person_w > other_w)
+    return np.where(wins, PERSON, NO_PERSON)
 
 
 def _nearest(model: KnnModel, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -116,7 +144,5 @@ def predict_knn_batch(model: KnnModel, xs: np.ndarray) -> np.ndarray:
     out = np.empty(len(queries), dtype=np.int64)
     for start in range(0, len(queries), step):
         idx, dists = _nearest(model, queries[start:start + step])
-        labels = model.train_y[idx]
-        out[start:start + step] = [_vote(lab, d, model.weighting)
-                                   for lab, d in zip(labels, dists)]
+        out[start:start + step] = _votes(model.train_y[idx], dists, model.weighting)
     return out

@@ -21,13 +21,14 @@ on the buffering.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..core import Dataset, Label, query_rows
 from ..errors import ConfigError, InvalidInputError, TrainingError
-from .svm import standardize_fit
+from .svm import check_scale, standardize_fit
 
 MAX_HIDDEN = 1024
 
@@ -37,6 +38,15 @@ class TrainingParams:
     learning_rate: float = 0.01
     batch_size: int = 32
     epochs: int = 500
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigError(
+                f"learning rate must be finite and positive, got {self.learning_rate!r}")
+        if self.batch_size < 1:
+            raise ConfigError(f"batch size must be at least 1, got {self.batch_size!r}")
+        if self.epochs < 1:
+            raise ConfigError(f"epochs must be at least 1, got {self.epochs!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,6 +72,7 @@ class NnModel:
             raise InvalidInputError(
                 f"shapes of w1, b1, w2, b2, feature mean and scale {shapes} "
                 f"do not fit hidden width {h}")
+        check_scale(self.feature_scale)
 
 
 def _param_count(d: int, h: int) -> int:
@@ -146,8 +157,6 @@ def train_nn(train: Dataset, hidden: int, params: TrainingParams = TrainingParam
              seed: int = 0) -> NnModel:
     if not (1 <= hidden <= MAX_HIDDEN):
         raise ConfigError(f"hidden width {hidden} outside [1, {MAX_HIDDEN}]")
-    if params.learning_rate <= 0 or params.batch_size < 1 or params.epochs < 1:
-        raise ConfigError("learning_rate, batch_size and epochs must be positive")
 
     x, y = train.x, train.y
     mean, scale = standardize_fit(x)

@@ -35,6 +35,15 @@ def check_c(c: float) -> float:
     return float(c)
 
 
+def check_scale(scale: np.ndarray) -> None:
+    """InvalidInputError unless every feature scale is finite and positive."""
+    bad = ~(np.isfinite(scale) & (scale > 0))
+    if bad.any():
+        i = int(bad.argmax())
+        raise InvalidInputError(
+            f"feature scale {i} must be finite and positive, got {float(scale[i])!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class SvmModel:
     kernel: KernelSpec  # gamma resolved to a concrete value
@@ -48,6 +57,7 @@ class SvmModel:
 
     def __post_init__(self) -> None:
         check_c(self.c)
+        check_scale(self.feature_scale)
         if self.kernel.kind != "linear" and self.kernel.gamma is None:
             raise InvalidInputError(f"{self.kernel.kind} kernel needs a resolved gamma")
         if not np.isin(self.support_y, (-1.0, 1.0)).all():

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import tempfile
 from contextlib import contextmanager
 from dataclasses import replace
@@ -24,7 +25,7 @@ import numpy as np
 from .classifiers.kernels import KernelSpec
 from .classifiers.knn import WEIGHTINGS, KnnModel
 from .classifiers.nn import MAX_HIDDEN, NnModel, TrainingParams
-from .classifiers.svm import SvmModel, check_c
+from .classifiers.svm import SvmModel, check_c, check_scale
 from .core import (
     CONDITIONS,
     GRID_SIZE,
@@ -35,7 +36,7 @@ from .core import (
     FoldPlan,
     Label,
 )
-from .errors import DataFormatError, FormatVersionError, InvalidInputError
+from .errors import ConfigError, DataFormatError, FormatVersionError, InvalidInputError
 
 DATASET_FORMAT_VERSION = 1
 FOLD_PLAN_FORMAT_VERSION = 1
@@ -48,6 +49,11 @@ _LABELS = tuple(label.to_text() for label in Label)  # label i is written as _LA
 _CONDITION_CODES = {tag.value: code for code, tag in enumerate(CONDITIONS)}
 # A CSV row: 64 temperatures with two decimals, then label and condition.
 _ROW_FORMAT = ",".join(["%.2f"] * NUM_PIXELS + ["%s", "%s"])
+# The rows the format admits, up to the range and quarter-degree checks.
+_CSV_ROW = re.compile(",".join(
+    [r"[0-9]+\.[0-9]{2}"] * NUM_PIXELS
+    + ["(?:" + "|".join(map(re.escape, texts)) + ")"
+       for texts in (_LABELS, _CONDITION_CODES)]))
 
 
 def atomic_write_text(path, text: str) -> None:
@@ -67,8 +73,8 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def _floats_line(values) -> str:
-    return " ".join(_fmt(v) for v in values)
+def _floats_line(values: np.ndarray) -> str:
+    return " ".join(map(repr, values.tolist()))
 
 
 def _parse_floats(text: str, path, lineno: int) -> np.ndarray:
@@ -123,7 +129,30 @@ def _parse_temperature(tok: str, path, lineno: int, field: str) -> float:
     return value
 
 
+def _raise_row_error(line: str, path, lineno: int) -> None:
+    """Raise the first error of a data row that fails a check, walking its fields in order."""
+    fields = line.split(",")
+    n_fields = NUM_PIXELS + 2
+    if len(fields) != n_fields:
+        raise DataFormatError(f"{path}:{lineno}: expected {n_fields} fields, got {len(fields)}")
+    for field, tok in zip(_PIXEL_FIELDS, fields):
+        _parse_temperature(tok, path, lineno, field)
+    if fields[-2] not in _LABELS:
+        raise DataFormatError(f"{path}:{lineno}: field label: unknown label {fields[-2]!r}")
+    if fields[-1] not in _CONDITION_CODES:
+        raise DataFormatError(
+            f"{path}:{lineno}: field condition: unknown condition {fields[-1]!r}")
+    raise AssertionError(f"{path}:{lineno}: row passes every field check")
+
+
 def dataset_from_csv(text: str, name: str, path="<memory>") -> Dataset:
+    """Parse dataset CSV text; a bad row fails with the message of its first bad field.
+
+    Each row is matched against `_CSV_ROW` and parsed straight into the
+    matrix; range and quarter-degree checks then run on the whole matrix.
+    The earliest row that fails either is walked field by field to name
+    the error, so messages do not depend on the fast path.
+    """
     if "\r" in text:
         raise DataFormatError(f"{path}: CR line endings are not accepted")
     if not text.endswith("\n"):
@@ -135,26 +164,23 @@ def dataset_from_csv(text: str, name: str, path="<memory>") -> Dataset:
     x = np.empty((n, NUM_PIXELS))
     y = np.empty(n, dtype=np.int64)
     codes = np.empty(n, dtype=np.int8)
-    n_fields = NUM_PIXELS + 2
+    bad_row = n
     for row, line in enumerate(lines[1:]):
-        lineno = row + 2
+        if _CSV_ROW.fullmatch(line) is None:
+            bad_row = row
+            break
         fields = line.split(",")
-        if len(fields) != n_fields:
-            raise DataFormatError(
-                f"{path}:{lineno}: expected {n_fields} fields, got {len(fields)}"
-            )
-        x[row] = [_parse_temperature(tok, path, lineno, field)
-                  for field, tok in zip(_PIXEL_FIELDS, fields)]
-        label_text = fields[-2]
-        if label_text not in _LABELS:
-            raise DataFormatError(f"{path}:{lineno}: field label: unknown label {label_text!r}")
-        y[row] = _LABELS.index(label_text)
-        condition_text = fields[-1]
-        if condition_text not in _CONDITION_CODES:
-            raise DataFormatError(
-                f"{path}:{lineno}: field condition: unknown condition {condition_text!r}"
-            )
-        codes[row] = _CONDITION_CODES[condition_text]
+        x[row] = fields[:NUM_PIXELS]
+        y[row] = _LABELS.index(fields[-2])
+        codes[row] = _CONDITION_CODES[fields[-1]]
+    parsed = x[:bad_row]
+    quarters = parsed * 4.0
+    off_grid = ((parsed < TEMP_MIN_C) | (parsed > TEMP_MAX_C)
+                | (quarters != np.floor(quarters))).any(axis=1)
+    if off_grid.any():
+        bad_row = int(off_grid.argmax())
+    if bad_row < n:
+        _raise_row_error(lines[bad_row + 1], path, bad_row + 2)
     return Dataset(x, y, codes, name)
 
 
@@ -185,14 +211,14 @@ def _read_header_line(lines: list[str], index: int, key: str, path) -> str:
 def _bad_value(lines: list[str], index: int, key: str, path):
     """Report a ValueError raised in the block as a bad value on header line `index`.
 
-    An InvalidInputError is an invariant of the object being built, so its
-    message is kept as the reason.
+    An InvalidInputError or ConfigError is an invariant of the object being
+    built, so its message is kept as the reason.
     """
     try:
         yield
     except ValueError as exc:
         raw = _read_header_line(lines, index, key, path)
-        reason = f": {exc}" if isinstance(exc, InvalidInputError) else ""
+        reason = f": {exc}" if isinstance(exc, (InvalidInputError, ConfigError)) else ""
         raise DataFormatError(f"{path}:{index + 1}: bad {key} {raw!r}{reason}") from None
 
 
@@ -363,6 +389,14 @@ def _knn_from_lines(lines: list[str], path) -> KnnModel:
         return KnnModel(x, labels, k, weighting)
 
 
+def _feature_scale(lines: list[str], index: int, n_features: int, path) -> np.ndarray:
+    scale = _parse_row(_read_header_line(lines, index, "feature-scale", path),
+                       n_features, path, index + 1)
+    with _bad_value(lines, index, "feature-scale", path):
+        check_scale(scale)
+    return scale
+
+
 def _svm_from_lines(lines: list[str], path) -> SvmModel:
     # The kernel is rebuilt as each of its fields is read, so a value that
     # breaks a KernelSpec invariant names its own line.
@@ -377,7 +411,7 @@ def _svm_from_lines(lines: list[str], path) -> SvmModel:
     n_features = _header_value(lines, 9, "n-features", path)
     _check_width(n_features, path, 10)
     mean = _parse_row(_read_header_line(lines, 10, "feature-mean", path), n_features, path, 11)
-    scale = _parse_row(_read_header_line(lines, 11, "feature-scale", path), n_features, path, 12)
+    scale = _feature_scale(lines, 11, n_features, path)
     payload = lines[12:]
     if len(payload) != n_support:
         raise DataFormatError(f"{path}:9: expected {n_support} support lines, got {len(payload)}")
@@ -402,27 +436,31 @@ def _svm_from_lines(lines: list[str], path) -> SvmModel:
 
 def _nn_from_lines(lines: list[str], path) -> NnModel:
     hidden = _header_value(lines, 2, "hidden", path)
-    lr = _header_value(lines, 3, "learning-rate", path, float)
-    batch = _header_value(lines, 4, "batch-size", path)
-    epochs = _header_value(lines, 5, "epochs", path)
+    # The training parameters are rebuilt as each field is read, so a value
+    # that breaks one of their invariants names its own line.
+    params = _header_value(lines, 3, "learning-rate", path,
+                           lambda t: TrainingParams(learning_rate=float(t)))
+    params = _header_value(lines, 4, "batch-size", path,
+                           lambda t: replace(params, batch_size=int(t)))
+    params = _header_value(lines, 5, "epochs", path, lambda t: replace(params, epochs=int(t)))
     seed = _header_value(lines, 6, "seed", path)
     n_features = _header_value(lines, 7, "n-features", path)
     if not 1 <= hidden <= MAX_HIDDEN:
         raise DataFormatError(f"{path}:3: hidden width {hidden} outside [1, {MAX_HIDDEN}]")
     _check_width(n_features, path, 8)
     mean = _parse_row(_read_header_line(lines, 8, "feature-mean", path), n_features, path, 9)
-    scale = _parse_row(_read_header_line(lines, 9, "feature-scale", path), n_features, path, 10)
+    scale = _feature_scale(lines, 9, n_features, path)
     b1 = _parse_row(_read_header_line(lines, 10, "b1", path), hidden, path, 11)
     b2 = _parse_row(_read_header_line(lines, 11, "b2", path), 2, path, 12)
-    expected = n_features + hidden
-    if len(lines) - 12 != expected:
-        raise DataFormatError(f"{path}: expected {expected} weight lines, got {len(lines) - 12}")
+    # A missing weight line fails at the index where it is expected.
     w1 = np.array([_parse_row(_read_header_line(lines, i, "w1", path), hidden, path, i + 1)
                    for i in range(12, 12 + n_features)])
+    end = 12 + n_features + hidden
     w2 = np.array([_parse_row(_read_header_line(lines, i, "w2", path), 2, path, i + 1)
-                   for i in range(12 + n_features, 12 + expected)])
-    return NnModel(hidden, w1, b1, w2, b2, mean, scale,
-                   TrainingParams(lr, batch, epochs), seed)
+                   for i in range(12 + n_features, end)])
+    if len(lines) > end:
+        raise DataFormatError(f"{path}:{end + 1}: unexpected line after the weights")
+    return NnModel(hidden, w1, b1, w2, b2, mean, scale, params, seed)
 
 
 # --- reports ---------------------------------------------------------------

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from thermal_sense.core import Dataset
+
+# Every run draws the same examples, so two checkouts run identical tests.
+settings.register_profile("deterministic", derandomize=True, deadline=None, database=None)
+settings.load_profile("deterministic")
 
 
 def dataset_from_arrays(x, y, name="toy"):

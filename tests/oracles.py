@@ -45,12 +45,16 @@ def per_row_knn(train_x, train_y, k, weighting, query):
     library's, so the two must agree on every finite input.
     """
     import numpy as np
-    from thermal_sense.core import Label
 
     d = np.sqrt(np.sum((train_x - query) ** 2, axis=1))
     order = np.argsort(d, kind="stable")[:k]
-    labels = train_y[order]
-    dists = d[order]
+    return per_row_vote(train_y[order], d[order], weighting)
+
+
+def per_row_vote(labels, dists, weighting):
+    """Reference vote of one query from its neighbors' labels (0/1) and sorted distances."""
+    import numpy as np
+    from thermal_sense.core import Label
 
     if weighting == "distance":
         exact = dists == 0.0
@@ -65,6 +69,58 @@ def per_row_knn(train_x, train_y, k, weighting, query):
     person_w = float(np.sum(weights[labels == Label.PERSON]))
     no_person_w = float(np.sum(weights[labels == Label.NO_PERSON]))
     return int(Label.PERSON if person_w > no_person_w else Label.NO_PERSON)
+
+
+def walk_dataset_csv(text, path="<memory>"):
+    """Reference dataset CSV reader: every token of every row checked in order.
+
+    The reader before its whole-row fast path, verbatim apart from
+    returning plain arrays: (x, labels, condition codes), or the
+    DataFormatError whose message the library must raise byte for byte.
+    """
+    import numpy as np
+    from thermal_sense.core import CONDITIONS, GRID_SIZE, TEMP_MAX_C, TEMP_MIN_C, Label
+    from thermal_sense.errors import DataFormatError
+
+    pixel_fields = [f"p{r}{c}" for r in range(GRID_SIZE) for c in range(GRID_SIZE)]
+    header = ",".join(pixel_fields + ["label", "condition"])
+    labels = [Label(i).to_text() for i in range(2)]
+    conditions = [tag.value for tag in CONDITIONS]
+
+    def temperature(tok, lineno, field):
+        whole, dot, frac = tok.partition(".")
+        if not (whole.isdigit() and dot and len(frac) == 2 and frac.isdigit()
+                and tok.isascii()):
+            raise DataFormatError(f"{path}:{lineno}: field {field}: malformed temperature {tok!r}")
+        value = float(tok)
+        if not (TEMP_MIN_C <= value <= TEMP_MAX_C) or not (value * 4).is_integer():
+            raise DataFormatError(
+                f"{path}:{lineno}: field {field}: {tok} is not a quarter degree in [20, 100]")
+        return value
+
+    if "\r" in text:
+        raise DataFormatError(f"{path}: CR line endings are not accepted")
+    if not text.endswith("\n"):
+        raise DataFormatError(f"{path}: missing trailing newline")
+    lines = text.split("\n")[:-1]
+    if not lines or lines[0] != header:
+        raise DataFormatError(f"{path}:1: bad or missing header")
+    x, y, codes = [], [], []
+    for lineno, line in enumerate(lines[1:], start=2):
+        fields = line.split(",")
+        if len(fields) != len(pixel_fields) + 2:
+            raise DataFormatError(
+                f"{path}:{lineno}: expected {len(pixel_fields) + 2} fields, got {len(fields)}")
+        x.append([temperature(tok, lineno, field) for field, tok in zip(pixel_fields, fields)])
+        if fields[-2] not in labels:
+            raise DataFormatError(f"{path}:{lineno}: field label: unknown label {fields[-2]!r}")
+        y.append(labels.index(fields[-2]))
+        if fields[-1] not in conditions:
+            raise DataFormatError(
+                f"{path}:{lineno}: field condition: unknown condition {fields[-1]!r}")
+        codes.append(conditions.index(fields[-1]))
+    x = np.array(x, dtype=np.float64).reshape(-1, len(pixel_fields))
+    return x, np.array(y), np.array(codes)
 
 
 def direct_count_metrics(predicted, truth):

@@ -7,7 +7,7 @@ from thermal_sense.core import Label
 from thermal_sense.errors import InvalidInputError
 
 from conftest import dataset_from_arrays
-from oracles import brute_force_knn, per_row_knn
+from oracles import brute_force_knn, per_row_knn, per_row_vote
 
 
 def predict_one(model, x):
@@ -223,3 +223,46 @@ class TestPerRowEquivalence:
         x = rng.normal(25, 4, (50, 64))
         y = rng.integers(0, 2, len(x))
         self.assert_matches(x, y, x[7:8] + 0.25, (1, 3, 50))
+
+
+def vote_cases(rng, k, m=300):
+    """(name, labels, sorted distances) blocks of m queries that stress the vote."""
+    labels = rng.integers(0, 2, (m, k))
+    yield "random", labels, np.sort(rng.random((m, k)), axis=1)
+    # Few distinct values tie weight sums; 5e-324 and 1e-310 weigh inf, 1e308 almost 0.
+    pool = np.array([0.0, 5e-324, 1e-310, 0.5, 1.0, 2.0, 1e308])
+    yield "pooled", labels, np.sort(rng.choice(pool, (m, k)), axis=1)
+    yield "all zero", labels, np.zeros((m, k))
+    mixed = np.sort(rng.random((m, k)), axis=1)
+    mixed[:, : (k + 1) // 2] = 0.0
+    yield "zero prefix", labels, mixed
+    # Half person, half not, at one distance: tied counts and tied weights.
+    tied = np.tile(np.arange(k) % 2, (m, 1))
+    yield "tied", rng.permuted(tied, axis=1), np.full((m, k), 1.5)
+    yield "tied subnormal", rng.permuted(tied, axis=1), np.full((m, k), 5e-324)
+
+
+class TestVotes:
+    """The block vote against the per-query reference vote, bit for bit."""
+
+    @pytest.mark.parametrize("k", range(1, 11))  # k >= 8 takes the per-query distance vote
+    def test_stress_cases(self, rng, k):
+        for name, labels, dists in vote_cases(rng, k):
+            for weighting in WEIGHTINGS:
+                with np.errstate(over="ignore"):
+                    expected = [per_row_vote(lab, d, weighting) for lab, d in zip(labels, dists)]
+                got = knn._votes(labels, dists, weighting)
+                assert got.tolist() == expected, (name, weighting)
+
+    def test_eight_masked_terms_would_flip_a_vote(self):
+        # numpy sums 8 terms pairwise: masked row sums call this vote for
+        # person, the per-class sums of the per-query vote for no_person.
+        labels = np.array([[1, 0, 0, 1, 1, 1, 1, 0]])
+        dists = np.array([[0.5, 1 - 2 ** -52, 1 + 2 ** -52, 1e16, 1e16, 1e16,
+                           1 / 7e-17, 1 / 7e-17]])
+        person = labels == 1
+        person_w, other_w = (np.add.reduce(np.where(mask, 1 / dists, 0.0), axis=1)[0]
+                             for mask in (person, ~person))
+        assert person_w > other_w
+        assert per_row_vote(labels[0], dists[0], "distance") == Label.NO_PERSON
+        assert knn._votes(labels, dists, "distance").tolist() == [Label.NO_PERSON]

@@ -55,6 +55,25 @@ class TestTrain:
         with pytest.raises(ConfigError):
             train_nn(XOR_DS, 2048)
 
+    @pytest.mark.parametrize("fields, message", [
+        ((0.0, 8, 10), "learning rate must be finite and positive, got 0.0"),
+        ((float("nan"), 8, 10), "learning rate must be finite and positive, got nan"),
+        ((float("inf"), 8, 10), "learning rate must be finite and positive, got inf"),
+        ((0.1, 0, 10), "batch size must be at least 1, got 0"),
+        ((0.1, 8, -5), "epochs must be at least 1, got -5"),
+    ])
+    def test_training_params_invariants(self, fields, message):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            TrainingParams(*fields)
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf])
+    def test_feature_scale_must_be_finite_and_positive(self, rng, value):
+        model = train_nn(random_batch(rng, 10), 4, TrainingParams(0.1, 4, 1), 0)
+        scale = model.feature_scale.copy()
+        scale[0] = value
+        with pytest.raises(InvalidInputError, match="^feature scale 0 must be finite and positive"):
+            dataclasses.replace(model, feature_scale=scale)
+
     def test_deterministic_in_seed(self, rng):
         ds = random_batch(rng, 20)
         hp = TrainingParams(0.05, 8, 10)

@@ -30,6 +30,7 @@ from thermal_sense.persist import (
 from thermal_sense.simulate import generate_main
 
 from conftest import balanced_dataset, dataset_from_arrays
+from oracles import walk_dataset_csv
 
 quarter_temps = st.integers(80, 400).map(lambda q: q / 4.0)
 sample_strategy = st.tuples(
@@ -110,6 +111,23 @@ class TestDatasetFormat:
                            match=r"^<memory>:2: field p11: 20.10 is not a quarter degree"):
             dataset_from_csv(CSV_HEADER + "\n" + row + "\n", "x")
 
+    @pytest.mark.parametrize("range_row, malformed_row", [(3, 7), (7, 3)])
+    def test_earliest_bad_row_wins(self, range_row, malformed_row):
+        rows = [["20.00"] * 64 + ["person", "baseline"] for _ in range(8)]
+        rows[range_row - 1][5] = "100.25"
+        rows[malformed_row - 1][2] = "20.5"
+        text = "\n".join([CSV_HEADER] + [",".join(row) for row in rows]) + "\n"
+        expected = {
+            3: "<memory>:4: field p05: 100.25 is not a quarter degree in [20, 100]",
+            7: "<memory>:4: field p02: malformed temperature '20.5'",
+        }[range_row]
+        with pytest.raises(DataFormatError) as info:
+            dataset_from_csv(text, "x")
+        assert str(info.value) == expected
+        with pytest.raises(DataFormatError) as info:
+            walk_dataset_csv(text)
+        assert str(info.value) == expected
+
     def test_rejects_missing_trailing_newline(self):
         row = ",".join(["20.00"] * 64 + ["person", "baseline"])
         with pytest.raises(DataFormatError, match="newline"):
@@ -119,6 +137,67 @@ class TestDatasetFormat:
         ds = dataset_from_arrays(np.zeros((2, 64)), [0, 1])
         with pytest.raises(DataFormatError):
             dataset_to_csv(ds)
+
+
+def _csv_base_lines():
+    # Every label and condition, and both ends of the temperature range.
+    x = 20.0 + 0.25 * ((np.arange(6)[:, None] * 53 + np.arange(64) * 5) % 321)
+    ds = Dataset(x, [0, 1, 1, 0, 1, 0], range(6), "x")
+    return tuple(dataset_to_csv(ds).rstrip("\n").split("\n"))
+
+
+_CSV_TOKENS = st.sampled_from([
+    "19.75", "20.00", "100.00", "100.25", "20.10", "20.1", "20.5", "0020.00", "9" * 400 + ".00",
+    "", " 20.00", "+20.00", "-20.00", "2e1", "inf", "nan", "20.", ".25",
+    "\u00b20.00", "\uff12\uff10.00", "20.\u0662\u0665",
+    "person", "no_person", "Person", "ghost", "baseline", "duvet_0", "DUVET_0", "cold",
+])
+
+
+@st.composite
+def mutated_csv(draw):
+    """Valid dataset CSV text with a few tokens swapped, edited, cut or replaced."""
+    lines = list(_csv_base_lines())
+    for _ in range(draw(st.integers(1, 4))):
+        row = draw(st.integers(1, len(lines) - 1))
+        fields = lines[row].split(",")
+        last = len(fields) - 1
+        i = draw(st.one_of(st.integers(0, last), st.sampled_from([last - 1, last])))
+        op = draw(st.sampled_from(["swap", "digit", "cut", "set", "line"]))
+        if op == "swap":
+            j = draw(st.integers(0, last))
+            fields[i], fields[j] = fields[j], fields[i]
+        elif op == "digit":
+            at = draw(st.integers(0, len(fields[i])))
+            char = draw(st.sampled_from("0123456789.,_ x\u0663\u00b2\uff13"))
+            fields[i] = fields[i][:at] + char + fields[i][at + 1:]
+        elif op == "cut":
+            del fields[i]
+        elif op == "set":
+            fields[i] = draw(_CSV_TOKENS)
+        else:
+            lines.insert(row, draw(st.sampled_from(["", lines[row], lines[-1] + ",x"])))
+            continue
+        lines[row] = ",".join(fields)
+    return "\n".join(lines) + "\n"
+
+
+class TestDatasetCsvFuzz:
+    """The whole-row reader against the field-by-field walk: same arrays or same message."""
+
+    @settings(max_examples=400)
+    @given(text=mutated_csv())
+    def test_matches_field_walk(self, text):
+        try:
+            expected = walk_dataset_csv(text)
+        except DataFormatError as exc:
+            with pytest.raises(DataFormatError) as info:
+                dataset_from_csv(text, "x")
+            assert str(info.value) == str(exc)
+        else:
+            ds = dataset_from_csv(text, "x")
+            for got, want in zip((ds.x, ds.y, ds.conditions), expected):
+                assert got.tolist() == want.tolist()
 
 
 class TestFoldPlanFormat:
@@ -273,6 +352,20 @@ class TestModelInvariants:
                                                   f"bad {key} {re.escape(repr(value))}"):
             load_model(path)
 
+    @pytest.mark.parametrize("value", ["0.0", "-1.0"])
+    def test_svm_feature_scale(self, tmp_path, value):
+        lines = _svm_lines()
+        key, *scales = lines[11].split(" ")
+        assert key == "feature-scale:"
+        scales[3] = value
+        lines[11] = " ".join([key] + scales)
+        path = _write(tmp_path / "m.txt", lines)
+        with pytest.raises(DataFormatError) as info:
+            load_model(path)
+        assert str(info.value) == (
+            f"{path}:12: bad feature-scale {' '.join(scales)!r}: "
+            f"feature scale 3 must be finite and positive, got {value}")
+
     def test_linear_kernel_may_leave_gamma_unresolved(self, tmp_path):
         lines = _svm_lines("linear")
         assert lines[4] == "gamma: none"
@@ -393,6 +486,44 @@ class TestNnModelFile:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(DataFormatError, match=f"^{path}:{lineno}: expected"):
             load_model(path)
+
+    @pytest.mark.parametrize("lineno, text, reason", [
+        (4, "learning-rate: nan", "learning rate must be finite and positive, got nan"),
+        (4, "learning-rate: 0.0", "learning rate must be finite and positive, got 0.0"),
+        (5, "batch-size: 0", "batch size must be at least 1, got 0"),
+        (6, "epochs: -5", "epochs must be at least 1, got -5"),
+    ])
+    def test_bad_training_params_name_line(self, tmp_path, lines, lineno, text, reason):
+        key, value = text.split(": ")
+        assert lines[lineno - 1].startswith(key + ":")
+        lines[lineno - 1] = text
+        path = _write(tmp_path / "m.txt", lines)
+        with pytest.raises(DataFormatError) as info:
+            load_model(path)
+        assert str(info.value) == f"{path}:{lineno}: bad {key} {value!r}: {reason}"
+
+    def test_feature_scale_must_be_positive(self, tmp_path, lines):
+        assert lines[9].startswith("feature-scale:")
+        lines[9] = "feature-scale: " + " ".join(["0.0"] * 64)
+        path = _write(tmp_path / "m.txt", lines)
+        with pytest.raises(DataFormatError,
+                           match=f"^{re.escape(str(path))}:10: bad feature-scale .*: "
+                                 "feature scale 0 must be finite and positive, got 0.0$"):
+            load_model(path)
+
+    @pytest.mark.parametrize("index, message", [
+        (20, "76: expected 'w1: ...'"), (77, "79: expected 'w2: ...'"),
+        (None, "80: unexpected line after the weights"),
+    ], ids=["missing-w1", "missing-w2", "extra-line"])
+    def test_weight_line_count_names_line(self, tmp_path, lines, index, message):
+        if index is None:
+            lines.append(lines[-1])
+        else:
+            del lines[index]
+        path = _write(tmp_path / "m.txt", lines)
+        with pytest.raises(DataFormatError) as info:
+            load_model(path)
+        assert str(info.value) == f"{path}:{message}"
 
     @pytest.mark.parametrize("lineno, text", [
         (3, "hidden: 0"), (3, "hidden: -2"), (8, "n-features: 0")])

@@ -107,6 +107,15 @@ class TestKernels:
         k = kernel_matrix(KernelSpec(kind, gamma=1 / 64, coef0=1.0), x, x)
         assert np.array_equal(k, k.T)
 
+    @pytest.mark.parametrize("n", [100, 432, 1727, 1728])
+    def test_training_gram_is_numpy_symmetric_product(self, rng, n):
+        # numpy's x @ x.T (a symmetric rank-k update) is what the model files
+        # record. A general product of x and a copy of x.T can differ from it
+        # in the last bits and need not be symmetric: with OpenBLAS 0.3.31 it
+        # does at most row counts that are not a multiple of 8.
+        x = rng.normal(0, 1, (n, 64))
+        assert np.array_equal(kernel_matrix(KernelSpec("linear"), x, x), x @ x.T)
+
     @pytest.mark.parametrize("coef0", [0.0, 1.0])
     @pytest.mark.parametrize("degree", range(1, 8))
     def test_poly_matches_pow(self, rng, degree, coef0):
@@ -203,6 +212,16 @@ class TestTrain:
                       lambda: dataclasses.replace(model, c=c)):
             with pytest.raises(InvalidInputError, match="C must be finite and positive"):
                 build()
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf])
+    def test_feature_scale_must_be_finite_and_positive(self, value):
+        x = embedded([[-1.0], [1.0]])
+        model = train_svm(dataset_from_arrays(x, [0, 1]), KernelSpec("linear"))
+        scale = model.feature_scale.copy()
+        scale[5] = value
+        with pytest.raises(InvalidInputError,
+                           match=r"^feature scale 5 must be finite and positive, got "):
+            dataclasses.replace(model, feature_scale=scale)
 
     def test_model_needs_resolved_gamma(self):
         x = embedded([[-1.0], [1.0]])
