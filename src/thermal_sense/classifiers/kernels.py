@@ -4,8 +4,14 @@ Gram matrices are built in place from one matrix product, so a
 kernel costs one (n, m) array plus its arithmetic. `kernel_matrix(spec,
 x, x)` is bitwise symmetric: numpy computes `x @ x.T` as a symmetric
 rank-k update, and every later step is elementwise (the RBF norm sum
-adds the same two numbers either way round). The SMO solver relies on it
-to read Gram rows in place of columns.
+adds the same two numbers either way round).
+
+SVM training builds no such matrix. Its solver asks for one Gram row at
+a time, `kernel_matrix(spec, x[i:i+1], x)[0]`, when it first reads row
+i. A row product can differ from `x @ x.T` in the last bits, and the
+rows need not be bitwise symmetric; the solver takes them as they are.
+Training turns an overflow into a TrainingError when the row holding it
+is computed, so an entry of a row that is never read cannot fail a fit.
 """
 
 from __future__ import annotations

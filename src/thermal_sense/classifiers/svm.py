@@ -8,6 +8,14 @@ tol. Features are standardized internally (per-feature z-score fitted
 on the training set); the model stores the standardization constants
 and standardized support vectors.
 
+The solver reads the Gram matrix one row at a time, and a fit computes
+row i only when SMO first reads it, as `kernel_matrix(spec, x_std[i:i+1],
+x_std)[0]`, keeping it for the rest of the fit. On fold 0 of main(960)
+the four kernels read 36 to 112 of the 1,728 rows. A row that
+overflows when first read is a TrainingError; an entry in a row that is
+never read is never computed, so it cannot fail the fit, and the model
+depends only on the rows that were read.
+
 Decision rule: f(x) = sum_i a_i y_i k(s_i, x) + b, with f(x) >= 0
 mapped to PERSON (the tie at exactly 0 goes to PERSON).
 """
@@ -86,13 +94,38 @@ def _resolve_kernel(spec: KernelSpec, x_std: np.ndarray) -> KernelSpec:
     return replace(spec, gamma=gamma)
 
 
-def _smo(k: np.ndarray, y: np.ndarray, c: float, tol: float,
-         max_iter: int) -> tuple[np.ndarray, float]:
-    """Dual coefficients and bias for Gram matrix k and labels y in {-1, +1}.
+class _KernelRows(dict):
+    """Gram rows of one training set, each computed on first read and kept.
 
-    k must be bitwise symmetric, as `kernel_matrix(spec, x, x)` is: the
-    gradient update reads rows k[i], k[j] (contiguous in a C-ordered
-    matrix) where the algorithm calls for columns.
+    `rows[i]` is `kernel_matrix(spec, x[i:i+1], x)[0]`, from that one call
+    whatever was read before it. The store belongs to one fit.
+    """
+
+    def __init__(self, spec: KernelSpec, x: np.ndarray):
+        super().__init__()
+        self.spec = spec
+        self.x = x
+
+    def __missing__(self, i: int) -> np.ndarray:
+        try:
+            with np.errstate(over="raise"):
+                row = kernel_matrix(self.spec, self.x[i:i + 1], self.x)[0]
+        except FloatingPointError:
+            raise TrainingError(
+                f"{self.spec.kind} kernel overflows on the training set; "
+                "lower its degree or gamma"
+            ) from None
+        self[i] = row
+        return row
+
+
+def _smo(rows, y: np.ndarray, c: float, tol: float,
+         max_iter: int) -> tuple[np.ndarray, float]:
+    """Dual coefficients and bias for Gram rows `rows[i]` and labels y in {-1, +1}.
+
+    `rows` is a `_KernelRows` store or a matrix. The gradient update reads
+    rows i and j where the algorithm calls for columns, so the result is
+    the solution for the matrix whose columns are those rows.
     """
     n = len(y)
     alpha = np.zeros(n)
@@ -104,7 +137,7 @@ def _smo(k: np.ndarray, y: np.ndarray, c: float, tol: float,
     # alpha[i] and alpha[j] change in an update, so only they are refreshed.
     up_mask = np.where(pos, 0.0, -np.inf)
     low_mask = np.where(pos, np.inf, 0.0)
-    yg, masked, step_y, row = (np.empty(n) for _ in range(4))
+    yg, masked, step_y, diff = (np.empty(n) for _ in range(4))
 
     for _ in range(max_iter):
         np.multiply(neg_y, grad, out=yg)
@@ -116,7 +149,8 @@ def _smo(k: np.ndarray, y: np.ndarray, c: float, tol: float,
         if m_up - m_low <= tol:
             break
 
-        quad = float(k[i, i] + k[j, j] - 2.0 * k[i, j])
+        ki, kj = rows[i], rows[j]
+        quad = float(ki[i] + kj[j] - 2.0 * ki[j])
         step = (m_up - m_low) / max(quad, 1e-12)
         room_i = c - alpha[i] if y[i] > 0 else alpha[i]
         room_j = alpha[j] if y[j] > 0 else c - alpha[j]
@@ -136,8 +170,8 @@ def _smo(k: np.ndarray, y: np.ndarray, c: float, tol: float,
             low_mask[t] = 0.0 if (above_0 if pos[t] else below_c) else np.inf
         # grad += step * y * (k[:, i] - k[:, j]), in place
         np.multiply(y, step, out=step_y)
-        np.subtract(k[i], k[j], out=row)
-        step_y *= row
+        np.subtract(ki, kj, out=diff)
+        step_y *= diff
         grad += step_y
     else:
         np.multiply(neg_y, grad, out=yg)
@@ -164,15 +198,7 @@ def train_svm(train: Dataset, kernel: KernelSpec, c: float = DEFAULT_C,
     x_std = (x - mean) / scale
     spec = _resolve_kernel(kernel, x_std)
     y = np.where(train.y == Label.PERSON, 1.0, -1.0)
-
-    try:
-        with np.errstate(over="raise"):
-            k = kernel_matrix(spec, x_std, x_std)
-    except FloatingPointError:
-        raise TrainingError(
-            f"{spec.kind} kernel overflows on the training set; lower its degree or gamma"
-        ) from None
-    alpha, bias = _smo(k, y, c, float(tol), max_iter)
+    alpha, bias = _smo(_KernelRows(spec, x_std), y, c, float(tol), max_iter)
 
     sv = alpha > 0
     return SvmModel(

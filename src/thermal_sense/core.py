@@ -150,9 +150,21 @@ class Dataset:
                      in zip(self.x, self.y.tolist(), self.conditions.tolist()))
 
     def subset(self, indices, name: str | None = None) -> "Dataset":
+        """The rows at `indices`, copied once and stored read-only.
+
+        Rows of a checked dataset pass every row check, so only the shape
+        of the index is checked.
+        """
         idx = np.asarray(indices, dtype=np.intp)
-        return Dataset(self.x[idx], self.y[idx], self.conditions[idx],
-                       name if name is not None else self.name)
+        if idx.ndim != 1:
+            raise InvalidInputError(f"expected a 1-d row index, got shape {idx.shape}")
+        out = object.__new__(Dataset)
+        for field in ("x", "y", "conditions"):
+            rows = getattr(self, field)[idx]
+            rows.flags.writeable = False
+            object.__setattr__(out, field, rows)
+        object.__setattr__(out, "name", name if name is not None else self.name)
+        return out
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,9 @@ Datasets are UTF-8 CSV with header `p00,...,p77,label,condition`, LF line
 endings, temperatures printed with exactly two decimals (quarter degrees
 need no more). Models and fold plans are versioned line-oriented text;
 numeric payloads use the shortest round-trip decimal representation, so
-a reloaded model reproduces the original's predictions bit for bit.
+a reloaded model reproduces the original's predictions bit for bit. The
+readers accept numbers only as the writers print them: ASCII `str(int)`
+and `repr(float)`, separated by single spaces.
 Reports are canonical JSON (sorted keys, two-space indent).
 
 All writers go through an atomic temp-file + rename.
@@ -47,13 +49,25 @@ _PIXEL_FIELDS = tuple(f"p{r}{c}" for r in range(GRID_SIZE) for c in range(GRID_S
 CSV_HEADER = ",".join(_PIXEL_FIELDS + ("label", "condition"))
 _LABELS = tuple(label.to_text() for label in Label)  # label i is written as _LABELS[i]
 _CONDITION_CODES = {tag.value: code for code, tag in enumerate(CONDITIONS)}
-# A CSV row: 64 temperatures with two decimals, then label and condition.
-_ROW_FORMAT = ",".join(["%.2f"] * NUM_PIXELS + ["%s", "%s"])
 # The rows the format admits, up to the range and quarter-degree checks.
 _CSV_ROW = re.compile(",".join(
     [r"[0-9]+\.[0-9]{2}"] * NUM_PIXELS
     + ["(?:" + "|".join(map(re.escape, texts)) + ")"
        for texts in (_LABELS, _CONDITION_CODES)]))
+# The text of each quarter degree in [20, 100], indexed by 4 * (t - 20).
+_QUARTER_TEXTS = tuple("%.2f" % (TEMP_MIN_C + q / 4) for q in range(
+    int(4 * (TEMP_MAX_C - TEMP_MIN_C)) + 1))
+
+# Model-file and fold-plan numbers: str(int) and repr(float) in ASCII (an
+# exponent may have one digit). inf and nan are read, so that the
+# invariant they break names its line.
+_INT = r"-?(?:0|[1-9][0-9]*)"
+_FLOAT = r"-?(?:(?:0|[1-9][0-9]*)\.[0-9]+|[1-9](?:\.[0-9]+)?e[+-][0-9]+|inf|nan)"
+_INT_TEXT = re.compile(_INT)
+_FLOAT_TEXT = re.compile(_FLOAT)
+_INTS_LINE = re.compile(f"(?:{_INT}(?: {_INT})*)?")
+_FLOATS_LINE = re.compile(f"(?:{_FLOAT}(?: {_FLOAT})*)?")
+_KNN_ROW = re.compile(f"{_INT}(?: {_FLOAT})*")  # the label, then the features
 
 
 def atomic_write_text(path, text: str) -> None:
@@ -77,18 +91,32 @@ def _floats_line(values: np.ndarray) -> str:
     return " ".join(map(repr, values.tolist()))
 
 
-def _parse_floats(text: str, path, lineno: int) -> np.ndarray:
-    try:
-        values = np.array([float(tok) for tok in text.split()], dtype=np.float64)
-    except ValueError:
-        raise DataFormatError(f"{path}:{lineno}: bad numeric payload") from None
-    if not np.all(np.isfinite(values)):
+def _int(text: str) -> int:
+    if _INT_TEXT.fullmatch(text) is None:
+        raise ValueError(text)
+    return int(text)
+
+
+def _float(text: str) -> float:
+    if _FLOAT_TEXT.fullmatch(text) is None:
+        raise ValueError(text)
+    return float(text)
+
+
+def _ints(text: str) -> tuple[int, ...]:
+    if _INTS_LINE.fullmatch(text) is None:
+        raise ValueError(text)
+    return tuple(map(int, text.split()))
+
+
+def _parse_row(text: str, n: int, path, lineno: int,
+               pattern: re.Pattern = _FLOATS_LINE) -> np.ndarray:
+    """The n finite numbers of a payload line that matches `pattern`, or DataFormatError."""
+    if pattern.fullmatch(text) is None:
+        raise DataFormatError(f"{path}:{lineno}: bad numeric payload")
+    values = np.array(text.split(), dtype=np.float64)
+    if not np.isfinite(values).all():
         raise DataFormatError(f"{path}:{lineno}: non-finite value in payload")
-    return values
-
-
-def _parse_row(text: str, n: int, path, lineno: int) -> np.ndarray:
-    values = _parse_floats(text, path, lineno)
     if len(values) != n:
         raise DataFormatError(f"{path}:{lineno}: expected {n} values, got {len(values)}")
     return values
@@ -106,9 +134,11 @@ def dataset_to_csv(ds: Dataset) -> str:
             f"sample {i} field {_PIXEL_FIELDS[j]}: "
             f"{float(x[i, j])!r} is not a quarter degree in [20, 100]"
         )
+    texts = _QUARTER_TEXTS.__getitem__
     lines = [CSV_HEADER]
-    for row, label, code in zip(x.tolist(), ds.y.tolist(), ds.conditions.tolist()):
-        lines.append(_ROW_FORMAT % (*row, _LABELS[label], CONDITIONS[code].value))
+    for row, label, code in zip((quarters - 4 * TEMP_MIN_C).astype(np.intp).tolist(),
+                                ds.y.tolist(), ds.conditions.tolist()):
+        lines.append(f"{','.join(map(texts, row))},{_LABELS[label]},{CONDITIONS[code].value}")
     return "\n".join(lines) + "\n"
 
 
@@ -222,7 +252,7 @@ def _bad_value(lines: list[str], index: int, key: str, path):
         raise DataFormatError(f"{path}:{index + 1}: bad {key} {raw!r}{reason}") from None
 
 
-def _header_value(lines: list[str], index: int, key: str, path, parse=int):
+def _header_value(lines: list[str], index: int, key: str, path, parse=_int):
     """The parsed value of header line `index` (`key: value`), or DataFormatError at that line.
 
     `parse` may also check the value: whatever ValueError it raises names the line.
@@ -232,17 +262,13 @@ def _header_value(lines: list[str], index: int, key: str, path, parse=int):
         return parse(raw)
 
 
-def _ints(text: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in text.split())
-
-
 def _gamma(text: str, kind: str) -> float | None:
     # Only a linear kernel may leave gamma unresolved in a trained model.
-    return None if text == "none" and kind == "linear" else float(text)
+    return None if text == "none" and kind == "linear" else _float(text)
 
 
 def _finite(text: str) -> float:
-    value = float(text)
+    value = _float(text)
     if not np.isfinite(value):
         raise ValueError(text)
     return value
@@ -269,7 +295,7 @@ def load_fold_plan(path) -> FoldPlan:
         raise DataFormatError(f"{path}:2: not a fold-plan file")
     # The plan is built once per field, so a value that breaks one of its
     # invariants names its own line.
-    plan = _header_value(lines, 2, "num-folds", path, lambda t: FoldPlan(int(t), ()))
+    plan = _header_value(lines, 2, "num-folds", path, lambda t: FoldPlan(_int(t), ()))
     return _header_value(lines, 3, "assignment", path,
                          lambda t: FoldPlan(plan.num_folds, _ints(t)))
 
@@ -379,8 +405,8 @@ def _knn_from_lines(lines: list[str], path) -> KnnModel:
     x = np.empty((n_samples, n_features), dtype=np.float64)
     for row_index, line in enumerate(payload):
         lineno = 7 + row_index
-        values = _parse_row(line, n_features + 1, path, lineno)
-        label = line.split(None, 1)[0]
+        values = _parse_row(line, n_features + 1, path, lineno, _KNN_ROW)
+        label = line.split(" ", 1)[0]
         if label not in ("0", "1"):
             raise DataFormatError(f"{path}:{lineno}: label must be 0 or 1, got {label!r}")
         labels[row_index] = int(label)
@@ -401,11 +427,11 @@ def _svm_from_lines(lines: list[str], path) -> SvmModel:
     # The kernel is rebuilt as each of its fields is read, so a value that
     # breaks a KernelSpec invariant names its own line.
     spec = _header_value(lines, 2, "kernel", path, KernelSpec)
-    spec = _header_value(lines, 3, "degree", path, lambda t: replace(spec, degree=int(t)))
+    spec = _header_value(lines, 3, "degree", path, lambda t: replace(spec, degree=_int(t)))
     spec = _header_value(lines, 4, "gamma", path,
                          lambda t: replace(spec, gamma=_gamma(t, spec.kind)))
-    spec = _header_value(lines, 5, "coef0", path, lambda t: replace(spec, coef0=float(t)))
-    c = _header_value(lines, 6, "c", path, lambda t: check_c(float(t)))
+    spec = _header_value(lines, 5, "coef0", path, lambda t: replace(spec, coef0=_float(t)))
+    c = _header_value(lines, 6, "c", path, lambda t: check_c(_float(t)))
     bias = _header_value(lines, 7, "bias", path, _finite)
     n_support = _header_value(lines, 8, "n-support", path)
     n_features = _header_value(lines, 9, "n-features", path)
@@ -439,10 +465,10 @@ def _nn_from_lines(lines: list[str], path) -> NnModel:
     # The training parameters are rebuilt as each field is read, so a value
     # that breaks one of their invariants names its own line.
     params = _header_value(lines, 3, "learning-rate", path,
-                           lambda t: TrainingParams(learning_rate=float(t)))
+                           lambda t: TrainingParams(learning_rate=_float(t)))
     params = _header_value(lines, 4, "batch-size", path,
-                           lambda t: replace(params, batch_size=int(t)))
-    params = _header_value(lines, 5, "epochs", path, lambda t: replace(params, epochs=int(t)))
+                           lambda t: replace(params, batch_size=_int(t)))
+    params = _header_value(lines, 5, "epochs", path, lambda t: replace(params, epochs=_int(t)))
     seed = _header_value(lines, 6, "seed", path)
     n_features = _header_value(lines, 7, "n-features", path)
     if not 1 <= hidden <= MAX_HIDDEN:

@@ -198,6 +198,27 @@ class TestTypes:
         for arr in (ds.x, ds.y, ds.conditions):
             assert not arr.flags.writeable
 
+    @pytest.mark.parametrize("indices", [[4, 0, 4, 2], range(5), [], np.array([3])])
+    def test_subset_equals_a_checked_copy(self, indices):
+        ds = Dataset(np.arange(320.0).reshape(5, 64), [1, 0, 1, 1, 0], [3, 0, 5, 1, 2], "d")
+        idx = np.asarray(indices, dtype=np.intp)
+        want = Dataset(ds.x[idx], ds.y[idx], ds.conditions[idx], "part")
+        got = ds.subset(indices, "part")
+        assert got.name == "part" and ds.subset(indices).name == "d"
+        for field in ("x", "y", "conditions"):
+            a, b = getattr(got, field), getattr(want, field)
+            assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+            assert not a.flags.writeable and a.flags.c_contiguous
+            assert not np.shares_memory(a, getattr(ds, field))
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0
+
+    @pytest.mark.parametrize("indices", [[[0, 1]], 0, [5]])
+    def test_subset_rejects_bad_indices(self, indices):
+        ds = Dataset(np.zeros((5, 64)), [1, 0, 1, 1, 0])
+        with pytest.raises((InvalidInputError, IndexError, TypeError)):
+            ds.subset(indices)
+
     def test_samples_view(self):
         ds = Dataset(np.arange(128.0).reshape(2, 64), [1, 0], [3, 0])
         (a, b) = ds.samples

@@ -4,10 +4,17 @@ A refactor that claims unchanged behaviour must leave every digest as it
 is. The pipeline runs once, with relative paths inside a temporary
 working directory, so the configuration that each report embeds does not
 depend on where the tests run.
+
+`PYTHONPATH=src python tests/test_golden.py` runs the same pipeline and
+prints the digests the current code gives, for a deliberate re-record.
 """
 
+import contextlib
 import hashlib
 import os
+import sys
+import tempfile
+from pathlib import Path
 
 import pytest
 
@@ -75,9 +82,8 @@ GOLDEN = {
 }
 
 
-@pytest.fixture(scope="module")
-def outputs(tmp_path_factory):
-    workdir = tmp_path_factory.mktemp("golden")
+def run_pipeline(workdir: Path) -> None:
+    """Run PIPELINE inside workdir, writing the monitor's input trace first."""
     rows = [f"{i * 12.5!r},{label}" for i, label in enumerate(TRACE_LABELS)]
     (workdir / "trace.csv").write_text("timestamp,label\n" + "\n".join(rows) + "\n")
     cwd = os.getcwd()
@@ -87,14 +93,36 @@ def outputs(tmp_path_factory):
             assert run(list(argv)) == 0, argv
     finally:
         os.chdir(cwd)
+
+
+def digest(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def outputs(tmp_path_factory):
+    workdir = tmp_path_factory.mktemp("golden")
+    run_pipeline(workdir)
     return workdir
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_output_digest(outputs, name):
-    assert hashlib.sha256((outputs / name).read_bytes()).hexdigest() == GOLDEN[name]
+    assert digest(outputs / name) == GOLDEN[name]
 
 
 def test_monitor_fires_every_event_kind(outputs):
     kinds = {line.split(",")[1] for line in (outputs / "events.csv").read_text().splitlines()}
     assert kinds == {"bed_exit", "return", "frequent_exits"}
+
+
+if __name__ == "__main__":
+    # Print the current digests as `name digest` lines, `changed` marking
+    # those that differ from GOLDEN, so a deliberate re-record is mechanical.
+    # The CLI's own messages go to stderr.
+    with tempfile.TemporaryDirectory() as tmp:
+        with contextlib.redirect_stdout(sys.stderr):
+            run_pipeline(Path(tmp))
+        for name in sorted(GOLDEN):
+            value = digest(Path(tmp) / name)
+            print(name, value, *(["changed"] if value != GOLDEN[name] else []))

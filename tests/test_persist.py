@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thermal_sense.classifiers.kernels import KERNEL_KINDS, KernelSpec
+from thermal_sense.classifiers.knn import KnnModel
 from thermal_sense.classifiers.nn import TrainingParams
 from thermal_sense.core import CONDITIONS, Dataset, Label, make_folds
 from thermal_sense.errors import DataFormatError, FormatVersionError
@@ -137,6 +138,13 @@ class TestDatasetFormat:
         ds = dataset_from_arrays(np.zeros((2, 64)), [0, 1])
         with pytest.raises(DataFormatError):
             dataset_to_csv(ds)
+
+    def test_writer_bytes_for_every_quarter_degree(self):
+        x = 20.0 + 0.25 * np.resize(np.arange(321), (6, 64))
+        ds = Dataset(x, [0, 1, 1, 0, 1, 0], range(6), "x")
+        rows = [",".join(["%.2f" % v for v in row] + [Label(label).to_text(), tag.value])
+                for row, label, tag in zip(x.tolist(), ds.y.tolist(), CONDITIONS)]
+        assert dataset_to_csv(ds) == "\n".join([CSV_HEADER] + rows) + "\n"
 
 
 def _csv_base_lines():
@@ -533,6 +541,77 @@ class TestNnModelFile:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(DataFormatError, match=f"^{path}:{lineno}: "):
             load_model(path)
+
+
+def _knn_lines():
+    model = KnnSpec(1).train_model(dataset_from_arrays(np.zeros((2, 64)), [0, 1]), 0)
+    return model_to_text(model).rstrip("\n").split("\n")
+
+
+def _nn_lines():
+    x = np.vstack([np.full((3, 64), 30.0), np.full((3, 64), 21.0)])
+    x[:, 0] += np.arange(6)
+    model = NnSpec(3, TrainingParams(0.05, 4, 2)).train_model(
+        dataset_from_arrays(x, [1] * 3 + [0] * 3), 1)
+    return model_to_text(model).rstrip("\n").split("\n")
+
+
+def _plan_lines():
+    return ["format-version: 1", "artifact: fold-plan", "num-folds: 2", "assignment: 0 1"]
+
+
+def _edit_token(line, index, token):
+    tokens = line.split(" ")
+    tokens[index] = token
+    return " ".join(tokens)
+
+
+class TestNumberGrammar:
+    """Model-file and fold-plan numbers are read only as str(int) and repr(float) print them."""
+
+    @pytest.mark.parametrize("lines, lineno, edit, message", [
+        (_knn_lines, 7, lambda t: _edit_token(t, 1, "2_5.0"), "bad numeric payload"),
+        (_knn_lines, 7, lambda t: _edit_token(t, 2, "\u0662\u0665.0"), "bad numeric payload"),
+        (_knn_lines, 8, lambda t: _edit_token(t, 3, "1E-05"), "bad numeric payload"),
+        (_knn_lines, 8, lambda t: _edit_token(t, 0, "1_0"), "bad numeric payload"),
+        (_knn_lines, 7, lambda t: t.replace(" ", "  ", 1), "bad numeric payload"),
+        (_knn_lines, 3, lambda t: "k: \u0661", "bad k '\u0661'"),
+        (_knn_lines, 5, lambda t: "n-samples: 0_2", "bad n-samples '0_2'"),
+        (_svm_lines, 4, lambda t: "degree: \u0663", "bad degree '\u0663'"),
+        (_svm_lines, 6, lambda t: "coef0: 1.", "bad coef0 '1.'"),
+        (_svm_lines, 7, lambda t: "c: 1_0.0", "bad c '1_0.0'"),
+        (_svm_lines, 8, lambda t: "bias: +0.5", "bad bias '+0.5'"),
+        (_svm_lines, 11, lambda t: _edit_token(t, 5, "\uff12.5"), "bad numeric payload"),
+        (_svm_lines, 13, lambda t: _edit_token(t, 0, "0x1p-3"), "bad numeric payload"),
+        (_nn_lines, 4, lambda t: "learning-rate: .05", "bad learning-rate '.05'"),
+        (_nn_lines, 6, lambda t: "epochs: 2.0", "bad epochs '2.0'"),
+        (_nn_lines, 13, lambda t: _edit_token(t, 1, "Infinity"), "bad numeric payload"),
+        (_plan_lines, 3, lambda t: "num-folds: 1_0", "bad num-folds '1_0'"),
+        (_plan_lines, 4, lambda t: "assignment: 0 \u0661", "bad assignment '0 \u0661'"),
+    ], ids=["knn-underscore", "knn-arabic-indic", "knn-upper-e", "knn-label-underscore",
+            "knn-double-space", "knn-k", "knn-n-samples", "svm-degree", "svm-coef0-dot",
+            "svm-c", "svm-bias-plus", "svm-fullwidth-mean", "svm-hex-alpha", "nn-leading-dot",
+            "nn-float-epochs", "nn-infinity", "plan-num-folds", "plan-assignment"])
+    def test_rejection_names_line(self, tmp_path, lines, lineno, edit, message):
+        lines = list(lines())
+        lines[lineno - 1] = edit(lines[lineno - 1])
+        path = _write(tmp_path / "f.txt", lines)
+        load = load_fold_plan if lines[1] == "artifact: fold-plan" else load_model
+        with pytest.raises(DataFormatError) as info:
+            load(path)
+        assert str(info.value) == f"{path}:{lineno}: {message}"
+
+    def test_every_repr_form_round_trips(self, tmp_path):
+        values = [0.0, -0.0, 0.1, -2.5, 1e-05, 0.0001, 1e+16, 1.5e+300, 5e-324,
+                  2.2250738585072014e-308, 1.7976931348623157e+308, 123456789.0]
+        x = np.zeros((2, 64))
+        x[0, :len(values)] = values
+        model = KnnModel(x, np.array([0, 1]), 1, "uniform")
+        path = tmp_path / "m.txt"
+        save_model(model, path)
+        loaded = load_model(path)
+        assert loaded.train_x.tobytes() == x.tobytes()
+        assert model_to_text(loaded) == path.read_text()
 
 
 class TestReportFormat:

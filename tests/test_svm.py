@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from thermal_sense.classifiers.kernels import KernelSpec, kernel_matrix
+from thermal_sense.classifiers import svm
 from thermal_sense.classifiers.svm import (
+    MAX_PAIR_UPDATES,
     decision_function,
     predict_svm_batch,
     train_svm,
@@ -102,17 +104,19 @@ class TestKernels:
     @pytest.mark.parametrize("kind", ["linear", "poly", "rbf", "sigmoid"])
     @pytest.mark.parametrize("n", [432, 1728])
     def test_gram_matrix_bitwise_symmetric(self, rng, kind, n):
-        # The SMO solver reads Gram rows where it needs columns.
+        # A Gram matrix of one set is symmetric in its bits, not only in
+        # value; SMO no longer builds it, computing single rows instead.
         x = rng.normal(0, 1, (n, 64))
         k = kernel_matrix(KernelSpec(kind, gamma=1 / 64, coef0=1.0), x, x)
         assert np.array_equal(k, k.T)
 
     @pytest.mark.parametrize("n", [100, 432, 1727, 1728])
     def test_training_gram_is_numpy_symmetric_product(self, rng, n):
-        # numpy's x @ x.T (a symmetric rank-k update) is what the model files
-        # record. A general product of x and a copy of x.T can differ from it
+        # kernel_matrix(spec, x, x) is numpy's x @ x.T, a symmetric rank-k
+        # update. A general product of x and a copy of x.T can differ from it
         # in the last bits and need not be symmetric: with OpenBLAS 0.3.31 it
-        # does at most row counts that are not a multiple of 8.
+        # does at most row counts that are not a multiple of 8. SMO reads
+        # single-row products, which differ from it too (TestKernelRows).
         x = rng.normal(0, 1, (n, 64))
         assert np.array_equal(kernel_matrix(KernelSpec("linear"), x, x), x @ x.T)
 
@@ -136,6 +140,56 @@ class TestKernels:
         assert time.perf_counter() - start < 1.0
         # 20 squarings compound rounding to about 2**20 ulps
         assert m[0, 1] == pytest.approx(pairwise_kernel(spec, x[0], x[1]), rel=1e-8)
+
+
+class TestKernelRows:
+    """SMO computes each Gram row on first read, once, and nothing else."""
+
+    @pytest.mark.parametrize("kind", ["linear", "poly", "rbf", "sigmoid"])
+    @pytest.mark.parametrize("n", [432, 1727])
+    def test_same_solution_as_all_rows(self, rng, kind, n):
+        x = rng.normal(0, 1, (n, 64))
+        y = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+        x[:, 0] += 2.5 * y
+        spec = KernelSpec(kind, gamma=1 / 64, coef0=1.0)
+        every_row = np.vstack([svm._KernelRows(spec, x)[i] for i in range(n)])
+        # At 1,727 rows the single-row products are not bitwise symmetric,
+        # so reading rows for columns is not exact there.
+        assert np.array_equal(every_row, every_row.T) == (n == 432)
+        rows = svm._KernelRows(spec, x)
+        alpha, bias = svm._smo(rows, y, 1.0, 1e-3, MAX_PAIR_UPDATES)
+        want_alpha, want_bias = svm._smo(every_row, y, 1.0, 1e-3, MAX_PAIR_UPDATES)
+        assert np.array_equal(alpha, want_alpha)
+        assert bias == want_bias
+        assert 0 < len(rows) < n
+
+    @pytest.mark.parametrize("kind", ["linear", "poly", "rbf", "sigmoid"])
+    def test_fold_reads_few_rows_once_each(self, main_fold, monkeypatch, kind):
+        reads, products = [], []
+        missing = svm._KernelRows.__missing__
+        kernel_rows = svm.kernel_matrix
+        monkeypatch.setattr(svm._KernelRows, "__missing__",
+                            lambda rows, i: reads.append(i) or missing(rows, i))
+        monkeypatch.setattr(svm, "kernel_matrix",
+                            lambda *args: products.append(args[1].shape) or kernel_rows(*args))
+        train_svm(main_fold, KernelSpec(kind))
+        n = len(main_fold)
+        assert 0 < len(reads) < n / 4
+        assert len(set(reads)) == len(reads)
+        assert products == [(1, 64)] * len(reads)
+
+    def test_overflow_in_a_row_read_mid_solve(self):
+        x = np.zeros((21, 64))
+        y = np.where(np.arange(21) % 2 == 0, 1.0, -1.0)
+        x[:20, :2] = np.random.default_rng(20240811).normal(0, 0.5, (20, 2))
+        x[:20, 0] += y[:20]
+        # Orthogonal to every other row, so only its own entry overflows.
+        x[20, 63] = 10.0
+        rows = svm._KernelRows(KernelSpec("poly", degree=200, gamma=1.0, coef0=1.0), x)
+        with pytest.raises(TrainingError, match="^poly kernel overflows on the training set"):
+            svm._smo(rows, y, 1.0, 1e-3, 1000)
+        assert 20 not in rows and len(rows) >= 2  # the rows read before it were finite
+        assert all(np.isfinite(row).all() for row in rows.values())
 
 
 def max_kkt_violation(model, x, y01, c):
@@ -276,12 +330,22 @@ GOLDEN_MODEL_FILES = {
 }
 
 
+def training_fold(n_per_class):
+    """Fold 0's training rows of main(n_per_class, seed 7), 10 folds."""
+    ds = generate_main(n_per_class, 7)
+    assignment = np.array(make_folds(ds, 10, 7).assignment)
+    return ds.subset(np.flatnonzero(assignment != 0))
+
+
+@pytest.fixture(scope="module")
+def main_fold():
+    return training_fold(960)
+
+
 class TestGoldenModelFiles:
     @pytest.fixture(scope="class")
     def fold(self):
-        ds = generate_main(240, 7)
-        assignment = np.array(make_folds(ds, 10, 7).assignment)
-        return ds.subset(np.flatnonzero(assignment != 0))
+        return training_fold(240)
 
     @pytest.mark.parametrize("kind", sorted(GOLDEN_MODEL_FILES))
     def test_model_file_digest(self, fold, kind):
