@@ -71,7 +71,7 @@ GOLDEN = {
     "predict_knn.csv": "94ecdf157faa7cf0c9c2d7adb93d41b873e693c9d934f023e04dfa68546585cc",
     "predict_nn.csv": "b7803525704658f8b1f4505193011a7492dedf4b606329a19f82a6d12ec900ca",
     "predict_svm.csv": "fcb59560d7467f9e455c18e4e006250c48e832818a95a2e675233ca1f628eae1",
-    "svm.model": "b0e0dcceacda5c4050fc8ada95a61359f8d4c390bc93a47d99a1dc5407e43538",
+    "svm.model": "09350f14f8ebd58a07c9ed9604eeae1f3f8ee30a092a388ab4f9a56b7c068146",
     "sweep_knn-grid.csv": "cabc1bedb0ffe01cfdef0d68049499d822fbba52b5d1dc9f1220ef7be5dbe350",
     "sweep_knn-grid.json": "7ab924dbc268482c05ace2d67bdd607618157552a6661ec2a0fc9d30ffbbdad9",
     "sweep_svm-kernels.csv": "e619e65f36c96f5583778cc5dae4fc589d386b689b9accea246c4b9116a64b91",

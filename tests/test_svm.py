@@ -318,15 +318,14 @@ class TestTrain:
             assert max_kkt_violation(model, x, y, c) <= 1e-3
 
 
-# SHA-256 of the model file trained on fold 0 of main(240, seed 7), 10 folds.
-# linear, rbf and sigmoid were recorded before the Gram matrix was built in
-# place and SMO read rows; poly was recorded after its kernel switched from
-# pow to repeated squaring (same 66 support vectors).
+# SHA-256 of the model file trained on fold 0 of main(240, seed 7), 10 folds,
+# recorded after SMO switched to single-row kernel products computed on
+# first read (linear 20 -> 18 support vectors, the others unchanged).
 GOLDEN_MODEL_FILES = {
-    "linear": "84544ccfa2ecd36409d24056b60d0f03c61e2cbe455c2362413a42e269f3d231",
-    "poly": "44982dc7199f8ad694e5cad72dd2f0d0044930eb2e4cef885519f87a027815ee",
-    "rbf": "e75387a6e3a7173e57d6b2bc8e42dda1365a197c530d5713258e07e95c4f4aed",
-    "sigmoid": "cb2bdf33d0b7db6346b59e38f4462066f4a5c440b6d33d40f39e08aae106eb2f",
+    "linear": "58b38675a39cc5c0f26caa3be4a5c0c4e2d3ea3fbd1eb1f5c81bb06eb2c73dbb",
+    "poly": "eeb872db9893c42175fd4bc8cb0a453a7aaf75701f4b313c29acbac787fb5d95",
+    "rbf": "71c7f159f7fe5634efa4fb1b95f364d7a5b4a144d979ec6a8f55bb44623ea748",
+    "sigmoid": "afb1d272d8009009975e7b63656042cf534294ae648b18a667a84024ed3caeec",
 }
 
 
