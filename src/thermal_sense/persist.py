@@ -62,7 +62,8 @@ _QUARTER_TEXTS = tuple("%.2f" % (TEMP_MIN_C + q / 4) for q in range(
 # exponent may have one digit). inf and nan are read, so that the
 # invariant they break names its line.
 _INT = r"-?(?:0|[1-9][0-9]*)"
-_FLOAT = r"-?(?:(?:0|[1-9][0-9]*)\.[0-9]+|[1-9](?:\.[0-9]+)?e[+-][0-9]+|inf|nan)"
+_FINITE = r"-?(?:(?:0|[1-9][0-9]*)\.[0-9]+|[1-9](?:\.[0-9]+)?e[+-][0-9]+)"
+_FLOAT = rf"(?:{_FINITE}|-?inf|-?nan)"
 _INT_TEXT = re.compile(_INT)
 _FLOAT_TEXT = re.compile(_FLOAT)
 _INTS_LINE = re.compile(f"(?:{_INT}(?: {_INT})*)?")
@@ -120,6 +121,14 @@ def _parse_row(text: str, n: int, path, lineno: int,
     if len(values) != n:
         raise DataFormatError(f"{path}:{lineno}: expected {n} values, got {len(values)}")
     return values
+
+
+def _payload_rows(payload: list[str], row: re.Pattern, width: int) -> tuple[np.ndarray, int]:
+    """The leading payload lines that fully match `row`, parsed in one call, and their count."""
+    n = next((i for i, line in enumerate(payload) if row.fullmatch(line) is None), len(payload))
+    if n == 0:
+        return np.empty((0, width)), 0
+    return np.loadtxt(payload[:n], delimiter=" ", ndmin=2), n
 
 
 # --- datasets ----------------------------------------------------------
@@ -401,18 +410,23 @@ def _knn_from_lines(lines: list[str], path) -> KnnModel:
     payload = lines[6:]
     if len(payload) != n_samples:
         raise DataFormatError(f"{path}:5: expected {n_samples} sample lines, got {len(payload)}")
-    labels = np.empty(n_samples, dtype=np.int64)
-    x = np.empty((n_samples, n_features), dtype=np.float64)
-    for row_index, line in enumerate(payload):
-        lineno = 7 + row_index
-        values = _parse_row(line, n_features + 1, path, lineno, _KNN_ROW)
-        label = line.split(" ", 1)[0]
+    # Rows are matched by one pattern and parsed in one call; the earliest
+    # that fails it, or parses to a non-finite value ("1e+999"), is walked
+    # for its message.
+    pattern = re.compile(f"[01](?: {_FINITE}){{{n_features}}}")
+    values, n_ok = _payload_rows(payload, pattern, n_features + 1)
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        n_ok = int(finite.argmin())
+    if n_ok < n_samples:
+        lineno = 7 + n_ok
+        _parse_row(payload[n_ok], n_features + 1, path, lineno, _KNN_ROW)
+        label = payload[n_ok].split(" ", 1)[0]
         if label not in ("0", "1"):
             raise DataFormatError(f"{path}:{lineno}: label must be 0 or 1, got {label!r}")
-        labels[row_index] = int(label)
-        x[row_index] = values[1:]
+        raise AssertionError(f"{path}:{lineno}: sample line passes every check")
     with _bad_value(lines, 2, "k", path):  # k is checked against the row count
-        return KnnModel(x, labels, k, weighting)
+        return KnnModel(values[:, 1:], values[:, 0].astype(np.int64), k, weighting)
 
 
 def _feature_scale(lines: list[str], index: int, n_features: int, path) -> np.ndarray:
@@ -441,20 +455,25 @@ def _svm_from_lines(lines: list[str], path) -> SvmModel:
     payload = lines[12:]
     if len(payload) != n_support:
         raise DataFormatError(f"{path}:9: expected {n_support} support lines, got {len(payload)}")
-    alpha = np.empty(n_support)
-    y = np.empty(n_support)
-    x = np.empty((n_support, n_features))
-    for row_index, line in enumerate(payload):
-        lineno = 13 + row_index
-        values = _parse_row(line, n_features + 2, path, lineno)
-        if values[1] not in (-1.0, 1.0):
+    # As for k-NN rows; the earliest row that fails the pattern or a value
+    # check is walked for its message.
+    pattern = re.compile(f"{_FINITE}(?: {_FINITE}){{{n_features + 1}}}")
+    values, n_ok = _payload_rows(payload, pattern, n_features + 2)
+    alpha, y, x = values[:, 0], values[:, 1], values[:, 2:]
+    ok = (np.isfinite(values).all(axis=1) & np.isin(y, (-1.0, 1.0))
+          & (0.0 <= alpha) & (alpha <= c))
+    if not ok.all():
+        n_ok = int(ok.argmin())
+    if n_ok < n_support:
+        lineno = 13 + n_ok
+        row = _parse_row(payload[n_ok], n_features + 2, path, lineno)
+        if row[1] not in (-1.0, 1.0):
             raise DataFormatError(
-                f"{path}:{lineno}: support label must be -1 or +1, got {float(values[1])!r}")
-        if not 0.0 <= values[0] <= c:
+                f"{path}:{lineno}: support label must be -1 or +1, got {float(row[1])!r}")
+        if not 0.0 <= row[0] <= c:
             raise DataFormatError(
-                f"{path}:{lineno}: dual coefficient {float(values[0])!r} outside [0, C]")
-        alpha[row_index], y[row_index] = values[0], values[1]
-        x[row_index] = values[2:]
+                f"{path}:{lineno}: dual coefficient {float(row[0])!r} outside [0, C]")
+        raise AssertionError(f"{path}:{lineno}: support line passes every check")
     # What is left to check, sum(alpha * y) = 0, spans the whole support set.
     with _bad_value(lines, 8, "n-support", path):
         return SvmModel(spec, c, mean, scale, x, alpha, y, bias)

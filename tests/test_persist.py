@@ -575,7 +575,7 @@ class TestNumberGrammar:
         (_knn_lines, 8, lambda t: _edit_token(t, 3, "1E-05"), "bad numeric payload"),
         (_knn_lines, 8, lambda t: _edit_token(t, 0, "1_0"), "bad numeric payload"),
         (_knn_lines, 7, lambda t: t.replace(" ", "  ", 1), "bad numeric payload"),
-        (_knn_lines, 3, lambda t: "k: \u0661", "bad k '\u0661'"),
+        (_knn_lines, 3, lambda t: "k: 1\u0661", "bad k '1\u0661'"),
         (_knn_lines, 5, lambda t: "n-samples: 0_2", "bad n-samples '0_2'"),
         (_svm_lines, 4, lambda t: "degree: \u0663", "bad degree '\u0663'"),
         (_svm_lines, 6, lambda t: "coef0: 1.", "bad coef0 '1.'"),
@@ -599,6 +599,39 @@ class TestNumberGrammar:
         load = load_fold_plan if lines[1] == "artifact: fold-plan" else load_model
         with pytest.raises(DataFormatError) as info:
             load(path)
+        assert str(info.value) == f"{path}:{lineno}: {message}"
+
+    @pytest.mark.parametrize("edits, message", [
+        ({13: (3, "2_5.0"), 14: (0, "2.0")}, "13: bad numeric payload"),
+        ({13: (0, "2.0"), 14: (3, "2_5.0")}, "13: dual coefficient 2.0 outside [0, C]"),
+        ({13: (1, "0.5"), 14: (0, "-1.0")}, "13: support label must be -1 or +1, got 0.5"),
+        ({13: (3, "1e+999"), 14: (1, "0.5")}, "13: non-finite value in payload"),
+        ({14: (3, "2_5.0")}, "14: bad numeric payload"),
+        ({14: (5, "nan")}, "14: non-finite value in payload"),
+        ({14: (66, "1.0")}, "14: expected 66 values, got 67"),
+    ], ids=["bad-token-first", "alpha-first", "label-first", "overflow", "second-line", "nan",
+            "count"])
+    def test_earliest_bad_support_line_wins(self, tmp_path, edits, message):
+        lines = _svm_lines()
+        for lineno, (index, token) in edits.items():
+            tokens = lines[lineno - 1].split(" ")
+            tokens[index:index + 1] = [token]
+            lines[lineno - 1] = " ".join(tokens)
+        path = _write(tmp_path / "m.txt", lines)
+        with pytest.raises(DataFormatError) as info:
+            load_model(path)
+        assert str(info.value) == f"{path}:{message}"
+
+    @pytest.mark.parametrize("lineno, index, token, message", [
+        (8, 9, "1e+999", "non-finite value in payload"),
+        (7, 0, "2", "label must be 0 or 1, got '2'"),
+    ])
+    def test_sample_value_names_line(self, tmp_path, lineno, index, token, message):
+        lines = _knn_lines()
+        lines[lineno - 1] = _edit_token(lines[lineno - 1], index, token)
+        path = _write(tmp_path / "m.txt", lines)
+        with pytest.raises(DataFormatError) as info:
+            load_model(path)
         assert str(info.value) == f"{path}:{lineno}: {message}"
 
     def test_every_repr_form_round_trips(self, tmp_path):
