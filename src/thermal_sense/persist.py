@@ -459,7 +459,7 @@ def _svm_from_lines(lines: list[str], path) -> SvmModel:
     # check is walked for its message.
     pattern = re.compile(f"{_FINITE}(?: {_FINITE}){{{n_features + 1}}}")
     values, n_ok = _payload_rows(payload, pattern, n_features + 2)
-    alpha, y, x = values[:, 0], values[:, 1], values[:, 2:]
+    alpha, y, x = (np.ascontiguousarray(v) for v in (values[:, 0], values[:, 1], values[:, 2:]))
     ok = (np.isfinite(values).all(axis=1) & np.isin(y, (-1.0, 1.0))
           & (0.0 <= alpha) & (alpha <= c))
     if not ok.all():
