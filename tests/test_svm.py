@@ -5,8 +5,8 @@ import time
 import numpy as np
 import pytest
 
-from thermal_sense.classifiers.kernels import KernelSpec, kernel_matrix
 from thermal_sense.classifiers import svm
+from thermal_sense.classifiers.kernels import KernelSpec, kernel_matrix
 from thermal_sense.classifiers.svm import (
     MAX_PAIR_UPDATES,
     decision_function,
