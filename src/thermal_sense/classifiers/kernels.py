@@ -7,8 +7,9 @@ rank-k update, and every later step is elementwise (the RBF norm sum
 adds the same two numbers either way round).
 
 SVM training builds no such matrix. Its solver asks for one Gram row at
-a time, `kernel_matrix(spec, x[i:i+1], x)[0]`, when it first reads row
-i. A row product can differ from `x @ x.T` in the last bits, and the
+a time, `kernel_matrix(spec, x[i:i+1], x, x_sq)[0]`, when it first reads
+row i; the rbf norms `x_sq` of the training rows are summed once a fit.
+A row product can differ from `x @ x.T` in the last bits, and the
 rows need not be bitwise symmetric; the solver takes them as they are.
 Training turns an overflow into a TrainingError when the row holding it
 is computed, so an entry of a row that is never read cannot fail a fit.
@@ -73,8 +74,13 @@ def _power(base: np.ndarray, degree: int) -> np.ndarray:
         base *= base
 
 
-def kernel_matrix(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Gram matrix K[i, j] = k(a[i], b[j]) for row-vector matrices a, b."""
+def kernel_matrix(spec: KernelSpec, a: np.ndarray, b: np.ndarray,
+                  b_sq: np.ndarray | None = None) -> np.ndarray:
+    """Gram matrix K[i, j] = k(a[i], b[j]) for row-vector matrices a, b.
+
+    `b_sq`, if given, must be `np.sum(b * b, axis=1)`: the rbf kernel's
+    squared norms of b, summed once by a caller that asks for many rows.
+    """
     if a.shape[1] != b.shape[1]:
         raise InvalidInputError("feature dimensions differ")
     k = a @ b.T
@@ -85,7 +91,7 @@ def kernel_matrix(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise InvalidInputError(f"{spec.kind} kernel needs gamma resolved before evaluation")
     if spec.kind == "rbf":
         na = np.sum(a * a, axis=1)
-        nb = np.sum(b * b, axis=1)
+        nb = np.sum(b * b, axis=1) if b_sq is None else b_sq
     # The elementwise passes run over blocks of rows that stay in cache.
     rows = max(1, BLOCK // max(1, k.shape[1]))
     for start in range(0, len(k), rows):

@@ -9,10 +9,11 @@ Deterministic tie handling, documented once here:
 Search is exact filter-and-refine. One matrix product per block of
 queries gives approximate squared distances |q|^2 + |t|^2 - 2 q.t; every
 row within a rounding margin of a query's k-th smallest approximate value
-is a candidate, and only candidates get the exact per-row distance
-sqrt(sum((t - q)^2)). The margin bounds the error of both forms, so the
-true k nearest rows, all rows tied with the k-th included, are always
-candidates: labels are those of a full sort of the exact distances.
+(the row minimum when k = 1) is a candidate, and only candidates get the
+exact per-row distance sqrt(sum((t - q)^2)). The margin bounds the error
+of both forms, so the true k nearest rows, all rows tied with the k-th
+included, are always candidates: labels are those of a full sort of the
+exact distances. A single query is a block of one on the same path.
 
 A block's votes are array operations over its (m, k) neighbor labels and
 distances, bit for bit the per-query vote; distance votes with k >= 8
@@ -123,11 +124,14 @@ def _nearest(model: KnnModel, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         approx *= -2.0
         approx += train_sq
         approx += q_sq[:, None]
-        kth = np.partition(approx, k - 1, axis=1)[:, k - 1]
+        # Both skip NaN entries and give NaN for an all-NaN row.
+        kth = (np.fmin.reduce(approx, axis=1) if k == 1
+               else np.partition(approx, k - 1, axis=1)[:, k - 1])
         bound = kth + 2.0 * (_MARGIN * (q_sq + train_sq.max()) + _MARGIN_FLOOR)
     # The negated test admits NaN entries, and every row when the bound is
-    # NaN or inf (overflowed squares).
-    qi, ti = np.nonzero(~(approx > bound[:, None]))
+    # NaN or inf (overflowed squares). Flat indices in C order are the
+    # (query, row) pairs by query, then row.
+    qi, ti = np.divmod(np.flatnonzero(~(approx > bound[:, None])), len(train_x))
     d = np.sqrt(np.sum((train_x[ti] - q[qi]) ** 2, axis=1))
     order = np.lexsort((ti, d, qi))  # by query, then distance, then stored index
     # Every query has at least k candidates; keep the first k of each.

@@ -149,8 +149,17 @@ def _step(weights, grads, x: np.ndarray, onehot: np.ndarray, probs: np.ndarray,
     np.add.reduce(d_a1, axis=0, out=gb1)
 
 
-def _mean_loss(probs: np.ndarray, y: np.ndarray) -> float:
-    return float(-np.mean(np.log(probs[np.arange(len(y)), y] + 1e-300)))
+def _mean_loss(probs: np.ndarray, onehot: np.ndarray) -> float:
+    """Mean cross-entropy from each row's true-class probability.
+
+    That probability is the row sum of probs * onehot, written out over
+    the two columns. A softmax row is in [0, 1] or NaN in both columns,
+    so the other column adds an exact zero, or NaN to a NaN row.
+    """
+    p = probs[:, 0] * onehot[:, 0]
+    p += probs[:, 1] * onehot[:, 1]
+    p += 1e-300
+    return float(-np.mean(np.log(p, out=p)))
 
 
 def train_nn(train: Dataset, hidden: int, params: TrainingParams = TrainingParams(),
@@ -173,7 +182,7 @@ def train_nn(train: Dataset, hidden: int, params: TrainingParams = TrainingParam
 
     # Each epoch's shuffled copy of the data; batches are slices of it.
     onehot = _one_hot(y)
-    x_epoch, onehot_epoch, y_epoch = np.empty_like(x_std), np.empty_like(onehot), np.empty_like(y)
+    x_epoch, onehot_epoch = np.empty_like(x_std), np.empty_like(onehot)
     probs = np.empty((n, 2))
     starts = range(0, n, params.batch_size)
     lengths = [min(params.batch_size, n - s) for s in starts]
@@ -189,12 +198,11 @@ def train_nn(train: Dataset, hidden: int, params: TrainingParams = TrainingParam
             perm = rng.permutation(n)
             np.take(x_std, perm, axis=0, out=x_epoch)
             np.take(onehot, perm, axis=0, out=onehot_epoch)
-            np.take(y, perm, out=y_epoch)
             for batch in batches:
                 _step(weights, grads, *batch)
                 grad *= lr
                 theta -= grad
-            if not np.isfinite(_mean_loss(probs, y_epoch)):
+            if not np.isfinite(_mean_loss(probs, onehot_epoch)):
                 raise TrainingError(f"loss diverged at epoch {epoch}")
     if not np.all(np.isfinite(theta)):
         raise TrainingError("non-finite weights after training")
@@ -207,12 +215,12 @@ def _loss_and_gradient(model: NnModel, batch: Dataset) -> tuple[float, np.ndarra
         raise InvalidInputError("batch must be non-empty")
     x_std, y = (batch.x - model.feature_mean) / model.feature_scale, batch.y
     n, d = x_std.shape
-    probs = np.empty((n, 2))
+    probs, onehot = np.empty((n, 2)), _one_hot(y)
     grad = np.empty(_param_count(d, model.hidden))
     with np.errstate(over="ignore", invalid="ignore"):
         _step((model.w1, model.b1, model.w2, model.b2), _views(grad, d, model.hidden),
-              x_std, _one_hot(y), probs, _Workspace(n, model.hidden))
-        return _mean_loss(probs, y), grad
+              x_std, onehot, probs, _Workspace(n, model.hidden))
+        return _mean_loss(probs, onehot), grad
 
 
 def nn_gradient(model: NnModel, batch: Dataset) -> np.ndarray:

@@ -10,7 +10,8 @@ and standardized support vectors.
 
 The solver reads the Gram matrix one row at a time, and a fit computes
 row i only when SMO first reads it, as `kernel_matrix(spec, x_std[i:i+1],
-x_std)[0]`, keeping it for the rest of the fit. On fold 0 of main(960)
+x_std)[0]`, keeping it for the rest of the fit (the rbf kernel's norms
+of x_std are summed once and passed to every row). On fold 0 of main(960)
 the four kernels read 36 to 112 of the 1,728 rows. A row that
 overflows when first read is a TrainingError; an entry in a row that is
 never read is never computed, so it cannot fail the fit, and the model
@@ -98,18 +99,23 @@ class _KernelRows(dict):
     """Gram rows of one training set, each computed on first read and kept.
 
     `rows[i]` is `kernel_matrix(spec, x[i:i+1], x)[0]`, from that one call
-    whatever was read before it. The store belongs to one fit.
+    whatever was read before it. The store belongs to one fit; the rbf
+    kernel's squared row norms of x are summed on the first read and
+    passed to every row.
     """
 
     def __init__(self, spec: KernelSpec, x: np.ndarray):
         super().__init__()
         self.spec = spec
         self.x = x
+        self.x_sq = None
 
     def __missing__(self, i: int) -> np.ndarray:
         try:
             with np.errstate(over="raise"):
-                row = kernel_matrix(self.spec, self.x[i:i + 1], self.x)[0]
+                if self.x_sq is None and self.spec.kind == "rbf":
+                    self.x_sq = np.sum(self.x * self.x, axis=1)
+                row = kernel_matrix(self.spec, self.x[i:i + 1], self.x, self.x_sq)[0]
         except FloatingPointError:
             raise TrainingError(
                 f"{self.spec.kind} kernel overflows on the training set; "
@@ -123,66 +129,78 @@ def _smo(rows, y: np.ndarray, c: float, tol: float,
          max_iter: int) -> tuple[np.ndarray, float]:
     """Dual coefficients and bias for Gram rows `rows[i]` and labels y in {-1, +1}.
 
+    y must hold both labels, as `train_svm` ensures; then neither index
+    set can be empty.
+
     `rows` is a `_KernelRows` store or a matrix. The gradient update reads
     rows i and j where the algorithm calls for columns, so the result is
     the solution for the matrix whose columns are those rows.
+
+    The solver keeps yg = -y * grad, the quantity both index sets are
+    ranked by, in two arrays: `up` holds it over I_up (where y[t] * alpha[t]
+    may grow) and -inf elsewhere, `low` over I_low (where it may shrink)
+    and +inf elsewhere, so each selection is one argmax or argmin.
+    Since y is +-1 and rounding is symmetric under negation, the update
+    yg -= step * (k_i - k_j) gives the bits of grad += y * step * (k_i -
+    k_j) followed by -y * grad, up to the sign of an exact zero, which no
+    comparison and no sum of free entries can see.
     """
     n = len(y)
-    alpha = np.zeros(n)
-    grad = -np.ones(n)  # gradient of the dual objective at alpha = 0
-    neg_y = -y
-    pos = y > 0
-    # Membership of I_up and I_low as additive masks: 0 where alpha[t] may
-    # move that way, -inf (up) or +inf (low) where it is at its bound. Only
-    # alpha[i] and alpha[j] change in an update, so only they are refreshed.
-    up_mask = np.where(pos, 0.0, -np.inf)
-    low_mask = np.where(pos, np.inf, 0.0)
-    yg, masked, step_y, diff = (np.empty(n) for _ in range(4))
+    ys = y.tolist()
+    pos = [v > 0 for v in ys]
+    alpha = [0.0] * n
+    # Every t is in I_up or I_low or both, so yg[t] is read from the one
+    # that holds it. Only alpha[i] and alpha[j] change in an update, so
+    # only their memberships are refreshed. At alpha = 0, grad = -1 and
+    # yg = y.
+    in_up = pos[:]
+    up = np.where(y > 0, y, -np.inf)
+    low = np.where(y > 0, np.inf, y)
+    diff = np.empty(n)
 
     for _ in range(max_iter):
-        np.multiply(neg_y, grad, out=yg)
         # argmax/argmin return the first extreme index, as over the
         # compacted index sets I_up and I_low.
-        i = int(np.add(yg, up_mask, out=masked).argmax())
-        j = int(np.add(yg, low_mask, out=masked).argmin())
-        m_up, m_low = float(yg[i]), float(yg[j])
+        i, j = int(up.argmax()), int(low.argmin())
+        m_up, m_low = float(up[i]), float(low[j])
         if m_up - m_low <= tol:
             break
 
         ki, kj = rows[i], rows[j]
         quad = float(ki[i] + kj[j] - 2.0 * ki[j])
         step = (m_up - m_low) / max(quad, 1e-12)
-        room_i = c - alpha[i] if y[i] > 0 else alpha[i]
-        room_j = alpha[j] if y[j] > 0 else c - alpha[j]
-        step = float(min(step, room_i, room_j))
+        room_i = c - alpha[i] if pos[i] else alpha[i]
+        room_j = alpha[j] if pos[j] else c - alpha[j]
+        step = min(step, room_i, room_j)
         # Snap exactly onto the box bound so alpha stays in [0, C] bitwise.
         if step == room_i:
-            alpha[i] = c if y[i] > 0 else 0.0
+            alpha[i] = c if pos[i] else 0.0
         else:
-            alpha[i] += y[i] * step
+            alpha[i] += ys[i] * step
         if step == room_j:
-            alpha[j] = 0.0 if y[j] > 0 else c
+            alpha[j] = 0.0 if pos[j] else c
         else:
-            alpha[j] -= y[j] * step
+            alpha[j] -= ys[j] * step
         for t in (i, j):
+            value = up[t] if in_up[t] else low[t]
             below_c, above_0 = alpha[t] < c, alpha[t] > 0
-            up_mask[t] = 0.0 if (below_c if pos[t] else above_0) else -np.inf
-            low_mask[t] = 0.0 if (above_0 if pos[t] else below_c) else np.inf
-        # grad += step * y * (k[:, i] - k[:, j]), in place
-        np.multiply(y, step, out=step_y)
+            in_up[t] = below_c if pos[t] else above_0
+            up[t] = value if in_up[t] else -np.inf
+            low[t] = value if (above_0 if pos[t] else below_c) else np.inf
         np.subtract(ki, kj, out=diff)
-        step_y *= diff
-        grad += step_y
+        diff *= step
+        up -= diff
+        low -= diff
     else:
-        np.multiply(neg_y, grad, out=yg)
-        violation = float(np.max(yg + up_mask) - np.min(yg + low_mask))
+        violation = float(up.max() - low.min())
         raise TrainingError(
             f"SMO did not converge in {max_iter} pair updates; max KKT violation {violation:.3e}"
         )
 
+    alpha = np.array(alpha)
     free = (alpha > 0) & (alpha < c)
     if free.any():
-        bias = float(np.mean((-y * grad)[free]))
+        bias = float(np.mean(up[free]))
     else:
         bias = float((m_up + m_low) / 2.0)
     return alpha, bias

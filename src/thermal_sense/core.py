@@ -152,12 +152,16 @@ class Dataset:
     def subset(self, indices, name: str | None = None) -> "Dataset":
         """The rows at `indices`, copied once and stored read-only.
 
-        Rows of a checked dataset pass every row check, so only the shape
-        of the index is checked.
+        Rows of a checked dataset pass every row check, so only the index
+        is checked: 1-d and of integers, not floats or booleans.
         """
-        idx = np.asarray(indices, dtype=np.intp)
+        idx = np.asarray(indices)
+        if idx.size == 0:
+            idx = idx.astype(np.intp)  # np.asarray([]) is float64
         if idx.ndim != 1:
             raise InvalidInputError(f"expected a 1-d row index, got shape {idx.shape}")
+        if idx.dtype.kind not in "iu":
+            raise InvalidInputError(f"row indices must be integers, got dtype {idx.dtype}")
         out = object.__new__(Dataset)
         for field in ("x", "y", "conditions"):
             rows = getattr(self, field)[idx]

@@ -69,6 +69,8 @@ _FLOAT_TEXT = re.compile(_FLOAT)
 _INTS_LINE = re.compile(f"(?:{_INT}(?: {_INT})*)?")
 _FLOATS_LINE = re.compile(f"(?:{_FLOAT}(?: {_FLOAT})*)?")
 _KNN_ROW = re.compile(f"{_INT}(?: {_FLOAT})*")  # the label, then the features
+# Model values per block of `_floats_lines`.
+_LINES_BLOCK = 1 << 14
 
 
 def atomic_write_text(path, text: str) -> None:
@@ -90,6 +92,24 @@ def _fmt(value: float) -> str:
 
 def _floats_line(values: np.ndarray) -> str:
     return " ".join(map(repr, values.tolist()))
+
+
+def _floats_lines(values: np.ndarray) -> list[str]:
+    """`_floats_line` of each row of a 2-d array, formatting each distinct value once.
+
+    Values are told apart by their bits, so 0.0 and -0.0 keep their own
+    text. Rows are taken in blocks of about `_LINES_BLOCK` values, which
+    bounds the working set of a large model.
+    """
+    bits = np.ascontiguousarray(values, dtype=np.float64).view(np.int64)
+    step = max(1, _LINES_BLOCK // max(1, bits.shape[1]))
+    lines = []
+    for start in range(0, len(bits), step):
+        block = bits[start:start + step]
+        distinct, inverse = np.unique(block, return_inverse=True)
+        texts = np.array([repr(v) for v in distinct.view(np.float64).tolist()], dtype=object)
+        lines += [" ".join(row) for row in texts[inverse.reshape(block.shape)].tolist()]
+    return lines
 
 
 def _int(text: str) -> int:
@@ -334,8 +354,8 @@ def _knn_to_text(model: KnnModel) -> str:
         f"n-samples: {len(model.train_y)}",
         f"n-features: {model.train_x.shape[1]}",
     ]
-    for label, row in zip(model.train_y, model.train_x):
-        lines.append(f"{int(label)} {_floats_line(row)}")
+    for label, row in zip(model.train_y, _floats_lines(model.train_x)):
+        lines.append(f"{int(label)} {row}")
     return "\n".join(lines) + "\n"
 
 
@@ -355,8 +375,8 @@ def _svm_to_text(model: SvmModel) -> str:
         f"feature-mean: {_floats_line(model.feature_mean)}",
         f"feature-scale: {_floats_line(model.feature_scale)}",
     ]
-    for alpha, y, row in zip(model.support_alpha, model.support_y, model.support_x):
-        lines.append(f"{_fmt(alpha)} {_fmt(y)} {_floats_line(row)}")
+    lines += _floats_lines(np.column_stack(
+        [model.support_alpha, model.support_y, model.support_x]))
     return "\n".join(lines) + "\n"
 
 
@@ -375,10 +395,8 @@ def _nn_to_text(model: NnModel) -> str:
         f"b1: {_floats_line(model.b1)}",
         f"b2: {_floats_line(model.b2)}",
     ]
-    for row in model.w1:
-        lines.append(f"w1: {_floats_line(row)}")
-    for row in model.w2:
-        lines.append(f"w2: {_floats_line(row)}")
+    lines += [f"w1: {row}" for row in _floats_lines(model.w1)]
+    lines += [f"w2: {row}" for row in _floats_lines(model.w2)]
     return "\n".join(lines) + "\n"
 
 

@@ -175,3 +175,75 @@ def pairwise_kernel(spec, x, y):
         return math.tanh(spec.gamma * dot + spec.coef0)
     diff = xv - yv
     return math.exp(-spec.gamma * float(diff @ diff))
+
+
+def reference_smo(rows, y, c, tol, max_iter):
+    """Reference SMO: the solver that keeps the gradient itself, verbatim.
+
+    It updates grad += y * step * (k_i - k_j) and forms -y * grad afresh
+    at every pair update, with alpha as an array. The library keeps
+    -y * grad instead and must match it bit for bit: same alphas, same
+    bias, same non-convergence message.
+    """
+    import numpy as np
+    from thermal_sense.errors import TrainingError
+
+    n = len(y)
+    alpha = np.zeros(n)
+    grad = -np.ones(n)  # gradient of the dual objective at alpha = 0
+    neg_y = -y
+    pos = y > 0
+    # Membership of I_up and I_low as additive masks: 0 where alpha[t] may
+    # move that way, -inf (up) or +inf (low) where it is at its bound. Only
+    # alpha[i] and alpha[j] change in an update, so only they are refreshed.
+    up_mask = np.where(pos, 0.0, -np.inf)
+    low_mask = np.where(pos, np.inf, 0.0)
+    yg, masked, step_y, diff = (np.empty(n) for _ in range(4))
+
+    for _ in range(max_iter):
+        np.multiply(neg_y, grad, out=yg)
+        # argmax/argmin return the first extreme index, as over the
+        # compacted index sets I_up and I_low.
+        i = int(np.add(yg, up_mask, out=masked).argmax())
+        j = int(np.add(yg, low_mask, out=masked).argmin())
+        m_up, m_low = float(yg[i]), float(yg[j])
+        if m_up - m_low <= tol:
+            break
+
+        ki, kj = rows[i], rows[j]
+        quad = float(ki[i] + kj[j] - 2.0 * ki[j])
+        step = (m_up - m_low) / max(quad, 1e-12)
+        room_i = c - alpha[i] if y[i] > 0 else alpha[i]
+        room_j = alpha[j] if y[j] > 0 else c - alpha[j]
+        step = float(min(step, room_i, room_j))
+        # Snap exactly onto the box bound so alpha stays in [0, C] bitwise.
+        if step == room_i:
+            alpha[i] = c if y[i] > 0 else 0.0
+        else:
+            alpha[i] += y[i] * step
+        if step == room_j:
+            alpha[j] = 0.0 if y[j] > 0 else c
+        else:
+            alpha[j] -= y[j] * step
+        for t in (i, j):
+            below_c, above_0 = alpha[t] < c, alpha[t] > 0
+            up_mask[t] = 0.0 if (below_c if pos[t] else above_0) else -np.inf
+            low_mask[t] = 0.0 if (above_0 if pos[t] else below_c) else np.inf
+        # grad += step * y * (k[:, i] - k[:, j]), in place
+        np.multiply(y, step, out=step_y)
+        np.subtract(ki, kj, out=diff)
+        step_y *= diff
+        grad += step_y
+    else:
+        np.multiply(neg_y, grad, out=yg)
+        violation = float(np.max(yg + up_mask) - np.min(yg + low_mask))
+        raise TrainingError(
+            f"SMO did not converge in {max_iter} pair updates; max KKT violation {violation:.3e}"
+        )
+
+    free = (alpha > 0) & (alpha < c)
+    if free.any():
+        bias = float(np.mean((-y * grad)[free]))
+    else:
+        bias = float((m_up + m_low) / 2.0)
+    return alpha, bias

@@ -219,6 +219,14 @@ class TestTypes:
         with pytest.raises((InvalidInputError, IndexError, TypeError)):
             ds.subset(indices)
 
+    @pytest.mark.parametrize("indices", [[0.5], [1.0, 2.0], np.array([3.0]),
+                                         [True, False, False], np.ones(5, dtype=bool),
+                                         ["1"], [None]])
+    def test_subset_rejects_non_integer_indices(self, indices):
+        ds = Dataset(np.zeros((5, 64)), [1, 0, 1, 1, 0])
+        with pytest.raises(InvalidInputError, match="row indices must be integers"):
+            ds.subset(indices)
+
     def test_samples_view(self):
         ds = Dataset(np.arange(128.0).reshape(2, 64), [1, 0], [3, 0])
         (a, b) = ds.samples

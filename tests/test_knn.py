@@ -224,6 +224,37 @@ class TestPerRowEquivalence:
         y = rng.integers(0, 2, len(x))
         self.assert_matches(x, y, x[7:8] + 0.25, (1, 3, 50))
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("single", [False, True])
+    def test_one_nn_blocks_with_nan_and_overflow(self, rng, single):
+        # Rows whose squares overflow are at an inf approximate distance from
+        # the others and at NaN (inf - inf) from each other. A block then
+        # holds finite rows, rows of inf and NaN and, against a training set
+        # of such rows only, all-NaN rows.
+        normal = rng.normal(25, 4, (40, 64))
+        huge = rng.normal(25, 4, (12, 64)) * 1e155
+        queries = np.vstack([normal[:3] + 0.25, huge[:3], huge[4:6] * (1 + 1e-12),
+                             rng.normal(25, 4, (3, 64)) * 1e155, normal[5:8]])
+        for x in (np.vstack([normal, huge, normal[:2]]), huge):
+            y = rng.integers(0, 2, len(x))
+            for block in (queries[:, None] if single else [queries]):
+                self.assert_matches(x, y, block, (1,))
+
+    def test_one_nn_threshold_is_the_partition_minimum(self, rng):
+        block = rng.normal(0, 1, (9, 40))
+        block[1, 3] = np.nan
+        block[2] = np.nan
+        block[3, 7] = -np.inf
+        block[4] = np.inf
+        block[5, ::2] = np.nan
+        block[5, 1::2] = -np.inf
+        block[6, :2] = -0.0, 0.0
+        block[6, 2:] = 1.0
+        block[7, :] = block[7, 0]  # one value throughout
+        block[8, -1] = np.nan
+        want = np.partition(block, 0, axis=1)[:, 0]
+        assert np.array_equal(np.fmin.reduce(block, axis=1), want, equal_nan=True)
+
 
 def vote_cases(rng, k, m=300):
     """(name, labels, sorted distances) blocks of m queries that stress the vote."""

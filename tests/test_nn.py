@@ -4,6 +4,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from thermal_sense.classifiers import nn
 from thermal_sense.classifiers.nn import (
     TrainingParams,
     flatten_weights,
@@ -173,6 +174,22 @@ class TestGradient:
         ds = dataset_from_arrays(x, [0, 0, 1, 1])
         model = train_nn(ds, 8, TrainingParams(0.5, 4, 4000), seed=1)
         assert np.linalg.norm(nn_gradient(model, ds)) < 1e-3
+
+
+class TestMeanLoss:
+    def test_row_sums_pick_the_true_class_probability(self, rng):
+        # softmax rows as _step leaves them: in [0, 1], or NaN in both columns
+        p1 = np.concatenate([rng.random(200), [0.0, 1.0, 5e-324, 1 - 2 ** -53, np.nan]])
+        probs = np.column_stack([1.0 - p1, p1])
+        y = rng.integers(0, 2, len(p1))
+        y[-5:] = 1
+        # the whole block, the block without its NaN row, and each row alone
+        blocks = [slice(None), slice(0, -1)] + [slice(r, r + 1) for r in range(len(y))]
+        for rows in blocks:
+            p, labels = probs[rows], y[rows]
+            want = float(-np.mean(np.log(p[np.arange(len(labels)), labels] + 1e-300)))
+            got = nn._mean_loss(p, nn._one_hot(labels))
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), rows
 
 
 class TestPredict:

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from thermal_sense.classifiers.kernels import KERNEL_KINDS, KernelSpec
 from thermal_sense.classifiers.knn import KnnModel
-from thermal_sense.classifiers.nn import TrainingParams
+from thermal_sense.classifiers.nn import NnModel, TrainingParams
+from thermal_sense.classifiers.svm import SvmModel
 from thermal_sense.core import CONDITIONS, Dataset, Label, make_folds
 from thermal_sense.errors import DataFormatError, FormatVersionError
 from thermal_sense.evaluate import KnnSpec, NnSpec, SvmSpec, predictor
@@ -297,6 +298,52 @@ class TestModelFormat:
         path.write_text("\n".join(text[:-1]) + "\n")
         with pytest.raises(DataFormatError):
             load_model(path)
+
+
+SPECIAL_VALUES = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, 1e308,
+                  -1e308, 1.7976931348623157e308, 0.1, -25.25, 1 / 3, 100.0, 1e16)
+
+
+def per_value_lines(rows):
+    """Reference payload text: repr of each value, one row per line."""
+    return [" ".join(repr(float(v)) for v in row) for row in rows]
+
+
+class TestModelPayloadText:
+    """Payload lines are each value's repr, whatever the values repeat."""
+
+    @pytest.fixture
+    def values(self, rng):
+        return lambda shape: rng.choice(SPECIAL_VALUES, shape)
+
+    def assert_payload(self, model, header_lines, want, tmp_path):
+        text = model_to_text(model)
+        assert text.split("\n")[header_lines:-1] == want
+        path = tmp_path / "m.model"
+        save_model(model, path)
+        assert model_to_text(load_model(path)) == text == path.read_text()
+
+    def test_knn(self, values, rng, tmp_path):
+        # 600 rows are three blocks of the writer
+        x, y = values((600, 64)), rng.integers(0, 2, 600)
+        want = [f"{label} {line}" for label, line in zip(y.tolist(), per_value_lines(x))]
+        self.assert_payload(KnnModel(x, y, 1, "uniform"), 6, want, tmp_path)
+
+    def test_svm(self, values, tmp_path):
+        x = values((4, 64))
+        alpha, y = np.array([0.25, 5e-324, 0.25, 5e-324]), np.array([1.0, -1.0, -1.0, 1.0])
+        model = SvmModel(KernelSpec("linear"), 1.0, values(64), np.full(64, 0.5), x,
+                         alpha, y, -0.0)
+        want = per_value_lines(np.column_stack([alpha, y, x]))
+        self.assert_payload(model, 12, want, tmp_path)
+
+    def test_nn(self, values, tmp_path):
+        w1, w2 = values((64, 3)), values((3, 2))
+        model = NnModel(3, w1, values(3), w2, values(2), values(64), np.full(64, 2.0),
+                        TrainingParams(), 0)
+        want = ([f"w1: {line}" for line in per_value_lines(w1)]
+                + [f"w2: {line}" for line in per_value_lines(w2)])
+        self.assert_payload(model, 12, want, tmp_path)
 
 
 class TestModelHeaders:

@@ -20,7 +20,7 @@ from thermal_sense.persist import model_to_text
 from thermal_sense.simulate import generate_main
 
 from conftest import dataset_from_arrays
-from oracles import pairwise_kernel
+from oracles import pairwise_kernel, reference_smo
 
 
 def predict_one(model, x):
@@ -190,6 +190,81 @@ class TestKernelRows:
             svm._smo(rows, y, 1.0, 1e-3, 1000)
         assert 20 not in rows and len(rows) >= 2  # the rows read before it were finite
         assert all(np.isfinite(row).all() for row in rows.values())
+
+
+KERNELS = ("linear", "poly", "rbf", "sigmoid")
+
+
+def smo_outcome(solver, rows, y, c, max_iter):
+    """(alpha bits, bias bits) of a solve, or the message of its TrainingError."""
+    try:
+        alpha, bias = solver(rows, y, c, 1e-3, max_iter)
+    except TrainingError as exc:
+        return str(exc)
+    return alpha.tobytes(), np.float64(bias).tobytes()
+
+
+def smo_cases(rng):
+    """(name, rows, labels) problems: the four kernels on random and tied data."""
+    for trial in range(48):
+        n, d = int(rng.integers(2, 60)), int(rng.integers(1, 8))
+        if trial % 3 == 0:
+            x = rng.integers(-2, 3, (n, d)).astype(float)  # repeated rows and kernel values
+        else:
+            x = rng.normal(0, 1, (n, d))
+        y = np.where(rng.integers(0, 2, n) == 1, 1.0, -1.0)
+        y[:2] = 1.0, -1.0
+        spec = KernelSpec(KERNELS[trial % 4], degree=int(rng.integers(1, 4)),
+                          gamma=float(rng.uniform(0.05, 1.0)), coef0=float(rng.uniform(-1, 1)))
+        yield f"{trial} {spec.kind}", kernel_matrix(spec, x, x), y
+    # Ties: twelve copies of one point under both labels (a Gram matrix of
+    # one value), and six points each given both labels.
+    y = np.where(np.arange(12) % 2 == 0, 1.0, -1.0)
+    yield "one point, both labels", np.ones((12, 12)), y
+    x = np.repeat(rng.normal(0, 1, (6, 3)), 2, axis=0)
+    yield "tied pairs", kernel_matrix(KernelSpec("rbf", gamma=0.5), x, x), y
+
+
+class TestSmoOracle:
+    """The solver against the one that keeps the gradient, bit for bit."""
+
+    @pytest.mark.parametrize("c", [0.01, 1.0, 37.5, 1e6])
+    def test_random_problems(self, rng, c):
+        for name, k, y in smo_cases(rng):
+            for max_iter in (1, 7, 3000):
+                got = smo_outcome(svm._smo, k, y, c, max_iter)
+                assert got == smo_outcome(reference_smo, k, y, c, max_iter), (name, max_iter)
+
+    def test_caps_raise_the_same_message(self, rng):
+        x = rng.normal(0, 1, (40, 5))
+        y = np.where(np.arange(40) % 2 == 0, 1.0, -1.0)
+        k = kernel_matrix(KernelSpec("linear"), x, x)
+        for max_iter in (0, 1, 2, 10):
+            got = smo_outcome(svm._smo, k, y, 1.0, max_iter)
+            assert got.startswith(f"SMO did not converge in {max_iter} pair updates")
+            assert got == smo_outcome(reference_smo, k, y, 1.0, max_iter)
+
+    @pytest.mark.parametrize("kind", KERNELS)
+    def test_fold_rows_on_demand(self, main_fold, kind):
+        x = main_fold.x
+        mean, scale = svm.standardize_fit(x)
+        x_std = (x - mean) / scale
+        spec = svm._resolve_kernel(KernelSpec(kind), x_std)
+        y = np.where(main_fold.y == Label.PERSON, 1.0, -1.0)
+        got = smo_outcome(svm._smo, svm._KernelRows(spec, x_std), y, 1.0, MAX_PAIR_UPDATES)
+        want = smo_outcome(reference_smo, svm._KernelRows(spec, x_std), y, 1.0,
+                           MAX_PAIR_UPDATES)
+        assert got == want
+
+    def test_rbf_rows_with_summed_norms(self, rng):
+        x = rng.normal(0, 3, (300, 64))
+        spec = KernelSpec("rbf", gamma=0.01)
+        x_sq = np.sum(x * x, axis=1)
+        rows = svm._KernelRows(spec, x)
+        for i in (0, 17, 299):
+            want = kernel_matrix(spec, x[i:i + 1], x)
+            assert np.array_equal(kernel_matrix(spec, x[i:i + 1], x, x_sq), want)
+            assert np.array_equal(rows[i], want[0])
 
 
 def max_kkt_violation(model, x, y01, c):
