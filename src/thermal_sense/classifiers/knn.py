@@ -6,23 +6,31 @@ Deterministic tie handling, documented once here:
   - distance weighting with an exact match (d = 0): the majority label of
     the zero-distance neighbors wins outright.
 
-Search is exact filter-and-refine. One matrix product per block of
-queries gives approximate squared distances |q|^2 + |t|^2 - 2 q.t; every
-row within a rounding margin of a query's k-th smallest approximate value
-(the row minimum when k = 1) is a candidate, and only candidates get the
-exact per-row distance sqrt(sum((t - q)^2)). The margin bounds the error
-of both forms, so the true k nearest rows, all rows tied with the k-th
-included, are always candidates: labels are those of a full sort of the
-exact distances. A single query is a block of one on the same path.
+Search is exact filter-and-refine. A model stores its rows and their
+squared norms as one read-only (n, 65) matrix [t | |t|^2]; train_x and
+train_sq are views of it. One matrix product of [-2q | 1] against it per
+block of queries gives |t|^2 - 2 q.t, a query's squared distances less
+its |q|^2: the same for every row of a query, so dropping it moves no
+row's rank, and scaling by -2 is exact. Every row within a rounding
+margin of a query's k-th smallest value (the row minimum when k = 1) is
+a candidate, and only candidates get the exact per-row distance
+sqrt(sum((t - q)^2)). The margin bounds the error of both forms, so the
+true k nearest rows, all rows tied with the k-th included, are always
+candidates: labels are those of a full sort of the exact distances.
+When every query has exactly k candidates, the usual case, its
+neighbors are a reshape of the sorted candidates. A single query is a
+block of one on the same path.
 
 A block's votes are array operations over its (m, k) neighbor labels and
-distances, bit for bit the per-query vote; distance votes with k >= 8
-stay per query (see _MASKED_SUM_K).
+distances, bit for bit the per-query vote. The uniform vote compares
+twice a row's label sum with k; distance votes with k >= 8 stay per
+query (see _MASKED_SUM_K).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -35,9 +43,10 @@ PERSON, NO_PERSON = int(Label.PERSON), int(Label.NO_PERSON)
 # Approximate-distance entries (queries x training rows) per query block;
 # bounds the working set of a large batch.
 BLOCK = 1 << 16
-# Candidate margin per unit of |q|^2 + max|t|^2. Each distance form errs by
-# at most 2*gamma_70 (about 1.6e-14) of that sum, and taking the square root
-# merges only sums within a few ulps; 1e-12 covers all of it many times over.
+# Candidate margin per unit of |q|^2 + max|t|^2. The 65-term product and the
+# exact form each err by at most 2*gamma_70 (about 1.6e-14) of that sum, and
+# taking the square root merges only sums within a few ulps; 1e-12 covers all
+# of it many times over.
 _MARGIN = 1e-12
 # Absolute margin floor: covers products and sums that underflow.
 _MARGIN_FLOOR = np.finfo(np.float64).tiny
@@ -50,13 +59,18 @@ _MASKED_SUM_K = 8
 
 @dataclass(frozen=True, eq=False)
 class KnnModel:
-    train_x: np.ndarray  # (n, 64), stored as a read-only float64 copy
+    train_x: np.ndarray  # (n, 64), a read-only view of `rows`
     train_y: np.ndarray  # (n,) 0/1
     k: int
     weighting: str
-    train_sq: np.ndarray = field(init=False, repr=False)  # squared row norms of train_x
+    rows: np.ndarray = field(init=False, repr=False)  # (n, 65) read-only [train_x | train_sq]
+    train_sq: np.ndarray = field(init=False, repr=False)  # squared row norms, a view of `rows`
+    margin: float = field(init=False, repr=False)  # the model's term of the candidate margin
 
     def __post_init__(self) -> None:
+        if np.ndim(self.train_y) != 1:
+            raise InvalidInputError(
+                f"training labels must be one column, got shape {np.shape(self.train_y)}")
         if not np.isin(self.train_y, (0, 1)).all():
             raise InvalidInputError("training labels must be 0 or 1")
         if np.ndim(self.train_x) != 2 or len(self.train_x) != len(self.train_y):
@@ -66,16 +80,23 @@ class KnnModel:
             raise InvalidInputError("non-finite training feature value")
         if self.weighting not in WEIGHTINGS:
             raise InvalidInputError(f"unknown weighting {self.weighting!r}")
+        if isinstance(self.k, bool) or not isinstance(self.k, Integral):
+            raise InvalidInputError(f"k must be an integer, got {self.k!r}")
         if not (1 <= self.k <= len(self.train_y)):
             raise InvalidInputError(
                 f"k={self.k} out of range for {len(self.train_y)} training samples"
             )
-        x = np.array(self.train_x, dtype=np.float64, order="C")
-        x.flags.writeable = False
+        n, width = np.shape(self.train_x)
+        rows = np.empty((n, width + 1))
+        rows[:, :width] = self.train_x
         with np.errstate(over="ignore"):
-            sq = np.einsum("ij,ij->i", x, x)
-        object.__setattr__(self, "train_x", x)
-        object.__setattr__(self, "train_sq", sq)
+            np.einsum("ij,ij->i", rows[:, :width], rows[:, :width], out=rows[:, width])
+            margin = 2.0 * (_MARGIN * rows[:, width].max() + _MARGIN_FLOOR)
+        rows.flags.writeable = False  # before the views, which inherit it
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "train_x", rows[:, :width])
+        object.__setattr__(self, "train_sq", rows[:, width])
+        object.__setattr__(self, "margin", margin)
 
 
 def train_knn(train: Dataset, k: int, weighting: str = "uniform") -> KnnModel:
@@ -95,10 +116,9 @@ def _distance_vote(labels: np.ndarray, dists: np.ndarray) -> int:
 
 def _votes(labels: np.ndarray, dists: np.ndarray, weighting: str) -> np.ndarray:
     """(m,) labels from the (m, k) labels (0/1) and distances of each query's neighbors."""
-    person = labels == PERSON
     k = labels.shape[1]
-    if weighting == "uniform":
-        return np.where(2 * np.count_nonzero(person, axis=1) > k, PERSON, NO_PERSON)
+    if weighting == "uniform":  # labels are 0/1, so a row sum counts PERSON votes
+        return np.where(2 * labels.sum(axis=1) > k, PERSON, NO_PERSON)
     # A zero or subnormal distance weighs inf; a row with an exact match is
     # decided by the exact matches alone.
     with np.errstate(divide="ignore", over="ignore"):
@@ -106,6 +126,7 @@ def _votes(labels: np.ndarray, dists: np.ndarray, weighting: str) -> np.ndarray:
             return np.array([_distance_vote(lab, d) for lab, d in zip(labels, dists)],
                             dtype=np.int64)
         weights = 1.0 / dists
+    person = labels == PERSON
     exact = dists == 0.0
     n_exact = np.count_nonzero(exact, axis=1)
     person_w = np.add.reduce(np.where(person, weights, 0.0), axis=1)
@@ -115,29 +136,36 @@ def _votes(labels: np.ndarray, dists: np.ndarray, weighting: str) -> np.ndarray:
     return np.where(wins, PERSON, NO_PERSON)
 
 
-def _nearest(model: KnnModel, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(m, k) indices and exact distances of each query's k nearest rows."""
-    train_x, train_sq, k = model.train_x, model.train_sq, model.k
+def _candidates(model: KnnModel, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(query, row) index pairs, by query, then row, that hold each query's k nearest rows."""
+    rows, k = model.rows, model.k
+    width = rows.shape[1] - 1
+    lhs = np.empty((len(q), width + 1))
+    lhs[:, width] = 1.0
     with np.errstate(over="ignore", invalid="ignore"):  # overflow only widens the filter
-        q_sq = np.einsum("ij,ij->i", q, q)
-        approx = q @ train_x.T
-        approx *= -2.0
-        approx += train_sq
-        approx += q_sq[:, None]
+        np.multiply(q, -2.0, out=lhs[:, :width])
+        approx = lhs @ rows.T  # |t|^2 - 2 q.t, each query's distances less its |q|^2
         # Both skip NaN entries and give NaN for an all-NaN row.
         kth = (np.fmin.reduce(approx, axis=1) if k == 1
                else np.partition(approx, k - 1, axis=1)[:, k - 1])
-        bound = kth + 2.0 * (_MARGIN * (q_sq + train_sq.max()) + _MARGIN_FLOOR)
+        bound = kth + (2.0 * _MARGIN * np.einsum("ij,ij->i", q, q) + model.margin)
     # The negated test admits NaN entries, and every row when the bound is
     # NaN or inf (overflowed squares). Flat indices in C order are the
     # (query, row) pairs by query, then row.
-    qi, ti = np.divmod(np.flatnonzero(~(approx > bound[:, None])), len(train_x))
-    d = np.sqrt(np.sum((train_x[ti] - q[qi]) ** 2, axis=1))
+    return np.divmod(np.flatnonzero(~(approx > bound[:, None])), len(rows))
+
+
+def _nearest(model: KnnModel, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(m, k) indices and exact distances of each query's k nearest rows."""
+    qi, ti = _candidates(model, q)
+    d = np.sqrt(np.sum((model.train_x[ti] - q[qi]) ** 2, axis=1))
     order = np.lexsort((ti, d, qi))  # by query, then distance, then stored index
     # Every query has at least k candidates; keep the first k of each.
-    counts = np.bincount(qi, minlength=len(q))
-    first = np.cumsum(counts) - counts
-    top = order[first[:, None] + np.arange(k)]
+    m, k = len(q), model.k
+    if len(order) == m * k:
+        top = order.reshape(m, k)
+    else:
+        top = order[np.searchsorted(qi, np.arange(m))[:, None] + np.arange(k)]
     return ti[top], d[top]
 
 

@@ -19,11 +19,12 @@ event sequence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
+from numbers import Integral
 
 from .core import Label
-from .errors import StreamError
+from .errors import ConfigError, StreamError
 
 
 class Occupancy(Enum):
@@ -51,6 +52,16 @@ class MonitorConfig:
     window_s: float = 8 * 3600.0
     max_exits: int = 5
 
+    def __post_init__(self) -> None:
+        for name, low in (("debounce_frames", 1), ("max_exits", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral) or value < low:
+                raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
+        if not (math.isfinite(self.long_absence_s) and self.long_absence_s >= 0):
+            raise ConfigError(f"long_absence_s must be finite and >= 0, got {self.long_absence_s!r}")
+        if not (math.isfinite(self.window_s) and self.window_s > 0):
+            raise ConfigError(f"window_s must be finite and > 0, got {self.window_s!r}")
+
 
 @dataclass(frozen=True)
 class MonitorState:
@@ -77,16 +88,14 @@ def step(state: MonitorState, label: Label, ts: float,
 
     target = Occupancy.OCCUPIED if label == Label.PERSON else Occupancy.EMPTY
     events: list[Event] = []
+    current, since, fired = state.current, state.since, state.bed_exit_fired
+    exit_times, frequent_alerted = state.exit_times, state.frequent_alerted
+    candidate, debounce = None, 0
 
-    if target is state.current:
-        state = replace(state, candidate=None, debounce=0, last_ts=ts)
-    else:
+    if target is not current:
         streak = state.debounce + 1 if state.candidate is target else 1
         if streak >= cfg.debounce_frames:
-            previous = state.current
-            exit_times = state.exit_times
-            frequent_alerted = state.frequent_alerted
-            if previous is Occupancy.OCCUPIED and target is Occupancy.EMPTY:
+            if current is Occupancy.OCCUPIED and target is Occupancy.EMPTY:
                 exit_times = tuple(t for t in exit_times if t > ts - cfg.window_s) + (ts,)
                 if len(exit_times) > cfg.max_exits:
                     if not frequent_alerted:
@@ -94,32 +103,24 @@ def step(state: MonitorState, label: Label, ts: float,
                         frequent_alerted = True
                 else:
                     frequent_alerted = False
-            if previous is Occupancy.EMPTY and target is Occupancy.OCCUPIED:
+            if current is Occupancy.EMPTY and target is Occupancy.OCCUPIED:
                 events.append(Event(ts, EventKind.RETURN))
-            state = replace(
-                state,
-                current=target,
-                since=ts,
-                candidate=None,
-                debounce=0,
-                exit_times=exit_times,
-                last_ts=ts,
-                bed_exit_fired=False,
-                frequent_alerted=frequent_alerted,
-            )
+            current, since, fired = target, ts, False
         else:
-            state = replace(state, candidate=target, debounce=streak, last_ts=ts)
+            candidate, debounce = target, streak
 
     if (
-        state.current is Occupancy.EMPTY
-        and not state.bed_exit_fired
-        and state.since is not None
-        and ts - state.since >= cfg.long_absence_s
+        current is Occupancy.EMPTY
+        and not fired
+        and since is not None
+        and ts - since >= cfg.long_absence_s
     ):
         events.append(Event(ts, EventKind.BED_EXIT))
-        state = replace(state, bed_exit_fired=True)
+        fired = True
 
-    return state, events
+    # One constructor call: dataclasses.replace costs about twice as much.
+    return MonitorState(current, since, candidate, debounce, exit_times, ts, fired,
+                        frequent_alerted), events
 
 
 def replay(labeled_stream, cfg: MonitorConfig = MonitorConfig()) -> list[Event]:

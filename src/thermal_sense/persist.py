@@ -101,7 +101,7 @@ def _floats_lines(values: np.ndarray) -> list[str]:
     text. Rows are taken in blocks of about `_LINES_BLOCK` values, which
     bounds the working set of a large model.
     """
-    bits = np.ascontiguousarray(values, dtype=np.float64).view(np.int64)
+    bits = np.asarray(values, dtype=np.float64).view(np.int64)
     step = max(1, _LINES_BLOCK // max(1, bits.shape[1]))
     lines = []
     for start in range(0, len(bits), step):

@@ -306,6 +306,20 @@ class TestMonitorCommand:
         assert f"error: {trace}:{lineno}: {message}\n" == capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--debounce-frames", 0), ("--debounce-frames", -3), ("--max-exits", -1),
+        ("--long-absence-min", -5), ("--long-absence-min", "nan"), ("--window-hours", -1),
+    ])
+    def test_invalid_config_exits_2(self, tmp_path, capsys, flag, value):
+        trace = tmp_path / "trace.csv"
+        trace.write_text("timestamp,label\n0,person\n30,no_person\n")
+        out = tmp_path / "e.csv"
+        assert cli("monitor", "--input", trace, "--out", out, flag, value) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+
 class TestExitCodes:
     def test_unknown_subcommand(self):
         assert cli("bogus") == 1

@@ -1,10 +1,16 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from thermal_sense.classifiers import knn
 from thermal_sense.classifiers.knn import WEIGHTINGS, KnnModel, predict_knn_batch, train_knn
-from thermal_sense.core import Label
+from thermal_sense.core import Label, make_folds
 from thermal_sense.errors import InvalidInputError
+from thermal_sense.simulate import generate_main
 
 from conftest import dataset_from_arrays
 from oracles import brute_force_knn, per_row_knn, per_row_vote
@@ -28,6 +34,11 @@ class TestTrain:
         assert np.array_equal(model.train_x, x)
         assert np.array_equal(model.train_y, y)
         assert not model.train_x.flags.writeable
+        # one (n, 65) matrix [x | |x|^2], of which train_x and train_sq are views
+        assert model.rows.shape == (10, 65) and not model.rows.flags.writeable
+        assert np.shares_memory(model.train_x, model.rows)
+        assert np.shares_memory(model.train_sq, model.rows)
+        np.testing.assert_allclose(model.train_sq, np.sum(x * x, axis=1), rtol=1e-13)
 
     def test_k_out_of_range(self):
         ds = dataset_from_arrays(np.zeros((4, 64)), [0, 1, 0, 1])
@@ -35,6 +46,20 @@ class TestTrain:
             train_knn(ds, 5)
         with pytest.raises(InvalidInputError):
             train_knn(ds, 0)
+
+    @pytest.mark.parametrize("k", [2.5, True, np.float64(1.0), "1"])
+    def test_k_must_be_an_integer(self, k):
+        ds = dataset_from_arrays(np.zeros((4, 64)), [0, 1, 0, 1])
+        with pytest.raises(InvalidInputError, match="k must be an integer"):
+            KnnModel(ds.x, ds.y, k, "uniform")
+
+    def test_numpy_integer_k_accepted(self):
+        model = KnnModel(np.zeros((4, 64)), np.array([0, 1, 0, 1]), np.int64(3), "uniform")
+        assert predict_knn_batch(model, np.zeros((1, 64))).tolist() == [0]
+
+    def test_labels_must_be_one_column(self):
+        with pytest.raises(InvalidInputError, match="one column"):
+            KnnModel(np.zeros((4, 64)), np.array([[0], [1], [0], [1]]), 1, "uniform")
 
     def test_unknown_weighting(self):
         ds = dataset_from_arrays(np.zeros((2, 64)), [0, 1])
@@ -181,6 +206,29 @@ def differential_cases(rng):
                                        rng.normal(25, 4, (5, 64)) * 1e155])
     tiny = normal * 1e-160
     yield "underflow", tiny, np.vstack([tiny[:3], rng.normal(25, 4, (5, 64)) * 1e-160])
+    # Query entries above 2^1022 against small rows: q.t stays finite, but
+    # |q|^2 overflows and, above 2^1023, so does -2q. The product then holds
+    # -inf, inf and NaN (-inf * 0) entries, and every distance is inf.
+    small = normal * 1e-3
+    small[::3, 5] = 0.0
+    far = np.tile(small[1], (4, 1))
+    far[:, 5] = [1.5 * 2.0 ** 1022, 1.5 * 2.0 ** 1023, -1.5 * 2.0 ** 1023, 2.0 ** 1023]
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(-2.0 * far[1:]).all(axis=1).any()
+        assert np.isfinite(far @ small.T).all()
+    yield "-2q overflows", small, np.vstack([far, small[:2]])
+    # Each square is finite, but their sum |t|^2 overflows; queries one ulp
+    # away are at finite distances.
+    wide = 2e153 * rng.choice([-1.0, 1.0], (6, 64))
+    assert not np.isfinite(np.sum(wide ** 2, axis=1)).any()
+    yield "|t|^2 overflows", np.vstack([normal[:20], wide, wide[:2]]), np.vstack(
+        [wide[:2], wide[2:4] * (1 + 2.0 ** -50), normal[:2] + 0.25])
+    sub = rng.integers(-4, 5, (20, 64)) * 5e-324
+    yield "subnormal and duplicated", np.vstack([sub, sub[:6], tiny[:4], tiny[:4]]), np.vstack(
+        [sub[:3], np.zeros(64), 2 * sub[7:9], tiny[:2]])
+    # From near the origin only the model's term of the margin covers the
+    # rounding of |t|^2, which is far larger than |q|^2.
+    yield "ulp-near ties from the origin", near, np.vstack([np.zeros(64), near[:3] * 1e-9])
 
 
 class TestPerRowEquivalence:
@@ -254,6 +302,57 @@ class TestPerRowEquivalence:
         block[8, -1] = np.nan
         want = np.partition(block, 0, axis=1)[:, 0]
         assert np.array_equal(np.fmin.reduce(block, axis=1), want, equal_nan=True)
+
+
+@pytest.fixture(scope="module")
+def main_fold():
+    """Fold 0 of main(960, seed 7): its 1,728 training rows and 192 held-out rows."""
+    ds = generate_main(960, 7)
+    held_out = np.array(make_folds(ds, 10, 7).assignment) == 0
+    return ds.x[~held_out], ds.y[~held_out], ds.x[held_out]
+
+
+class TestCandidates:
+    @pytest.mark.parametrize("k", [1, 3, 7])
+    def test_exactly_the_rows_within_the_kth_distance(self, main_fold, k):
+        # On quarter degrees |t|^2 - 2 q.t is computed exactly and distinct
+        # squared distances differ by at least 1/16, far above the margin:
+        # the candidates are the rows at or below the k-th squared distance.
+        x, y, queries = main_fold
+        grid, grid_queries = 4 * x, 4 * queries
+        assert np.array_equal(grid, np.round(grid))
+        assert np.array_equal(grid_queries, np.round(grid_queries))
+        want_q, want_t = [], []
+        for i, q in enumerate(grid_queries):
+            d2 = np.sum((grid - q) ** 2, axis=1)  # integers below 2^53: exact
+            rows = np.flatnonzero(d2 <= np.partition(d2, k - 1)[k - 1])
+            want_q.append(np.full(len(rows), i))
+            want_t.append(rows)
+        qi, ti = knn._candidates(KnnModel(x, y, k, "uniform"), queries)
+        assert np.array_equal(qi, np.concatenate(want_q))
+        assert np.array_equal(ti, np.concatenate(want_t))
+
+
+@st.composite
+def small_problems(draw):
+    """(train_x, train_y, queries, k, queries per block) on a small grid at one scale."""
+    n = draw(st.integers(1, 8))
+    scale = draw(st.sampled_from([0.25, 3.0, 1e-160, 5e-324, 1e154]))
+    x = draw(hnp.arrays(np.int64, (n, 64), elements=st.integers(-2, 2))) * scale
+    queries = draw(hnp.arrays(np.int64, (draw(st.integers(1, 9)), 64),
+                              elements=st.integers(-2, 2))) * scale
+    y = draw(hnp.arrays(np.int64, n, elements=st.integers(0, 1)))
+    return x, y, queries, draw(st.integers(1, n)), draw(st.integers(1, 4))
+
+
+class TestSmallProblems:
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @given(problem=small_problems())
+    def test_batches_match_the_per_row_reference(self, problem):
+        # Blocks of 1-4 queries, so most batches straddle a block.
+        x, y, queries, k, per_block = problem
+        with mock.patch.object(knn, "BLOCK", per_block * len(x)):
+            TestPerRowEquivalence.assert_matches(x, y, queries, (k,))
 
 
 def vote_cases(rng, k, m=300):

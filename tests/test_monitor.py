@@ -1,7 +1,9 @@
+import math
+
 import pytest
 
 from thermal_sense.core import Label
-from thermal_sense.errors import StreamError
+from thermal_sense.errors import ConfigError, StreamError
 from thermal_sense.monitor import (
     Event,
     EventKind,
@@ -125,3 +127,21 @@ class TestContract:
 
     def test_event_value_object(self):
         assert Event(5.0, EventKind.RETURN) == Event(5.0, EventKind.RETURN)
+
+
+class TestConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("debounce_frames", 0), ("debounce_frames", -3), ("debounce_frames", 2.0),
+        ("debounce_frames", True), ("max_exits", -1), ("max_exits", 1.5),
+        ("long_absence_s", -300.0), ("long_absence_s", math.nan), ("long_absence_s", math.inf),
+        ("window_s", 0.0), ("window_s", -3600.0), ("window_s", math.nan), ("window_s", math.inf),
+    ])
+    def test_invalid_values_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            MonitorConfig(**{field: value})
+
+    def test_smallest_values_accepted(self):
+        cfg = MonitorConfig(debounce_frames=1, long_absence_s=0.0, window_s=1e-9, max_exits=0)
+        # the first exit is one too many, and the absence is long at once
+        events = replay(trace((P, 2), (N, 2)), cfg)
+        assert events == [Event(60.0, EventKind.FREQUENT_EXITS), Event(60.0, EventKind.BED_EXIT)]
