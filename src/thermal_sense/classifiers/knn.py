@@ -7,19 +7,21 @@ Deterministic tie handling, documented once here:
     the zero-distance neighbors wins outright.
 
 Search is exact filter-and-refine. A model stores its rows and their
-squared norms as one read-only (n, 65) matrix [t | |t|^2]; train_x and
-train_sq are views of it. One matrix product of [-2q | 1] against it per
-block of queries gives |t|^2 - 2 q.t, a query's squared distances less
-its |q|^2: the same for every row of a query, so dropping it moves no
-row's rank, and scaling by -2 is exact. Every row within a rounding
-margin of a query's k-th smallest value (the row minimum when k = 1) is
-a candidate, and only candidates get the exact per-row distance
+squared norms as one read-only (n, 65) matrix [t | |t|^2], of which
+train_x is a view. One matrix product of [-2q | 1] against it per block
+of queries gives |t|^2 - 2 q.t, a query's squared distances less its
+|q|^2: the same for every row of a query, so dropping it moves no row's
+rank, and scaling by -2 is exact. Every row within a rounding margin of
+a query's k-th smallest value (the row minimum when k = 1) is a
+candidate, and only candidates get the exact per-row distance
 sqrt(sum((t - q)^2)). The margin bounds the error of both forms, so the
 true k nearest rows, all rows tied with the k-th included, are always
 candidates: labels are those of a full sort of the exact distances.
-When every query has exactly k candidates, the usual case, its
-neighbors are a reshape of the sorted candidates. A single query is a
-block of one on the same path.
+The margin holds only while nothing overflows; a query whose
+|q|^2 + max|t|^2 is too large to rule that out keeps every row. When
+every query of a block has exactly k candidates, its neighbors are a
+reshape of the sorted candidates. A single query is a block of one on
+the same path.
 
 A block's votes are array operations over its (m, k) neighbor labels and
 distances, bit for bit the per-query vote. The uniform vote compares
@@ -44,9 +46,12 @@ PERSON, NO_PERSON = int(Label.PERSON), int(Label.NO_PERSON)
 # bounds the working set of a large batch.
 BLOCK = 1 << 16
 # Candidate margin per unit of |q|^2 + max|t|^2. The 65-term product and the
-# exact form each err by at most 2*gamma_70 (about 1.6e-14) of that sum, and
+# exact form each err by at most 3*gamma_70 (about 2.3e-14) of that sum, and
 # taking the square root merges only sums within a few ulps; 1e-12 covers all
-# of it many times over.
+# of it many times over. Every square, product and partial sum of either
+# form is at most twice that sum. The margin is computed from 4 times it,
+# which overflows to inf, and so keeps every row of the query, before any of
+# them can.
 _MARGIN = 1e-12
 # Absolute margin floor: covers products and sums that underflow.
 _MARGIN_FLOOR = np.finfo(np.float64).tiny
@@ -63,9 +68,8 @@ class KnnModel:
     train_y: np.ndarray  # (n,) 0/1
     k: int
     weighting: str
-    rows: np.ndarray = field(init=False, repr=False)  # (n, 65) read-only [train_x | train_sq]
-    train_sq: np.ndarray = field(init=False, repr=False)  # squared row norms, a view of `rows`
-    margin: float = field(init=False, repr=False)  # the model's term of the candidate margin
+    rows: np.ndarray = field(init=False, repr=False)  # (n, 65) read-only [t | |t|^2]
+    sq_max: float = field(init=False, repr=False)  # max |t|^2, inf if a row's overflows
 
     def __post_init__(self) -> None:
         if np.ndim(self.train_y) != 1:
@@ -91,12 +95,10 @@ class KnnModel:
         rows[:, :width] = self.train_x
         with np.errstate(over="ignore"):
             np.einsum("ij,ij->i", rows[:, :width], rows[:, :width], out=rows[:, width])
-            margin = 2.0 * (_MARGIN * rows[:, width].max() + _MARGIN_FLOOR)
-        rows.flags.writeable = False  # before the views, which inherit it
+        rows.flags.writeable = False  # before the view, which inherits it
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "train_x", rows[:, :width])
-        object.__setattr__(self, "train_sq", rows[:, width])
-        object.__setattr__(self, "margin", margin)
+        object.__setattr__(self, "sq_max", float(rows[:, width].max()))
 
 
 def train_knn(train: Dataset, k: int, weighting: str = "uniform") -> KnnModel:
@@ -142,16 +144,19 @@ def _candidates(model: KnnModel, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     width = rows.shape[1] - 1
     lhs = np.empty((len(q), width + 1))
     lhs[:, width] = 1.0
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow only widens the filter
+    with np.errstate(over="ignore", invalid="ignore"):  # only in queries that keep every row
         np.multiply(q, -2.0, out=lhs[:, :width])
         approx = lhs @ rows.T  # |t|^2 - 2 q.t, each query's distances less its |q|^2
-        # Both skip NaN entries and give NaN for an all-NaN row.
         kth = (np.fmin.reduce(approx, axis=1) if k == 1
                else np.partition(approx, k - 1, axis=1)[:, k - 1])
-        bound = kth + (2.0 * _MARGIN * np.einsum("ij,ij->i", q, q) + model.margin)
-    # The negated test admits NaN entries, and every row when the bound is
-    # NaN or inf (overflowed squares). Flat indices in C order are the
-    # (query, row) pairs by query, then row.
+        # |-2q|^2 = 4 |q|^2; then 4 * (|q|^2 + max|t|^2) + the floor's share
+        margin = np.einsum("ij,ij->i", lhs[:, :width], lhs[:, :width])
+        margin += 4.0 * (model.sq_max + _MARGIN_FLOOR / _MARGIN)
+        margin *= 0.5 * _MARGIN  # 2 * (_MARGIN * (|q|^2 + max|t|^2) + _MARGIN_FLOOR)
+        bound = kth + margin
+    # The negated test keeps every row, NaN entries included, of a query
+    # whose margin is inf (its bound inf or NaN). Flat indices in C order
+    # are the (query, row) pairs by query, then row.
     return np.divmod(np.flatnonzero(~(approx > bound[:, None])), len(rows))
 
 
@@ -160,7 +165,10 @@ def _nearest(model: KnnModel, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     qi, ti = _candidates(model, q)
     d = np.sqrt(np.sum((model.train_x[ti] - q[qi]) ** 2, axis=1))
     order = np.lexsort((ti, d, qi))  # by query, then distance, then stored index
-    # Every query has at least k candidates; keep the first k of each.
+    # Every query has at least k candidates; keep the first k of each. All
+    # have exactly k in 99% of the single queries of a served night, where
+    # the reshape saves a few calls' overhead; ties send a block to
+    # searchsorted.
     m, k = len(q), model.k
     if len(order) == m * k:
         top = order.reshape(m, k)

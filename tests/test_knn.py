@@ -34,11 +34,11 @@ class TestTrain:
         assert np.array_equal(model.train_x, x)
         assert np.array_equal(model.train_y, y)
         assert not model.train_x.flags.writeable
-        # one (n, 65) matrix [x | |x|^2], of which train_x and train_sq are views
+        # one (n, 65) matrix [x | |x|^2], of which train_x is a view
         assert model.rows.shape == (10, 65) and not model.rows.flags.writeable
         assert np.shares_memory(model.train_x, model.rows)
-        assert np.shares_memory(model.train_sq, model.rows)
-        np.testing.assert_allclose(model.train_sq, np.sum(x * x, axis=1), rtol=1e-13)
+        np.testing.assert_allclose(model.rows[:, -1], np.sum(x * x, axis=1), rtol=1e-13)
+        assert model.sq_max == model.rows[:, -1].max()
 
     def test_k_out_of_range(self):
         ds = dataset_from_arrays(np.zeros((4, 64)), [0, 1, 0, 1])
@@ -229,6 +229,27 @@ def differential_cases(rng):
     # From near the origin only the model's term of the margin covers the
     # rounding of |t|^2, which is far larger than |q|^2.
     yield "ulp-near ties from the origin", near, np.vstack([np.zeros(64), near[:3] * 1e-9])
+    # Finite norms, but |t|^2 - 2 q.t overflows to inf for the first row:
+    # from 1e154 e0 every exact distance is inf, so the tie goes by index
+    # and the first row must stay a candidate.
+    axes = 1e154 * np.vstack([-np.eye(64)[:1], np.eye(64)[1:7]])
+    yield "|t|^2 - 2q.t overflows to inf", axes, 1e154 * np.eye(64)[:1]
+    # Finite norms, but 2 q.t overflows and the first row's value is -inf,
+    # far below the nearer rows' finite values.
+    line = 1e154 * np.outer([1.3, 0.8, 0.9, 0.7, 0.6, 0.5, 0.4], np.eye(64)[0])
+    with np.errstate(over="ignore"):
+        assert np.isfinite(np.sum(line ** 2, axis=1)).all()
+        assert np.isneginf(-2.0 * line[0] @ line[2])
+    yield "2q.t overflows to -inf", line, np.vstack([line[2], line[0] * (1.2 / 1.3)])
+    # |q|^2 + max|t|^2 is finite (3.56 s^2; doubles overflow at 4 s^2),
+    # but |t|^2 - 2 q.t overflows for rows 0, 4, 5 and 6 and not for 1-3.
+    # Every exact distance is inf, so the tie goes by index to row 0.
+    s = 2.0 ** 511
+    near_max = s * np.outer([-1.6, -1.2, -1.1, -1.05, -1.3, -1.4, -1.5], np.eye(64)[0])
+    with np.errstate(over="ignore"):
+        assert np.isfinite(s * s + np.sum(near_max ** 2, axis=1).max())
+        assert np.isinf(np.sqrt(np.sum((near_max - s * np.eye(64)[0]) ** 2, axis=1))).all()
+    yield "finite norms near the largest double", near_max, s * np.eye(64)[:1]
 
 
 class TestPerRowEquivalence:
