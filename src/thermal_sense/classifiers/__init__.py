@@ -1,5 +1,5 @@
 from .kernels import KernelSpec, kernel_matrix
-from .knn import KnnModel, predict_knn_batch, train_knn
+from .knn import KnnModel, predict_knn_batch, predict_knn_grid, train_knn
 from .nn import NnModel, TrainingParams, nn_gradient, predict_nn_batch, train_nn
 from .svm import SvmModel, predict_svm_batch, train_svm
 
@@ -9,6 +9,7 @@ __all__ = [
     "KnnModel",
     "train_knn",
     "predict_knn_batch",
+    "predict_knn_grid",
     "SvmModel",
     "train_svm",
     "predict_svm_batch",

@@ -21,11 +21,15 @@ The margin holds only while nothing overflows; a query whose
 |q|^2 + max|t|^2 is too large to rule that out keeps every row. When
 every query of a block has exactly k candidates, its neighbors are a
 reshape of the sorted candidates. A single query is a block of one on
-the same path.
+the same path. The neighbour lists at a smaller k are prefixes of those
+at a larger one, so predict_knn_grid serves several (k, weighting)
+settings on one set of rows from one search at their largest k;
+predict_knn_batch is its one-setting case.
 
 A block's votes are array operations over its (m, k) neighbor labels and
 distances, bit for bit the per-query vote. The uniform vote compares
-twice a row's label sum with k; distance votes with k >= 8 stay per
+a row's label sum with k / 2, and a vote's truth value is its label
+(PERSON is 1, NO_PERSON 0); distance votes with k >= 8 stay per
 query (see _MASKED_SUM_K).
 """
 
@@ -82,14 +86,7 @@ class KnnModel:
                 f"expected {len(self.train_y)} training rows, got shape {np.shape(self.train_x)}")
         if not np.isfinite(self.train_x).all():
             raise InvalidInputError("non-finite training feature value")
-        if self.weighting not in WEIGHTINGS:
-            raise InvalidInputError(f"unknown weighting {self.weighting!r}")
-        if isinstance(self.k, bool) or not isinstance(self.k, Integral):
-            raise InvalidInputError(f"k must be an integer, got {self.k!r}")
-        if not (1 <= self.k <= len(self.train_y)):
-            raise InvalidInputError(
-                f"k={self.k} out of range for {len(self.train_y)} training samples"
-            )
+        _check_setting(self.k, self.weighting, len(self.train_y))
         n, width = np.shape(self.train_x)
         rows = np.empty((n, width + 1))
         rows[:, :width] = self.train_x
@@ -99,6 +96,15 @@ class KnnModel:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "train_x", rows[:, :width])
         object.__setattr__(self, "sq_max", float(rows[:, width].max()))
+
+
+def _check_setting(k, weighting: str, n: int) -> None:
+    if weighting not in WEIGHTINGS:
+        raise InvalidInputError(f"unknown weighting {weighting!r}")
+    if isinstance(k, bool) or not isinstance(k, Integral):
+        raise InvalidInputError(f"k must be an integer, got {k!r}")
+    if not (1 <= k <= n):
+        raise InvalidInputError(f"k={k} out of range for {n} training samples")
 
 
 def train_knn(train: Dataset, k: int, weighting: str = "uniform") -> KnnModel:
@@ -120,7 +126,7 @@ def _votes(labels: np.ndarray, dists: np.ndarray, weighting: str) -> np.ndarray:
     """(m,) labels from the (m, k) labels (0/1) and distances of each query's neighbors."""
     k = labels.shape[1]
     if weighting == "uniform":  # labels are 0/1, so a row sum counts PERSON votes
-        return np.where(2 * labels.sum(axis=1) > k, PERSON, NO_PERSON)
+        return np.greater(labels.sum(axis=1), k / 2).astype(np.int64)
     # A zero or subnormal distance weighs inf; a row with an exact match is
     # decided by the exact matches alone.
     with np.errstate(divide="ignore", over="ignore"):
@@ -135,12 +141,13 @@ def _votes(labels: np.ndarray, dists: np.ndarray, weighting: str) -> np.ndarray:
     other_w = np.add.reduce(np.where(person, 0.0, weights), axis=1)
     wins = np.where(n_exact > 0, 2 * np.count_nonzero(exact & person, axis=1) > n_exact,
                     person_w > other_w)
-    return np.where(wins, PERSON, NO_PERSON)
+    return wins.astype(np.int64)
 
 
-def _candidates(model: KnnModel, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _candidates(model: KnnModel, q: np.ndarray,
+                k: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """(query, row) index pairs, by query, then row, that hold each query's k nearest rows."""
-    rows, k = model.rows, model.k
+    rows, k = model.rows, model.k if k is None else k
     width = rows.shape[1] - 1
     lhs = np.empty((len(q), width + 1))
     lhs[:, width] = 1.0
@@ -160,16 +167,23 @@ def _candidates(model: KnnModel, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return np.divmod(np.flatnonzero(~(approx > bound[:, None])), len(rows))
 
 
-def _nearest(model: KnnModel, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(m, k) indices and exact distances of each query's k nearest rows."""
-    qi, ti = _candidates(model, q)
+def _nearest(model: KnnModel, q: np.ndarray,
+             k: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(m, k) indices and exact distances of each query's k nearest rows (k: the model's).
+
+    The lists at a smaller k are prefixes of those at a larger one: both
+    hold the true nearest rows in (exact distance, stored index) order,
+    and the smaller k's candidates are a subset of the larger k's.
+    """
+    k = model.k if k is None else k
+    qi, ti = _candidates(model, q, k)
     d = np.sqrt(np.sum((model.train_x[ti] - q[qi]) ** 2, axis=1))
     order = np.lexsort((ti, d, qi))  # by query, then distance, then stored index
     # Every query has at least k candidates; keep the first k of each. All
     # have exactly k in 99% of the single queries of a served night, where
     # the reshape saves a few calls' overhead; ties send a block to
     # searchsorted.
-    m, k = len(q), model.k
+    m = len(q)
     if len(order) == m * k:
         top = order.reshape(m, k)
     else:
@@ -177,12 +191,35 @@ def _nearest(model: KnnModel, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ti[top], d[top]
 
 
+def predict_knn_grid(model: KnnModel, xs: np.ndarray, settings) -> np.ndarray:
+    """(n, d) queries -> (len(settings), n) 0/1 labels, one row per (k, weighting).
+
+    One neighbour search per block of queries, at the largest k of
+    `settings`, serves every setting: each votes on its k-prefix of the
+    neighbour lists (see _nearest), so its labels are those of a model
+    trained with that k and weighting on the same rows.
+    """
+    if not settings:
+        raise InvalidInputError("no (k, weighting) settings to predict")
+    for k, weighting in settings:
+        _check_setting(k, weighting, len(model.train_y))
+    return _predict(model, xs, settings, max(k for k, _ in settings))
+
+
 def predict_knn_batch(model: KnnModel, xs: np.ndarray) -> np.ndarray:
     """(n, d) queries -> (n,) 0/1 labels; a single query is a batch of one."""
+    return _predict(model, xs, ((model.k, model.weighting),), model.k)[0]
+
+
+def _predict(model: KnnModel, xs: np.ndarray, settings, top: int) -> np.ndarray:
+    """predict_knn_grid for checked settings whose largest k is top."""
     queries = query_rows(xs, model.train_x.shape[1])
     step = max(1, BLOCK // len(model.train_x))
-    out = np.empty(len(queries), dtype=np.int64)
+    out = np.empty((len(settings), len(queries)), dtype=np.int64)
     for start in range(0, len(queries), step):
-        idx, dists = _nearest(model, queries[start:start + step])
-        out[start:start + step] = _votes(model.train_y[idx], dists, model.weighting)
+        idx, dists = _nearest(model, queries[start:start + step], top)
+        labels = model.train_y[idx]
+        for row, (k, weighting) in zip(out, settings):  # slicing costs a single query 2%
+            row[start:start + step] = (_votes(labels, dists, weighting) if k == top
+                                       else _votes(labels[:, :k], dists[:, :k], weighting))
     return out

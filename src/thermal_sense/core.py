@@ -70,11 +70,11 @@ def quantize(raw) -> np.ndarray:
     arr = np.asarray(raw, dtype=np.float64)
     if arr.shape != (GRID_SIZE, GRID_SIZE):
         raise InvalidInputError(f"expected an 8x8 array, got shape {arr.shape}")
-    bad = ~np.isfinite(arr)
-    if bad.any():
-        r, c = np.argwhere(bad)[0]
+    if not np.isfinite(arr).all():
+        r, c = np.argwhere(~np.isfinite(arr))[0]
         raise InvalidInputError(f"non-finite value at pixel ({r}, {c})")
-    frame = np.clip(np.floor(arr * 4.0 + 0.5) / 4.0, TEMP_MIN_C, TEMP_MAX_C)
+    # np.clip's value on finite input, at less overhead
+    frame = np.minimum(np.maximum(np.floor(arr * 4.0 + 0.5) / 4.0, TEMP_MIN_C), TEMP_MAX_C)
     frame.flags.writeable = False
     return frame
 

@@ -9,12 +9,13 @@ are. Metrics whose denominator is zero are reported as None rather than
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .classifiers.kernels import KernelSpec
-from .classifiers.knn import KnnModel, predict_knn_batch, train_knn
+from .classifiers.knn import KnnModel, predict_knn_batch, predict_knn_grid, train_knn
 from .classifiers.nn import NnModel, TrainingParams, predict_nn_batch, train_nn
 from .classifiers.svm import MAX_PAIR_UPDATES, SvmModel, check_c, predict_svm_batch, train_svm
 from .core import CONDITIONS, ConditionTag, Dataset, FoldPlan, Label
@@ -210,23 +211,83 @@ def sweep(ds: Dataset, plan: FoldPlan, family: str, seed: int = 0,
           max_workers: int = 1) -> tuple[SweepRow, ...]:
     """One CvResult per configuration, all sharing the same fold plan.
 
-    Cells are independently seeded, so parallel evaluation returns
-    exactly the serial result.
+    Fold-major: one `cross_validate` drives the folds for the whole grid
+    (see _GridTrainer), so each fold's training subset is built once and
+    its k-NN models share one neighbour search. Each row equals
+    cross_validate(ds, plan, Trainer(spec, derive_seed(seed, index))),
+    for any max_workers (the specs of a fold train on that many threads).
+
+    Failures surface in fold order: of two specs failing in different
+    folds, the one failing in the earlier fold raises; within a fold,
+    the earlier spec's failure raises.
     """
     grid = specs if specs is not None else sweep_specs(family)
+    if not grid:
+        return ()
+    with ThreadPoolExecutor(max_workers) if max_workers > 1 else nullcontext() as pool:
+        trainer = _GridTrainer(grid, seed, ds.y, np.array(plan.assignment),
+                               map if pool is None else pool.map)
+        cross_validate(ds, plan, trainer)
+    return tuple(SweepRow(spec.label(), spec, CvResult.from_reports(reports))
+                 for spec, reports in zip(grid, trainer.reports))
 
-    def run_cell(item):
-        index, spec = item
-        result = cross_validate(ds, plan, Trainer(spec, derive_seed(seed, index)))
-        return SweepRow(spec.label(), spec, result)
 
-    items = list(enumerate(grid))
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            rows = list(pool.map(run_cell, items))
-    else:
-        rows = [run_cell(item) for item in items]
-    return tuple(rows)
+class _GridTrainer:
+    """A whole sweep grid as one trainer, so the grid's folds are cross_validate's.
+
+    The predictor `fit` returns does the fold's work once it has the
+    fold's test rows, so that each model predicts as soon as it is
+    trained (see _predict_fold); it records one report per spec and
+    returns the first spec's labels, so the cross-validation's own
+    result is the first row's.
+    """
+
+    def __init__(self, grid, seed: int, y: np.ndarray, assignment: np.ndarray, map_fn):
+        self.grid = grid
+        self.seeds = [derive_seed(seed, index) for index in range(len(grid))]
+        self.y = y
+        self.assignment = assignment
+        self.map = map_fn
+        self.reports: list[list[MetricsReport]] = [[] for _ in grid]
+
+    def fit(self, train: Dataset, fold: int):
+        return lambda xs: self._predict_fold(train, fold, xs)
+
+    def _predict_fold(self, train: Dataset, fold: int, xs) -> np.ndarray:
+        """Train every spec on the fold and record its report on the test rows xs.
+
+        A model other than k-NN predicts as soon as it is trained. The
+        k-NN models on the first k-NN model's rows and labels vote on
+        its one neighbour search with their own (k, weighting), noted as
+        each is dropped, so only the first is held (with threads, also
+        the models trained ahead of their turn); a k-NN model on other
+        rows searches on its own.
+        """
+        def fit_one(index):
+            model = self.grid[index].train_model(train, derive_seed(self.seeds[index], fold))
+            return index, model if isinstance(model, KnnModel) else predictor(model)(xs)
+
+        labels: list = [None] * len(self.grid)
+        shared, settings = None, {}  # the first k-NN model; index -> (k, weighting)
+        # (enumerate or zip would hold the last model in their reused result tuple)
+        for index, out in self.map(fit_one, range(len(self.grid))):
+            if not isinstance(out, KnnModel):
+                labels[index] = out
+            elif shared is None or (np.array_equal(out.rows, shared.rows)
+                                    and np.array_equal(out.train_y, shared.train_y)):
+                shared = out if shared is None else shared
+                settings[index] = (out.k, out.weighting)
+            else:
+                labels[index] = predictor(out)(xs)
+            del out  # before the next spec trains
+        if shared is not None:
+            grid_labels = predict_knn_grid(shared, xs, list(settings.values()))
+            for index, knn_labels in zip(settings, grid_labels):
+                labels[index] = knn_labels
+        truth = self.y[self.assignment == fold]
+        for reports, spec_labels in zip(self.reports, labels):
+            reports.append(MetricsReport.from_counts(confusion(spec_labels, truth)))
+        return labels[0]
 
 
 def evaluate_by_condition(model, ds: Dataset) -> tuple[MetricsReport, dict[ConditionTag, MetricsReport]]:

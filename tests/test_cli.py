@@ -2,7 +2,10 @@ import hashlib
 
 import pytest
 
+from thermal_sense import evaluate
+from thermal_sense.classifiers.nn import TrainingParams
 from thermal_sense.cli import run
+from thermal_sense.evaluate import KnnSpec, NnSpec
 from thermal_sense.persist import load_dataset, load_report
 
 P3 = ["--seed", "3"]
@@ -120,6 +123,13 @@ class TestSweep:
                        "--family", family, "--report", report, "--emit-plot-data", plot) == 0
             outputs.append((report.read_bytes(), plot.read_bytes()))
         assert outputs[0] == outputs[1]
+
+    def test_diverging_nn_exits_3(self, main_csv, monkeypatch, capsys):
+        diverging = NnSpec(8, TrainingParams(1e12, 8, 50))
+        monkeypatch.setattr(evaluate, "sweep_specs", lambda family: (KnnSpec(1), diverging))
+        assert cli("sweep", "--data", main_csv, "--folds", 5, "--seed", 7,
+                   "--family", "nn-widths") == 3
+        assert capsys.readouterr().err.startswith("error: loss diverged at epoch ")
 
     @pytest.mark.parametrize("value", ["abc", "0", "-1", ""])
     def test_bad_thread_count_is_usage_error(self, main_csv, monkeypatch, capsys, value):

@@ -1,10 +1,15 @@
+import weakref
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from thermal_sense import evaluate
 from thermal_sense.classifiers.kernels import KernelSpec
+from thermal_sense.classifiers.knn import KnnModel, train_knn
 from thermal_sense.classifiers.nn import TrainingParams
 from thermal_sense.core import CONDITIONS, ConditionTag, Dataset, FoldPlan, Label, make_folds
-from thermal_sense.errors import InvalidInputError, StratificationError
+from thermal_sense.errors import InvalidInputError, StratificationError, TrainingError
 from thermal_sense.evaluate import (
     ConfusionCounts,
     KnnSpec,
@@ -15,6 +20,7 @@ from thermal_sense.evaluate import (
     accuracy,
     confusion,
     cross_validate,
+    derive_seed,
     evaluate_by_condition,
     predictor,
     sensitivity,
@@ -22,6 +28,7 @@ from thermal_sense.evaluate import (
     sweep,
     sweep_specs,
 )
+from thermal_sense.simulate import generate_main
 
 from conftest import balanced_dataset, dataset_from_arrays
 from oracles import direct_count_metrics
@@ -188,6 +195,152 @@ class TestSweep:
         for index, row in enumerate(serial):
             lone = cross_validate(ds, plan, Trainer(row.spec, derive_seed(5, index)))
             assert lone == row.result
+
+
+class OtherTraining:
+    """A k-NN spec whose model trains on a changed copy of each fold's training set."""
+
+    def __init__(self, spec, change):
+        self.spec, self.change = spec, change
+
+    def label(self) -> str:
+        return f"{self.spec.label()} {self.change.__name__}"
+
+    def train_model(self, train, seed):
+        return train_knn(self.change(train), self.spec.k, self.spec.weighting)
+
+
+def without_row_0(train):
+    return train.subset(range(1, len(train)))
+
+
+def labels_flipped(train):
+    return Dataset(train.x, 1 - train.y, train.conditions, train.name)
+
+
+def rows_shifted(train):
+    return Dataset(train.x + 0.25, train.y, train.conditions, train.name)
+
+
+class LiveModels:
+    """Wraps specs; records how many k-NN models are alive as each spec trains."""
+
+    def __init__(self):
+        self.models = []
+        self.alive_at_fit = []
+
+    def wrap(self, spec):
+        tracker = self
+
+        class Tracked:
+            def label(self):
+                return spec.label()
+
+            def train_model(self, train, seed):
+                tracker.alive_at_fit.append(sum(ref() is not None for ref in tracker.models))
+                model = spec.train_model(train, seed)
+                if isinstance(model, KnnModel):
+                    tracker.models.append(weakref.ref(model))
+                return model
+
+        return Tracked()
+
+
+class TestFoldMajorSweep:
+    """The fold-major sweep against one standalone cross-validation per spec."""
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        ds = generate_main(60, 7)  # quarter degrees: many exact distance ties
+        return ds, make_folds(ds, 5, 7)
+
+    @pytest.fixture(scope="class")
+    def shuffled(self, data):
+        """The same rows with shuffled labels, so that neighbours disagree."""
+        ds, _ = data
+        y = np.random.default_rng(2).permutation(ds.y)
+        shuffled = Dataset(ds.x, y, ds.conditions, "shuffled")
+        return shuffled, make_folds(shuffled, 5, 7)
+
+    @staticmethod
+    def assert_rows_are_standalone_cvs(ds, plan, rows, specs, seed):
+        assert [row.spec for row in rows] == list(specs)
+        for index, (row, spec) in enumerate(zip(rows, specs)):
+            assert row.label == spec.label()
+            assert row.result == cross_validate(ds, plan, Trainer(spec, derive_seed(seed, index)))
+
+    @pytest.mark.parametrize("family", evaluate.SWEEP_FAMILIES)
+    def test_every_family(self, data, family):
+        ds, plan = data
+        specs = sweep_specs(family)
+        if family == "nn-widths":  # the family's widths at 20 epochs, to stay fast
+            specs = tuple(NnSpec(spec.hidden, TrainingParams(epochs=20)) for spec in specs)
+            rows = sweep(ds, plan, family, seed=11, specs=specs)
+        else:
+            rows = sweep(ds, plan, family, seed=11)
+        self.assert_rows_are_standalone_cvs(ds, plan, rows, specs, 11)
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("labels", ["data", "shuffled"])
+    def test_mixed_specs(self, request, labels, workers):
+        ds, plan = request.getfixturevalue(labels)
+        specs = (SvmSpec(), KnnSpec(3, "distance"), NnSpec(4, TrainingParams(0.05, 8, 10)),
+                 KnnSpec(3, "distance"), KnnSpec(1), KnnSpec(9, "distance"),
+                 SvmSpec(KernelSpec("rbf")))
+        with mock.patch.object(evaluate, "predict_knn_grid",
+                               wraps=evaluate.predict_knn_grid) as grid:
+            rows = sweep(ds, plan, "mixed", seed=3, specs=specs, max_workers=workers)
+        # one search per fold serves all four k-NN specs, k = 9 (a per-query vote) included
+        assert grid.call_count == plan.num_folds
+        shared = [(3, "distance"), (3, "distance"), (1, "uniform"), (9, "distance")]
+        assert all(call.args[2] == shared for call in grid.call_args_list)
+        self.assert_rows_are_standalone_cvs(ds, plan, rows, specs, 3)
+
+    @pytest.mark.parametrize("change", [without_row_0, labels_flipped, rows_shifted])
+    def test_model_on_other_training_searches_alone(self, shuffled, change):
+        ds, plan = shuffled
+        specs = (KnnSpec(1), OtherTraining(KnnSpec(3), change), KnnSpec(5, "distance"))
+        with mock.patch.object(evaluate, "predict_knn_batch",
+                               wraps=evaluate.predict_knn_batch) as alone:
+            rows = sweep(ds, plan, "mixed", seed=3, specs=specs)
+        assert alone.call_count == plan.num_folds
+        assert all(call.args[0].k == 3 for call in alone.call_args_list)
+        self.assert_rows_are_standalone_cvs(ds, plan, rows, specs, 3)
+
+    def test_holds_one_knn_model_while_the_next_trains(self, data):
+        ds, plan = data
+        live = LiveModels()
+        sweep(ds, plan, "knn-grid", seed=3, specs=tuple(map(live.wrap, sweep_specs("knn-grid"))))
+        # the fold's first model, kept for the search; later ones go once noted
+        assert max(live.alive_at_fit) == 1
+
+    def test_diverging_nn_raises_its_training_error(self, data):
+        ds, plan = data
+        diverging = NnSpec(8, TrainingParams(1e12, 8, 50))
+        with pytest.raises(TrainingError) as alone:
+            cross_validate(ds, plan, Trainer(diverging, derive_seed(0, 1)))
+        assert str(alone.value).startswith("loss diverged at epoch ")
+        with pytest.raises(TrainingError, match=f"^{alone.value}$"):
+            sweep(ds, plan, "mixed", specs=(KnnSpec(1), diverging, SvmSpec()))
+
+    def test_failure_in_an_earlier_fold_raises_first(self, data):
+        ds, plan = data
+
+        class FailsInFold:
+            def __init__(self, fold):
+                self.fold, self.calls = fold, 0
+
+            def label(self):
+                return f"fails in fold {self.fold}"
+
+            def train_model(self, train, seed):
+                self.calls += 1
+                if self.calls > self.fold:
+                    raise TrainingError(f"fold {self.fold}")
+                return KnnSpec(1).train_model(train, seed)
+
+        with pytest.raises(TrainingError, match="^fold 1$"):
+            sweep(ds, plan, "mixed", specs=(FailsInFold(3), FailsInFold(1)))
 
 
 class TestEvaluateByCondition:

@@ -7,7 +7,13 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from thermal_sense.classifiers import knn
-from thermal_sense.classifiers.knn import WEIGHTINGS, KnnModel, predict_knn_batch, train_knn
+from thermal_sense.classifiers.knn import (
+    WEIGHTINGS,
+    KnnModel,
+    predict_knn_batch,
+    predict_knn_grid,
+    train_knn,
+)
 from thermal_sense.core import Label, make_folds
 from thermal_sense.errors import InvalidInputError
 from thermal_sense.simulate import generate_main
@@ -352,6 +358,68 @@ class TestCandidates:
         qi, ti = knn._candidates(KnnModel(x, y, k, "uniform"), queries)
         assert np.array_equal(qi, np.concatenate(want_q))
         assert np.array_equal(ti, np.concatenate(want_t))
+
+
+GRID_SETTINGS = tuple((k, w) for k in (1, 3, 5, 7) for w in WEIGHTINGS)
+
+
+class TestSharedSearch:
+    """One search at the largest k serves every smaller k."""
+
+    @staticmethod
+    def assert_prefixes(x, y, queries, top=7):
+        top = min(top, len(x))
+        model = KnnModel(x, y, top, "uniform")
+        idx, dists = knn._nearest(model, queries)
+        for k in range(1, top):
+            idx_k, dists_k = knn._nearest(model, queries, k)
+            assert np.array_equal(idx_k, idx[:, :k]), k
+            assert np.array_equal(dists_k, dists[:, :k]), k
+            assert np.array_equal(idx_k, knn._nearest(KnnModel(x, y, k, "uniform"), queries)[0]), k
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_prefixes_on_stress_cases(self, rng):
+        for name, x, queries in differential_cases(rng):
+            try:
+                self.assert_prefixes(x, rng.integers(0, 2, len(x)), queries)
+            except AssertionError as exc:
+                raise AssertionError(f"{name}: {exc}") from None
+
+    def test_prefixes_on_a_quantized_fold(self, main_fold):
+        x, y, queries = main_fold
+        self.assert_prefixes(x, y, queries)
+
+    def test_one_setting_is_the_batch_prediction(self, main_fold, rng):
+        x, _, queries = main_fold
+        y = rng.integers(0, 2, len(x))  # random labels, so neighbours disagree
+        for k, weighting in GRID_SETTINGS:
+            model = KnnModel(x, y, k, weighting)
+            got = predict_knn_grid(model, queries, [(k, weighting)])
+            assert got.shape == (1, len(queries))
+            assert np.array_equal(got[0], predict_knn_batch(model, queries)), (k, weighting)
+
+    @pytest.mark.parametrize("per_block", [1, 5, 192])
+    def test_every_setting_from_one_model(self, main_fold, rng, per_block):
+        # the model's own k and weighting play no part
+        x, _, queries = main_fold
+        y = rng.integers(0, 2, len(x))
+        with mock.patch.object(knn, "BLOCK", per_block * len(x)):
+            got = predict_knn_grid(KnnModel(x, y, 2, "distance"), queries, GRID_SETTINGS)
+            for row, (k, weighting) in zip(got, GRID_SETTINGS):
+                want = predict_knn_batch(KnnModel(x, y, k, weighting), queries)
+                assert np.array_equal(row, want), (k, weighting)
+
+    @pytest.mark.parametrize("settings, message", [
+        ([], "no .k, weighting. settings"),
+        ([(1, "uniform"), (0, "uniform")], "k=0 out of range"),
+        ([(11, "uniform")], "k=11 out of range for 10 training samples"),
+        ([(2.0, "uniform")], "k must be an integer"),
+        ([(1, "cosine")], "unknown weighting 'cosine'"),
+    ])
+    def test_bad_settings(self, settings, message):
+        model = KnnModel(np.zeros((10, 64)), np.zeros(10, dtype=int), 1, "uniform")
+        with pytest.raises(InvalidInputError, match=message):
+            predict_knn_grid(model, np.zeros((1, 64)), settings)
 
 
 @st.composite
