@@ -7,29 +7,32 @@ Deterministic tie handling, documented once here:
     the zero-distance neighbors wins outright.
 
 Search is exact filter-and-refine. A model stores its rows and their
-squared norms as one read-only (n, 65) matrix [t | |t|^2], of which
-train_x is a view. One matrix product of [-2q | 1] against it per block
-of queries gives |t|^2 - 2 q.t, a query's squared distances less its
-|q|^2: the same for every row of a query, so dropping it moves no row's
-rank, and scaling by -2 is exact. Every row within a rounding margin of
-a query's k-th smallest value (the row minimum when k = 1) is a
-candidate, and only candidates get the exact per-row distance
-sqrt(sum((t - q)^2)). The margin bounds the error of both forms, so the
-true k nearest rows, all rows tied with the k-th included, are always
-candidates: labels are those of a full sort of the exact distances.
-The margin holds only while nothing overflows; a query whose
-|q|^2 + max|t|^2 is too large to rule that out keeps every row. When
-every query of a block has exactly k candidates, its neighbors are a
-reshape of the sorted candidates. A single query is a block of one on
-the same path. The neighbour lists at a smaller k are prefixes of those
-at a larger one, so predict_knn_grid serves several (k, weighting)
-settings on one set of rows from one search at their largest k;
-predict_knn_batch is its one-setting case.
+squared norms as one read-only C-contiguous (65, n) matrix
+[t | |t|^2]^T, of which train_x is a view. One matrix product of
+[-2q | 1] against it per block of queries gives |t|^2 - 2 q.t, a
+query's squared distances less its |q|^2: the same for every row of a
+query, so dropping it moves no row's rank, and scaling by -2 is exact.
+Every row within a rounding margin of a query's k-th smallest value
+(the row minimum when k = 1) is a candidate, and only candidates get
+the exact per-row distance sqrt(sum((t - q)^2)). The margin bounds the
+error of both forms, so the true k nearest rows, all rows tied with the
+k-th included, are always candidates: labels are those of a full sort
+of the exact distances. The margin holds only while nothing overflows;
+a query whose |q|^2 + max|t|^2 is too large to rule that out keeps
+every row. When every query of a block has exactly k candidates, its
+neighbors are its candidates (k = 1) or a reshape of the sorted
+candidates. A single query is a block of one on the same path. The
+neighbour lists at a smaller k are prefixes of those at a larger one,
+so predict_knn_grid serves several (k, weighting) settings on one set
+of rows from one search at their largest k; predict_knn_batch is its
+one-setting case.
 
 A block's votes are array operations over its (m, k) neighbor labels and
 distances, bit for bit the per-query vote. The uniform vote compares
 a row's label sum with k / 2, and a vote's truth value is its label
-(PERSON is 1, NO_PERSON 0); distance votes with k >= 8 stay per
+(PERSON is 1, NO_PERSON 0), so a uniform 1-NN votes its neighbour's
+label; not so with distance weights, where a neighbour at distance inf
+weighs 0 and the vote is NO_PERSON. Distance votes with k >= 8 stay per
 query (see _MASKED_SUM_K).
 """
 
@@ -72,7 +75,7 @@ class KnnModel:
     train_y: np.ndarray  # (n,) 0/1
     k: int
     weighting: str
-    rows: np.ndarray = field(init=False, repr=False)  # (n, 65) read-only [t | |t|^2]
+    rows: np.ndarray = field(init=False, repr=False)  # (65, n) read-only [t | |t|^2]^T
     sq_max: float = field(init=False, repr=False)  # max |t|^2, inf if a row's overflows
 
     def __post_init__(self) -> None:
@@ -88,14 +91,14 @@ class KnnModel:
             raise InvalidInputError("non-finite training feature value")
         _check_setting(self.k, self.weighting, len(self.train_y))
         n, width = np.shape(self.train_x)
-        rows = np.empty((n, width + 1))
-        rows[:, :width] = self.train_x
+        rows = np.empty((width + 1, n))
+        rows[:width] = np.transpose(self.train_x)
         with np.errstate(over="ignore"):
-            np.einsum("ij,ij->i", rows[:, :width], rows[:, :width], out=rows[:, width])
+            np.einsum("ji,ji->i", rows[:width], rows[:width], out=rows[width])
         rows.flags.writeable = False  # before the view, which inherits it
         object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "train_x", rows[:, :width])
-        object.__setattr__(self, "sq_max", float(rows[:, width].max()))
+        object.__setattr__(self, "train_x", rows[:width].T)
+        object.__setattr__(self, "sq_max", float(rows[width].max()))
 
 
 def _check_setting(k, weighting: str, n: int) -> None:
@@ -126,6 +129,8 @@ def _votes(labels: np.ndarray, dists: np.ndarray, weighting: str) -> np.ndarray:
     """(m,) labels from the (m, k) labels (0/1) and distances of each query's neighbors."""
     k = labels.shape[1]
     if weighting == "uniform":  # labels are 0/1, so a row sum counts PERSON votes
+        if k == 1:  # the neighbour's label
+            return labels[:, 0]
         return np.greater(labels.sum(axis=1), k / 2).astype(np.int64)
     # A zero or subnormal distance weighs inf; a row with an exact match is
     # decided by the exact matches alone.
@@ -144,27 +149,27 @@ def _votes(labels: np.ndarray, dists: np.ndarray, weighting: str) -> np.ndarray:
     return wins.astype(np.int64)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # only in queries that keep every row
 def _candidates(model: KnnModel, q: np.ndarray,
                 k: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """(query, row) index pairs, by query, then row, that hold each query's k nearest rows."""
     rows, k = model.rows, model.k if k is None else k
-    width = rows.shape[1] - 1
+    width = len(rows) - 1
     lhs = np.empty((len(q), width + 1))
     lhs[:, width] = 1.0
-    with np.errstate(over="ignore", invalid="ignore"):  # only in queries that keep every row
-        np.multiply(q, -2.0, out=lhs[:, :width])
-        approx = lhs @ rows.T  # |t|^2 - 2 q.t, each query's distances less its |q|^2
-        kth = (np.fmin.reduce(approx, axis=1) if k == 1
-               else np.partition(approx, k - 1, axis=1)[:, k - 1])
-        # |-2q|^2 = 4 |q|^2; then 4 * (|q|^2 + max|t|^2) + the floor's share
-        margin = np.einsum("ij,ij->i", lhs[:, :width], lhs[:, :width])
-        margin += 4.0 * (model.sq_max + _MARGIN_FLOOR / _MARGIN)
-        margin *= 0.5 * _MARGIN  # 2 * (_MARGIN * (|q|^2 + max|t|^2) + _MARGIN_FLOOR)
-        bound = kth + margin
+    neg2q = np.multiply(q, -2.0, out=lhs[:, :width])
+    approx = lhs @ rows  # |t|^2 - 2 q.t, each query's distances less its |q|^2
+    kth = (np.fmin.reduce(approx, axis=1) if k == 1
+           else np.partition(approx, k - 1, axis=1)[:, k - 1])
+    # |-2q|^2 = 4 |q|^2, so the margin is 2 * (_MARGIN * (|q|^2 + max|t|^2)
+    # + _MARGIN_FLOOR). (On a block of one, operations that return a new
+    # array cost less than in-place ones.)
+    bound = kth + (np.vecdot(neg2q, neg2q)
+                   + 4.0 * (model.sq_max + _MARGIN_FLOOR / _MARGIN)) * (0.5 * _MARGIN)
     # The negated test keeps every row, NaN entries included, of a query
-    # whose margin is inf (its bound inf or NaN). Flat indices in C order
-    # are the (query, row) pairs by query, then row.
-    return np.divmod(np.flatnonzero(~(approx > bound[:, None])), len(rows))
+    # whose margin is inf (its bound inf or NaN). nonzero lists the pairs
+    # in C order: by query, then row.
+    return np.nonzero(~(approx > bound[:, None]))
 
 
 def _nearest(model: KnnModel, q: np.ndarray,
@@ -177,13 +182,18 @@ def _nearest(model: KnnModel, q: np.ndarray,
     """
     k = model.k if k is None else k
     qi, ti = _candidates(model, q, k)
-    d = np.sqrt(np.sum((model.train_x[ti] - q[qi]) ** 2, axis=1))
-    order = np.lexsort((ti, d, qi))  # by query, then distance, then stored index
     # Every query has at least k candidates; keep the first k of each. All
-    # have exactly k in 99% of the single queries of a served night, where
-    # the reshape saves a few calls' overhead; ties send a block to
-    # searchsorted.
+    # have exactly k in 99% of the single queries of a served night. At
+    # k = 1 those are the neighbours, one per query in query order;
+    # otherwise the sorted candidates reshape to them. Ties send a block
+    # to searchsorted.
     m = len(q)
+    one_each = k == 1 and len(ti) == m
+    diff = model.train_x[ti] - (q if one_each else q[qi])
+    d = np.sqrt(np.add.reduce(np.square(diff, out=diff), axis=1))
+    if one_each:
+        return ti[:, None], d[:, None]
+    order = np.lexsort((ti, d, qi))  # by query, then distance, then stored index
     if len(order) == m * k:
         top = order.reshape(m, k)
     else:

@@ -12,7 +12,6 @@ import argparse
 import math
 import os
 import sys
-from pathlib import Path
 
 from . import __version__
 from .classifiers.kernels import KERNEL_KINDS, KernelSpec
@@ -43,6 +42,7 @@ from .persist import (
     atomic_write_text,
     load_dataset,
     load_model,
+    read_text,
     save_dataset,
     save_model,
     save_report,
@@ -246,8 +246,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 
 def _read_trace(path) -> list[tuple[float, Label]]:
-    text = Path(path).read_text(encoding="utf-8")
-    lines = text.splitlines()
+    lines = read_text(path).splitlines()
     if not lines or lines[0] != "timestamp,label":
         raise DataFormatError(f"{path}:1: expected header 'timestamp,label'")
     trace: list[tuple[float, Label]] = []

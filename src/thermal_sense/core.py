@@ -73,8 +73,10 @@ def quantize(raw) -> np.ndarray:
     if not np.isfinite(arr).all():
         r, c = np.argwhere(~np.isfinite(arr))[0]
         raise InvalidInputError(f"non-finite value at pixel ({r}, {c})")
-    # np.clip's value on finite input, at less overhead
-    frame = np.minimum(np.maximum(np.floor(arr * 4.0 + 0.5) / 4.0, TEMP_MIN_C), TEMP_MAX_C)
+    # Clamped (np.clip's value, at less overhead), then rounded: 20 and 100
+    # are on the grid, so this is rounding then clamping bit for bit, and
+    # the scaling of a pixel near the largest double cannot overflow.
+    frame = np.floor(np.minimum(np.maximum(arr, TEMP_MIN_C), TEMP_MAX_C) * 4.0 + 0.5) / 4.0
     frame.flags.writeable = False
     return frame
 

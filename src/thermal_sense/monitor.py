@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from numbers import Integral
+from typing import NamedTuple
 
 from .core import Label
 from .errors import ConfigError, StreamError
@@ -63,8 +64,9 @@ class MonitorConfig:
             raise ConfigError(f"window_s must be finite and > 0, got {self.window_s!r}")
 
 
-@dataclass(frozen=True)
-class MonitorState:
+class MonitorState(NamedTuple):
+    """The machine's state between frames (a NamedTuple: immutable and cheap to build)."""
+
     current: Occupancy = Occupancy.UNKNOWN
     since: float | None = None
     candidate: Occupancy | None = None
@@ -118,7 +120,6 @@ def step(state: MonitorState, label: Label, ts: float,
         events.append(Event(ts, EventKind.BED_EXIT))
         fired = True
 
-    # One constructor call: dataclasses.replace costs about twice as much.
     return MonitorState(current, since, candidate, debounce, exit_times, ts, fired,
                         frequent_alerted), events
 

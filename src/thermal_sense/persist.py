@@ -86,6 +86,15 @@ def atomic_write_text(path, text: str) -> None:
         raise
 
 
+def read_text(path) -> str:
+    """A file's text, or DataFormatError naming the line of its first byte that is not UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:  # exc.start: an offset into the whole file
+        line = Path(path).read_bytes().count(b"\n", 0, exc.start) + 1
+        raise DataFormatError(f"{path}:{line}: not UTF-8 text") from None
+
+
 def _fmt(value: float) -> str:
     return repr(float(value))
 
@@ -244,7 +253,7 @@ def dataset_from_csv(text: str, name: str, path="<memory>") -> Dataset:
 
 
 def load_dataset(path, name: str | None = None) -> Dataset:
-    text = Path(path).read_text(encoding="utf-8")
+    text = read_text(path)
     return dataset_from_csv(text, name if name is not None else Path(path).stem, path)
 
 
@@ -318,7 +327,7 @@ def _check_version(lines: list[str], supported: int, path) -> None:
 
 
 def load_fold_plan(path) -> FoldPlan:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = read_text(path).splitlines()
     _check_version(lines, FOLD_PLAN_FORMAT_VERSION, path)
     if _read_header_line(lines, 1, "artifact", path) != "fold-plan":
         raise DataFormatError(f"{path}:2: not a fold-plan file")
@@ -401,7 +410,7 @@ def _nn_to_text(model: NnModel) -> str:
 
 
 def load_model(path):
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = read_text(path).splitlines()
     _check_version(lines, MODEL_FORMAT_VERSION, path)
     kind = _read_header_line(lines, 1, "model-kind", path)
     if kind == "knn":
@@ -540,7 +549,7 @@ def save_report(report: dict, path) -> None:
 
 def load_report(path) -> dict:
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        payload = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(payload, dict):

@@ -34,6 +34,7 @@ from .core import (
     quantize,
 )
 from .errors import ConfigError, DataFormatError, InvalidInputError
+from .persist import read_text
 
 DEFAULT_DUVET_F0 = 0.35
 DEFAULT_DUVET_TAU_MIN = 4.0
@@ -200,21 +201,20 @@ def load_sim_params(path) -> SimParams:
     """Read SimParams overrides from a flat key=value file ('#' comments)."""
     known = {f.name for f in fields(SimParams)}
     overrides: dict[str, float] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.split("#", 1)[0].strip()
-            if not stripped:
-                continue
-            if "=" not in stripped:
-                raise DataFormatError(f"{path}:{lineno}: expected key=value")
-            key, _, value = stripped.partition("=")
-            key = key.strip()
-            if key not in known:
-                raise DataFormatError(f"{path}:{lineno}: unknown parameter {key!r}")
-            try:
-                overrides[key] = float(value.strip())
-            except ValueError:
-                raise DataFormatError(f"{path}:{lineno}: bad value for {key!r}") from None
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+        stripped = line.split("#", 1)[0].strip()
+        if not stripped:
+            continue
+        if "=" not in stripped:
+            raise DataFormatError(f"{path}:{lineno}: expected key=value")
+        key, _, value = stripped.partition("=")
+        key = key.strip()
+        if key not in known:
+            raise DataFormatError(f"{path}:{lineno}: unknown parameter {key!r}")
+        try:
+            overrides[key] = float(value.strip())
+        except ValueError:
+            raise DataFormatError(f"{path}:{lineno}: bad value for {key!r}") from None
     return replace(SimParams(), **overrides)
 
 

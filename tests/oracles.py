@@ -9,8 +9,20 @@ import math
 from fractions import Fraction
 
 
-def brute_force_knn(train_x, train_y, k, weighting, query):
-    """Reference k-NN: full sort of (distance, index), explicit vote recount."""
+def reference_quantize(raw):
+    """Reference sensor quantizer: the library's first formula, one expression.
+
+    Round to the nearest quarter degree with midpoints up, floor(a*4 + 0.5) / 4,
+    then clamp to [20, 100]. Finite input only.
+    """
+    import numpy as np
+
+    a = np.asarray(raw, dtype=np.float64)
+    return np.minimum(np.maximum(np.floor(a * 4.0 + 0.5) / 4.0, 20.0), 100.0)
+
+
+def brute_force_neighbours(train_x, query):
+    """Every (distance, index) pair of the training rows, sorted by distance, then index."""
     dists = []
     for i, row in enumerate(train_x):
         total = 0.0
@@ -18,7 +30,17 @@ def brute_force_knn(train_x, train_y, k, weighting, query):
             total += (a - b) ** 2
         dists.append((math.sqrt(total), i))
     dists.sort(key=lambda pair: (pair[0], pair[1]))
-    top = dists[:k]
+    return dists
+
+
+def brute_force_knn(train_x, train_y, k, weighting, query, neighbours=None):
+    """Reference k-NN: full sort of (distance, index), explicit vote recount.
+
+    `neighbours`, if given, is brute_force_neighbours(train_x, query).
+    """
+    if neighbours is None:
+        neighbours = brute_force_neighbours(train_x, query)
+    top = neighbours[:k]
 
     if weighting == "distance" and any(d == 0.0 for d, _ in top):
         zero_labels = [train_y[i] for d, i in top if d == 0.0]

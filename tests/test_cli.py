@@ -330,6 +330,33 @@ class TestMonitorCommand:
         assert not out.exists()
 
 
+class TestNonUtf8Input:
+    """Every file a command reads fails with exit 2 and `file:line`, not a traceback."""
+
+    @pytest.mark.parametrize("args", [
+        ["simulate", "main", "--seed", 1, "--out", "OUT", "--params", "BAD"],
+        ["split", "--data", "BAD", "--seed", 1, "--train-out", "OUT", "--test-out", "OUT2"],
+        ["cv", "--data", "BAD", "--seed", 1, "--model", "knn"],
+        ["sweep", "--data", "BAD", "--seed", 1, "--family", "knn-grid"],
+        ["train", "--data", "BAD", "--seed", 1, "--model", "knn", "--out", "OUT"],
+        ["eval", "--model", "BAD", "--data", "DATA"],
+        ["eval", "--model", "MODEL", "--data", "BAD"],
+        ["predict", "--model", "BAD", "--data", "DATA", "--out", "OUT"],
+        ["predict", "--model", "MODEL", "--data", "BAD", "--out", "OUT"],
+        ["monitor", "--input", "BAD", "--out", "OUT"],
+    ], ids=lambda args: f"{args[0]}-{args[args.index('BAD') - 1].lstrip('-')}")
+    def test_exits_2_naming_the_line(self, main_csv, tmp_path, capsys, args):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes("timestamp,label\n1.0,pers\xe9on\n".encode("latin-1"))
+        model = tmp_path / "m.model"
+        assert cli("train", "--data", main_csv, "--seed", 1, "--model", "knn", "--out", model) == 0
+        paths = {"BAD": bad, "DATA": main_csv, "MODEL": model,
+                 "OUT": tmp_path / "out", "OUT2": tmp_path / "out2"}
+        capsys.readouterr()
+        assert cli(*(paths.get(a, a) for a in args)) == 2
+        assert capsys.readouterr().err == f"error: {bad}:2: not UTF-8 text\n"
+
+
 class TestExitCodes:
     def test_unknown_subcommand(self):
         assert cli("bogus") == 1

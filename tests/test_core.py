@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from thermal_sense.core import (
     ConditionTag,
@@ -16,9 +19,21 @@ from thermal_sense.core import (
 from thermal_sense.errors import InvalidInputError, StratificationError
 
 from conftest import balanced_dataset, dataset_from_arrays
+from oracles import reference_quantize
 
 quarter_temps = st.integers(80, 400).map(lambda q: q / 4.0)
 raw_pixels = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+# Finite pixels the quantizer must round exactly as the reference does:
+# eighths (x.125, x.375, ... are the midpoints), values either side of the
+# clamp, any finite double, and magnitudes near the largest double, whose
+# scaling by 4 overflows.
+oracle_pixels = st.one_of(
+    st.integers(-80, 960).map(lambda e: e / 8.0),
+    st.floats(min_value=-50.0, max_value=150.0),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=1e307, max_value=np.finfo(np.float64).max),
+    st.floats(min_value=-np.finfo(np.float64).max, max_value=-1e307),
+)
 
 
 def frame_of(value):
@@ -50,6 +65,24 @@ class TestQuantize:
     def test_wrong_shape(self):
         with pytest.raises(InvalidInputError):
             quantize(np.zeros((4, 4)))
+
+    @given(hnp.arrays(np.float64, (8, 8), elements=oracle_pixels))
+    def test_matches_the_reference_bit_for_bit(self, arr):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow warning from finite pixels
+            frame = quantize(arr)
+        with np.errstate(over="ignore"):
+            assert frame.tobytes() == reference_quantize(arr).tobytes()
+
+    @given(hnp.arrays(np.float64, (8, 8), elements=oracle_pixels),
+           st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7),
+                              st.sampled_from([np.nan, np.inf, -np.inf])), min_size=1, max_size=4))
+    def test_non_finite_names_the_first_pixel(self, arr, bad):
+        for r, c, value in bad:
+            arr[r, c] = value
+        r, c = min((r, c) for r, c, _ in bad)
+        with pytest.raises(InvalidInputError, match=rf"^non-finite value at pixel \({r}, {c}\)$"):
+            quantize(arr)
 
     @given(st.lists(raw_pixels, min_size=64, max_size=64))
     def test_idempotent_and_in_range(self, values):

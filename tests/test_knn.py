@@ -14,12 +14,12 @@ from thermal_sense.classifiers.knn import (
     predict_knn_grid,
     train_knn,
 )
-from thermal_sense.core import Label, make_folds
+from thermal_sense.core import Label, flatten, make_folds, quantize
 from thermal_sense.errors import InvalidInputError
-from thermal_sense.simulate import generate_main
+from thermal_sense.simulate import generate_main, generate_variational
 
 from conftest import dataset_from_arrays
-from oracles import brute_force_knn, per_row_knn, per_row_vote
+from oracles import brute_force_knn, brute_force_neighbours, per_row_knn, per_row_vote
 
 
 def predict_one(model, x):
@@ -40,11 +40,12 @@ class TestTrain:
         assert np.array_equal(model.train_x, x)
         assert np.array_equal(model.train_y, y)
         assert not model.train_x.flags.writeable
-        # one (n, 65) matrix [x | |x|^2], of which train_x is a view
-        assert model.rows.shape == (10, 65) and not model.rows.flags.writeable
+        # one C-contiguous (65, n) matrix [x | |x|^2]^T, of which train_x is a view
+        assert model.rows.shape == (65, 10) and not model.rows.flags.writeable
+        assert model.rows.flags.c_contiguous
         assert np.shares_memory(model.train_x, model.rows)
-        np.testing.assert_allclose(model.rows[:, -1], np.sum(x * x, axis=1), rtol=1e-13)
-        assert model.sq_max == model.rows[:, -1].max()
+        np.testing.assert_allclose(model.rows[-1], np.sum(x * x, axis=1), rtol=1e-13)
+        assert model.sq_max == model.rows[-1].max()
 
     def test_k_out_of_range(self):
         ds = dataset_from_arrays(np.zeros((4, 64)), [0, 1, 0, 1])
@@ -358,6 +359,39 @@ class TestCandidates:
         qi, ti = knn._candidates(KnnModel(x, y, k, "uniform"), queries)
         assert np.array_equal(qi, np.concatenate(want_q))
         assert np.array_equal(ti, np.concatenate(want_t))
+
+
+@pytest.fixture(scope="module")
+def served_stream():
+    """A training set and a stream of frames quantized one at a time, each
+    with its brute-force neighbour list. The main(120) frames are training
+    rows too (the same seed), so some neighbours are at distance 0."""
+    train = generate_main(240, 7)
+    frames = np.vstack([generate_main(120, 7).x, generate_variational(30, 7).x])
+    queries = np.array([flatten(quantize(f.reshape(8, 8))) for f in frames])
+    return train, queries, [brute_force_neighbours(train.x.tolist(), q.tolist()) for q in queries]
+
+
+class TestSingleQueryStream:
+    """Each frame of a stream predicted alone, as a bedside monitor serves it."""
+
+    @pytest.mark.parametrize("k, weighting", [(1, "uniform"), (1, "distance"), (3, "uniform")])
+    def test_each_frame_alone_matches_the_batch_and_brute_force(self, served_stream, k,
+                                                                   weighting):
+        train, queries, neighbours = served_stream
+        model = train_knn(train, k, weighting)
+        batch = predict_knn_batch(model, queries)
+        batch_idx, batch_d = knn._nearest(model, queries)
+        if k == 1:  # most frames have one candidate (no sort), a few tie (sorted)
+            counts = [len(knn._candidates(model, q[None, :])[1]) for q in queries]
+            assert 0 < sum(c > 1 for c in counts) < len(queries) // 10
+        y = train.y.tolist()
+        for i, (q, nearest) in enumerate(zip(queries, neighbours)):
+            assert predict_knn_batch(model, q[None, :]).tolist() == [batch[i]], i
+            assert batch[i] == brute_force_knn(None, y, k, weighting, q, nearest), i
+            idx, d = knn._nearest(model, q[None, :])
+            assert idx.tolist() == [batch_idx[i].tolist()] == [[j for _, j in nearest[:k]]], i
+            assert d.tolist() == [batch_d[i].tolist()] == [[dist for dist, _ in nearest[:k]]], i
 
 
 GRID_SETTINGS = tuple((k, w) for k in (1, 3, 5, 7) for w in WEIGHTINGS)

@@ -23,13 +23,14 @@ from thermal_sense.persist import (
     load_model,
     load_report,
     model_to_text,
+    read_text,
     report_to_text,
     save_dataset,
     save_fold_plan,
     save_model,
     save_report,
 )
-from thermal_sense.simulate import generate_main
+from thermal_sense.simulate import generate_main, load_sim_params
 
 from conftest import balanced_dataset, dataset_from_arrays
 from oracles import walk_dataset_csv
@@ -207,6 +208,33 @@ class TestDatasetCsvFuzz:
             ds = dataset_from_csv(text, "x")
             for got, want in zip((ds.x, ds.y, ds.conditions), expected):
                 assert got.tolist() == want.tolist()
+
+
+class TestNonUtf8Files:
+    @pytest.mark.parametrize("load", [load_dataset, load_fold_plan, load_model, load_report,
+                                      load_sim_params])
+    def test_every_reader_names_the_line(self, tmp_path, load):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"format-version: 1\n\xff\n")
+        with pytest.raises(DataFormatError, match=f"^{re.escape(str(path))}:2: not UTF-8 text$"):
+            load(path)
+
+    @pytest.mark.parametrize("data, line", [
+        (b"\xff", 1),
+        (b"ok\n\n\nok \xc3", 4),  # a truncated two-byte sequence at the end
+        ("\u00e9\n\u20ac\r\n".encode() + b"a\x80b\n", 3),  # multi-byte text before it
+        (b"a\r\n" * 5000 + b"\xed\xa0\x80", 5001),  # a UTF-16 surrogate
+    ])
+    def test_line_is_one_plus_the_newlines_before_the_byte(self, tmp_path, data, line):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(data)
+        with pytest.raises(DataFormatError, match=f":{line}: not UTF-8 text$"):
+            read_text(path)
+
+    def test_utf8_text_reads_as_before(self, tmp_path):
+        path = tmp_path / "ok.txt"
+        path.write_bytes("a\r\n\u00e9\rb\n".encode())
+        assert read_text(path) == path.read_text(encoding="utf-8") == "a\n\u00e9\nb\n"
 
 
 class TestFoldPlanFormat:
