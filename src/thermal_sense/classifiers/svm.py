@@ -44,13 +44,14 @@ def check_c(c: float) -> float:
     return float(c)
 
 
-def check_scale(scale: np.ndarray) -> None:
-    """InvalidInputError unless every feature scale is finite and positive."""
+def check_scale(scale: np.ndarray) -> np.ndarray:
+    """The scale, or InvalidInputError unless every feature scale is finite and positive."""
     bad = ~(np.isfinite(scale) & (scale > 0))
     if bad.any():
         i = int(bad.argmax())
         raise InvalidInputError(
             f"feature scale {i} must be finite and positive, got {float(scale[i])!r}")
+    return scale
 
 
 @dataclass(frozen=True, eq=False)

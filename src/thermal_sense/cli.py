@@ -15,6 +15,7 @@ import sys
 
 from . import __version__
 from .classifiers.kernels import KERNEL_KINDS, KernelSpec
+from .classifiers.knn import WEIGHTINGS
 from .classifiers.nn import TrainingParams
 from .core import Label, make_folds, split_train_test
 from .errors import (
@@ -130,20 +131,21 @@ def _spec_from_args(args: argparse.Namespace):
 
 
 def _add_model_flags(sp: argparse.ArgumentParser) -> None:
+    knn, svm, nn = KnnSpec(), SvmSpec(), NnSpec()  # each default is the library's own
     sp.add_argument("--model", required=True, choices=("knn", "svm", "nn"))
-    sp.add_argument("--k", type=int, default=1, help="k-NN neighbor count")
-    sp.add_argument("--weighting", choices=("uniform", "distance"), default="uniform")
-    sp.add_argument("--kernel", choices=KERNEL_KINDS, default="linear")
-    sp.add_argument("--c", type=float, default=1.0, help="SVM regularization")
-    sp.add_argument("--gamma", type=float, default=None)
-    sp.add_argument("--degree", type=int, default=3)
-    sp.add_argument("--coef0", type=float, default=0.0)
-    sp.add_argument("--tol", type=float, default=1e-3)
-    sp.add_argument("--max-iter", type=int, default=1_000_000, help="SMO pair-update cap")
-    sp.add_argument("--hidden", type=int, default=128, help="NN hidden width")
-    sp.add_argument("--lr", type=float, default=0.01)
-    sp.add_argument("--batch-size", type=int, default=32)
-    sp.add_argument("--epochs", type=int, default=500)
+    sp.add_argument("--k", type=int, default=knn.k, help="k-NN neighbor count")
+    sp.add_argument("--weighting", choices=WEIGHTINGS, default=knn.weighting)
+    sp.add_argument("--kernel", choices=KERNEL_KINDS, default=svm.kernel.kind)
+    sp.add_argument("--c", type=float, default=svm.c, help="SVM regularization")
+    sp.add_argument("--gamma", type=float, default=svm.kernel.gamma)
+    sp.add_argument("--degree", type=int, default=svm.kernel.degree)
+    sp.add_argument("--coef0", type=float, default=svm.kernel.coef0)
+    sp.add_argument("--tol", type=float, default=svm.tol)
+    sp.add_argument("--max-iter", type=int, default=svm.max_iter, help="SMO pair-update cap")
+    sp.add_argument("--hidden", type=int, default=nn.hidden, help="NN hidden width")
+    sp.add_argument("--lr", type=float, default=nn.params.learning_rate)
+    sp.add_argument("--batch-size", type=int, default=nn.params.batch_size)
+    sp.add_argument("--epochs", type=int, default=nn.params.epochs)
 
 
 def _load_params(args: argparse.Namespace):

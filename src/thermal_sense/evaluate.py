@@ -17,7 +17,8 @@ import numpy as np
 from .classifiers.kernels import KernelSpec
 from .classifiers.knn import KnnModel, predict_knn_batch, predict_knn_grid, train_knn
 from .classifiers.nn import NnModel, TrainingParams, predict_nn_batch, train_nn
-from .classifiers.svm import MAX_PAIR_UPDATES, SvmModel, check_c, predict_svm_batch, train_svm
+from .classifiers.svm import (DEFAULT_C, DEFAULT_TOL, MAX_PAIR_UPDATES, SvmModel, check_c,
+                              predict_svm_batch, train_svm)
 from .core import CONDITIONS, ConditionTag, Dataset, FoldPlan, Label
 from .errors import InvalidInputError, StratificationError
 
@@ -106,9 +107,9 @@ class KnnSpec:
 
 @dataclass(frozen=True)
 class SvmSpec:
-    kernel: KernelSpec = KernelSpec("linear")
-    c: float = 1.0
-    tol: float = 1e-3
+    kernel: KernelSpec = KernelSpec()
+    c: float = DEFAULT_C
+    tol: float = DEFAULT_TOL
     max_iter: int = MAX_PAIR_UPDATES
 
     def __post_init__(self) -> None:

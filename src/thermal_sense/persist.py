@@ -21,6 +21,7 @@ import tempfile
 from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -127,8 +128,8 @@ def _int(text: str) -> int:
     return int(text)
 
 
-def _float(text: str) -> float:
-    if _FLOAT_TEXT.fullmatch(text) is None:
+def _float(text: str, finite: bool = False) -> float:
+    if _FLOAT_TEXT.fullmatch(text) is None or finite and not np.isfinite(float(text)):
         raise ValueError(text)
     return float(text)
 
@@ -139,25 +140,30 @@ def _ints(text: str) -> tuple[int, ...]:
     return tuple(map(int, text.split()))
 
 
-def _parse_row(text: str, n: int, path, lineno: int,
-               pattern: re.Pattern = _FLOATS_LINE) -> np.ndarray:
-    """The n finite numbers of a payload line that matches `pattern`, or DataFormatError."""
-    if pattern.fullmatch(text) is None:
-        raise DataFormatError(f"{path}:{lineno}: bad numeric payload")
-    values = np.array(text.split(), dtype=np.float64)
-    if not np.isfinite(values).all():
-        raise DataFormatError(f"{path}:{lineno}: non-finite value in payload")
-    if len(values) != n:
-        raise DataFormatError(f"{path}:{lineno}: expected {n} values, got {len(values)}")
-    return values
+def _text(lines: list[str], index: int, key: str) -> str:
+    """The text after `key:` on line `index` (from 0), or DataFormatError."""
+    if index >= len(lines) or not lines[index].startswith(key + ":"):
+        raise DataFormatError(f"expected '{key}: ...'")
+    return lines[index][len(key) + 1:].strip()
 
 
-def _payload_rows(payload: list[str], row: re.Pattern, width: int) -> tuple[np.ndarray, int]:
-    """The leading payload lines that fully match `row`, parsed in one call, and their count."""
-    n = next((i for i, line in enumerate(payload) if row.fullmatch(line) is None), len(payload))
-    if n == 0:
-        return np.empty((0, width)), 0
-    return np.loadtxt(payload[:n], delimiter=" ", ndmin=2), n
+@contextmanager
+def _at(path, lineno: int, key: str = "", lines: list[str] = ()):
+    """Name a failure in the block at `path:lineno`, the line of header field `key` if any.
+
+    A DataFormatError carries its whole reason. An InvalidInputError or
+    ConfigError breaks an invariant of the object being built from the
+    field, so it is the reason the field's text is bad; any other
+    ValueError just marks the text bad.
+    """
+    try:
+        yield
+    except DataFormatError as exc:
+        raise DataFormatError(f"{path}:{lineno}: {exc}") from None
+    except ValueError as exc:
+        reason = f": {exc}" if isinstance(exc, (InvalidInputError, ConfigError)) else ""
+        raise DataFormatError(
+            f"{path}:{lineno}: bad {key} {_text(lines, lineno - 1, key)!r}{reason}") from None
 
 
 # --- datasets ----------------------------------------------------------
@@ -184,33 +190,30 @@ def save_dataset(ds: Dataset, path) -> None:
     atomic_write_text(path, dataset_to_csv(ds))
 
 
-def _parse_temperature(tok: str, path, lineno: int, field: str) -> float:
+def _parse_temperature(tok: str, field: str) -> float:
     # Writer emits exactly two decimals of ASCII digits; accept nothing looser.
     whole, dot, frac = tok.partition(".")
     if not (whole.isdigit() and dot and len(frac) == 2 and frac.isdigit() and tok.isascii()):
-        raise DataFormatError(f"{path}:{lineno}: field {field}: malformed temperature {tok!r}")
+        raise DataFormatError(f"field {field}: malformed temperature {tok!r}")
     value = float(tok)
     if not (TEMP_MIN_C <= value <= TEMP_MAX_C) or not (value * 4).is_integer():
-        raise DataFormatError(
-            f"{path}:{lineno}: field {field}: {tok} is not a quarter degree in [20, 100]"
-        )
+        raise DataFormatError(f"field {field}: {tok} is not a quarter degree in [20, 100]")
     return value
 
 
-def _raise_row_error(line: str, path, lineno: int) -> None:
+def _raise_row_error(line: str) -> None:
     """Raise the first error of a data row that fails a check, walking its fields in order."""
     fields = line.split(",")
     n_fields = NUM_PIXELS + 2
     if len(fields) != n_fields:
-        raise DataFormatError(f"{path}:{lineno}: expected {n_fields} fields, got {len(fields)}")
+        raise DataFormatError(f"expected {n_fields} fields, got {len(fields)}")
     for field, tok in zip(_PIXEL_FIELDS, fields):
-        _parse_temperature(tok, path, lineno, field)
+        _parse_temperature(tok, field)
     if fields[-2] not in _LABELS:
-        raise DataFormatError(f"{path}:{lineno}: field label: unknown label {fields[-2]!r}")
+        raise DataFormatError(f"field label: unknown label {fields[-2]!r}")
     if fields[-1] not in _CONDITION_CODES:
-        raise DataFormatError(
-            f"{path}:{lineno}: field condition: unknown condition {fields[-1]!r}")
-    raise AssertionError(f"{path}:{lineno}: row passes every field check")
+        raise DataFormatError(f"field condition: unknown condition {fields[-1]!r}")
+    raise AssertionError("row passes every field check")
 
 
 def dataset_from_csv(text: str, name: str, path="<memory>") -> Dataset:
@@ -248,7 +251,8 @@ def dataset_from_csv(text: str, name: str, path="<memory>") -> Dataset:
     if off_grid.any():
         bad_row = int(off_grid.argmax())
     if bad_row < n:
-        _raise_row_error(lines[bad_row + 1], path, bad_row + 2)
+        with _at(path, bad_row + 2):
+            _raise_row_error(lines[bad_row + 1])
     return Dataset(x, y, codes, name)
 
 
@@ -257,59 +261,94 @@ def load_dataset(path, name: str | None = None) -> Dataset:
     return dataset_from_csv(text, name if name is not None else Path(path).stem, path)
 
 
-# --- fold plans ---------------------------------------------------------
+# --- fold plans and models ------------------------------------------------
+#
+# A file is `format-version: N`, a kind line, one `key: text` line per field of its format's
+# table, then a payload. A field is (key, text of the object's value, parse(text, values read
+# so far)); writer and reader walk the same table. A FoldPlan, KernelSpec or TrainingParams is
+# rebuilt field by field, so a value that breaks one of its invariants names its own line.
 
-def save_fold_plan(plan: FoldPlan, path) -> None:
-    text = (
-        f"format-version: {FOLD_PLAN_FORMAT_VERSION}\n"
-        "artifact: fold-plan\n"
-        f"num-folds: {plan.num_folds}\n"
-        f"assignment: {' '.join(str(a) for a in plan.assignment)}\n"
-    )
-    atomic_write_text(path, text)
+class _Format(NamedTuple):
+    version: int
+    kind: tuple[str, str]  # the second line's key and value
+    fields: tuple
+    payload: Callable | None = None  # the object's payload lines
+    # (payload lines, values by key, at) -> the object; `at(key)` names a failure at a field's
+    # line, `at(i)` at payload line i. Without one, the object is the last field's value.
+    load: Callable | None = None
 
 
-def _read_header_line(lines: list[str], index: int, key: str, path) -> str:
-    if index >= len(lines) or not lines[index].startswith(key + ":"):
-        raise DataFormatError(f"{path}:{index + 1}: expected '{key}: ...'")
-    return lines[index][len(key) + 1:].strip()
+def _to_text(fmt: _Format, obj) -> str:
+    lines = [f"format-version: {fmt.version}", ": ".join(fmt.kind)]
+    lines += [f"{key}: {text(obj)}" for key, text, _ in fmt.fields]
+    return "\n".join(lines + (fmt.payload(obj) if fmt.payload else [])) + "\n"
 
 
-@contextmanager
-def _bad_value(lines: list[str], index: int, key: str, path):
-    """Report a ValueError raised in the block as a bad value on header line `index`.
+def _load(path, formats: tuple[_Format, ...], unknown: str):
+    """The object of a file in one of `formats`, which share a version and a kind key."""
+    lines = read_text(path).splitlines()
+    with _at(path, 1, "format-version", lines):
+        version = _int(_text(lines, 0, "format-version"))
+    if version > formats[0].version:
+        raise FormatVersionError(f"{path}:1: format-version {version} is newer than supported "
+                                 f"({formats[0].version})")
+    with _at(path, 2):
+        kind = _text(lines, 1, formats[0].kind[0])
+        fmt = next((f for f in formats if f.kind[1] == kind), None)
+        if fmt is None:
+            raise DataFormatError(unknown.format(kind))  # the error for any other kind
+    values = {}
+    for lineno, (key, _, parse) in enumerate(fmt.fields, start=3):
+        with _at(path, lineno, key, lines):
+            values[key] = parse(_text(lines, lineno - 1, key), values)
+    start = 3 + len(fmt.fields)  # the payload's first line number
+    if fmt.load is None:
+        if len(lines) >= start:
+            with _at(path, start):
+                raise DataFormatError(f"unexpected line after the {fmt.fields[-1][0]}")
+        return values[fmt.fields[-1][0]]
 
-    An InvalidInputError or ConfigError is an invariant of the object being
-    built, so its message is kept as the reason.
+    def at(where):
+        if isinstance(where, str):  # `values` holds the fields in table order
+            return _at(path, 3 + list(values).index(where), where, lines)
+        return _at(path, start + where)
+
+    return fmt.load(lines[start - 1:], values, at)
+
+
+def _parse_row(text: str, n: int, pattern: re.Pattern = _FLOATS_LINE) -> np.ndarray:
+    """The n finite numbers of a line that matches `pattern`, or DataFormatError."""
+    if pattern.fullmatch(text) is None:
+        raise DataFormatError("bad numeric payload")
+    values = np.array(text.split(), dtype=np.float64)
+    if not np.isfinite(values).all():
+        raise DataFormatError("non-finite value in payload")
+    if len(values) != n:
+        raise DataFormatError(f"expected {n} values, got {len(values)}")
+    return values
+
+
+def _payload_rows(payload: list[str], count: str, noun: str, values: dict, at, pattern: str,
+                  width: int, ok, walk) -> np.ndarray:
+    """The `values[count]` payload rows, each `width` numbers, parsed in one call.
+
+    The earliest row that does not fully match `pattern` or fails `ok` (a
+    check of each row of the parsed matrix) is walked by `walk(line)` for its message.
     """
-    try:
-        yield
-    except ValueError as exc:
-        raw = _read_header_line(lines, index, key, path)
-        reason = f": {exc}" if isinstance(exc, (InvalidInputError, ConfigError)) else ""
-        raise DataFormatError(f"{path}:{index + 1}: bad {key} {raw!r}{reason}") from None
-
-
-def _header_value(lines: list[str], index: int, key: str, path, parse=_int):
-    """The parsed value of header line `index` (`key: value`), or DataFormatError at that line.
-
-    `parse` may also check the value: whatever ValueError it raises names the line.
-    """
-    raw = _read_header_line(lines, index, key, path)
-    with _bad_value(lines, index, key, path):
-        return parse(raw)
-
-
-def _gamma(text: str, kind: str) -> float | None:
-    # Only a linear kernel may leave gamma unresolved in a trained model.
-    return None if text == "none" and kind == "linear" else _float(text)
-
-
-def _finite(text: str) -> float:
-    value = _float(text)
-    if not np.isfinite(value):
-        raise ValueError(text)
-    return value
+    with at(count):
+        if len(payload) != values[count]:
+            raise DataFormatError(f"expected {values[count]} {noun} lines, got {len(payload)}")
+    row = re.compile(pattern)
+    n = next((i for i, line in enumerate(payload) if row.fullmatch(line) is None), len(payload))
+    rows = np.loadtxt(payload[:n], delimiter=" ", ndmin=2) if n else np.empty((0, width))
+    good = ok(rows)
+    if not good.all():
+        n = int(good.argmin())
+    if n < len(payload):
+        with at(n):
+            walk(payload[n])
+            raise AssertionError("payload line passes every check")
+    return rows
 
 
 def _weighting(text: str) -> str:
@@ -318,221 +357,155 @@ def _weighting(text: str) -> str:
     return text
 
 
-def _check_version(lines: list[str], supported: int, path) -> None:
-    version = _header_value(lines, 0, "format-version", path)
-    if version > supported:
-        raise FormatVersionError(
-            f"{path}:1: format-version {version} is newer than supported ({supported})"
-        )
+def _width(text: str) -> int:
+    n_features = _int(text)
+    if n_features != NUM_PIXELS:
+        raise DataFormatError(f"n-features must be {NUM_PIXELS}, got {n_features}")
+    return n_features
+
+
+def _hidden(text: str) -> int:
+    hidden = _int(text)
+    if not 1 <= hidden <= MAX_HIDDEN:
+        raise DataFormatError(f"hidden width {hidden} outside [1, {MAX_HIDDEN}]")
+    return hidden
+
+
+def _knn_load(payload: list[str], v: dict, at) -> KnnModel:
+    n = v["n-features"]
+
+    def walk(line: str) -> None:
+        _parse_row(line, n + 1, _KNN_ROW)
+        label = line.split(" ", 1)[0]
+        if label not in ("0", "1"):
+            raise DataFormatError(f"label must be 0 or 1, got {label!r}")
+
+    # A row with a value that parses to a non-finite number ("1e+999") fails `ok`.
+    rows = _payload_rows(payload, "n-samples", "sample", v, at, f"[01](?: {_FINITE}){{{n}}}",
+                         n + 1, lambda rows: np.isfinite(rows).all(axis=1), walk)
+    with at("k"):  # k is checked against the row count
+        return KnnModel(rows[:, 1:], rows[:, 0].astype(np.int64), v["k"], v["weighting"])
+
+
+def _svm_load(payload: list[str], v: dict, at) -> SvmModel:
+    n, c = v["n-features"], v["c"]
+
+    def ok(rows: np.ndarray) -> np.ndarray:
+        alpha, y = rows[:, 0], rows[:, 1]
+        return (np.isfinite(rows).all(axis=1) & np.isin(y, (-1.0, 1.0))
+                & (0.0 <= alpha) & (alpha <= c))
+
+    def walk(line: str) -> None:
+        row = _parse_row(line, n + 2)
+        if row[1] not in (-1.0, 1.0):
+            raise DataFormatError(f"support label must be -1 or +1, got {float(row[1])!r}")
+        if not 0.0 <= row[0] <= c:
+            raise DataFormatError(f"dual coefficient {float(row[0])!r} outside [0, C]")
+
+    rows = _payload_rows(payload, "n-support", "support", v, at,
+                         f"{_FINITE}(?: {_FINITE}){{{n + 1}}}", n + 2, ok, walk)
+    alpha, y, x = (np.ascontiguousarray(a) for a in (rows[:, 0], rows[:, 1], rows[:, 2:]))
+    # What is left to check, sum(alpha * y) = 0, spans the whole support set.
+    with at("n-support"):
+        return SvmModel(v["coef0"], c, v["feature-mean"], v["feature-scale"], x, alpha, y,
+                        v["bias"])
+
+
+def _nn_load(payload: list[str], v: dict, at) -> NnModel:
+    n, hidden = v["n-features"], v["hidden"]
+
+    def weights(i: int, key: str, width: int) -> np.ndarray:
+        try:  # `at` is entered only on failure, so a good line pays for no context
+            return _parse_row(_text(payload, i, key), width)
+        except DataFormatError as exc:
+            with at(i):  # a missing weight line fails at the index where it is expected
+                raise exc
+
+    w1 = np.array([weights(i, "w1", hidden) for i in range(n)])
+    w2 = np.array([weights(i, "w2", 2) for i in range(n, n + hidden)])
+    if len(payload) > n + hidden:
+        with at(n + hidden):
+            raise DataFormatError("unexpected line after the weights")
+    return NnModel(hidden, w1, v["b1"], w2, v["b2"], v["feature-mean"], v["feature-scale"],
+                   v["epochs"], v["seed"])
+
+
+_FOLD_PLAN = _Format(FOLD_PLAN_FORMAT_VERSION, ("artifact", "fold-plan"), (
+    ("num-folds", lambda p: str(p.num_folds), lambda t, _: FoldPlan(_int(t), ())),
+    ("assignment", lambda p: " ".join(map(str, p.assignment)),
+     lambda t, v: replace(v["num-folds"], assignment=_ints(t))),
+))
+
+_STANDARDIZER = (
+    ("n-features", lambda m: str(len(m.feature_mean)), lambda t, _: _width(t)),
+    ("feature-mean", lambda m: _floats_line(m.feature_mean),
+     lambda t, v: _parse_row(t, v["n-features"])),
+    ("feature-scale", lambda m: _floats_line(m.feature_scale),
+     lambda t, v: check_scale(_parse_row(t, v["n-features"]))),
+)
+
+_KNN = _Format(MODEL_FORMAT_VERSION, ("model-kind", "knn"), (
+    ("k", lambda m: str(m.k), lambda t, _: _int(t)),
+    ("weighting", lambda m: m.weighting, lambda t, _: _weighting(t)),
+    ("n-samples", lambda m: str(len(m.train_y)), lambda t, _: _int(t)),
+    ("n-features", lambda m: str(m.train_x.shape[1]), lambda t, _: _width(t)),
+), lambda m: [f"{int(label)} {row}" for label, row in zip(m.train_y, _floats_lines(m.train_x))],
+    _knn_load)
+
+_SVM = _Format(MODEL_FORMAT_VERSION, ("model-kind", "svm"), (
+    ("kernel", lambda m: m.kernel.kind, lambda t, _: KernelSpec(t)),
+    ("degree", lambda m: str(m.kernel.degree),
+     lambda t, v: replace(v["kernel"], degree=_int(t))),
+    # Only a linear kernel may leave gamma unresolved in a trained model.
+    ("gamma", lambda m: "none" if m.kernel.gamma is None else _fmt(m.kernel.gamma),
+     lambda t, v: replace(v["degree"], gamma=None if (t, v["kernel"].kind) == ("none", "linear")
+                          else _float(t))),
+    ("coef0", lambda m: _fmt(m.kernel.coef0), lambda t, v: replace(v["gamma"], coef0=_float(t))),
+    ("c", lambda m: _fmt(m.c), lambda t, _: check_c(_float(t))),
+    ("bias", lambda m: _fmt(m.bias), lambda t, _: _float(t, finite=True)),
+    ("n-support", lambda m: str(len(m.support_alpha)), lambda t, _: _int(t)),
+) + _STANDARDIZER, lambda m: _floats_lines(np.column_stack(
+    [m.support_alpha, m.support_y, m.support_x])), _svm_load)
+
+_NN = _Format(MODEL_FORMAT_VERSION, ("model-kind", "nn"), (
+    ("hidden", lambda m: str(m.hidden), lambda t, _: _hidden(t)),
+    ("learning-rate", lambda m: _fmt(m.params.learning_rate),
+     lambda t, _: TrainingParams(learning_rate=_float(t))),
+    ("batch-size", lambda m: str(m.params.batch_size),
+     lambda t, v: replace(v["learning-rate"], batch_size=_int(t))),
+    ("epochs", lambda m: str(m.params.epochs),
+     lambda t, v: replace(v["batch-size"], epochs=_int(t))),
+    ("seed", lambda m: str(m.seed), lambda t, _: _int(t)),
+) + _STANDARDIZER + (
+    ("b1", lambda m: _floats_line(m.b1), lambda t, v: _parse_row(t, v["hidden"])),
+    ("b2", lambda m: _floats_line(m.b2), lambda t, _: _parse_row(t, 2)),
+), lambda m: ([f"w1: {row}" for row in _floats_lines(m.w1)]
+              + [f"w2: {row}" for row in _floats_lines(m.w2)]), _nn_load)
+
+_MODELS = {KnnModel: _KNN, SvmModel: _SVM, NnModel: _NN}
+
+
+def save_fold_plan(plan: FoldPlan, path) -> None:
+    atomic_write_text(path, _to_text(_FOLD_PLAN, plan))
 
 
 def load_fold_plan(path) -> FoldPlan:
-    lines = read_text(path).splitlines()
-    _check_version(lines, FOLD_PLAN_FORMAT_VERSION, path)
-    if _read_header_line(lines, 1, "artifact", path) != "fold-plan":
-        raise DataFormatError(f"{path}:2: not a fold-plan file")
-    # The plan is built once per field, so a value that breaks one of its
-    # invariants names its own line.
-    plan = _header_value(lines, 2, "num-folds", path, lambda t: FoldPlan(_int(t), ()))
-    return _header_value(lines, 3, "assignment", path,
-                         lambda t: FoldPlan(plan.num_folds, _ints(t)))
+    return _load(path, (_FOLD_PLAN,), "not a fold-plan file")
 
-
-# --- models --------------------------------------------------------------
 
 def save_model(model, path) -> None:
     atomic_write_text(path, model_to_text(model))
 
 
 def model_to_text(model) -> str:
-    if isinstance(model, KnnModel):
-        return _knn_to_text(model)
-    if isinstance(model, SvmModel):
-        return _svm_to_text(model)
-    if isinstance(model, NnModel):
-        return _nn_to_text(model)
+    for kind, fmt in _MODELS.items():
+        if isinstance(model, kind):
+            return _to_text(fmt, model)
     raise DataFormatError(f"cannot serialize model of type {type(model).__name__}")
 
 
-def _knn_to_text(model: KnnModel) -> str:
-    lines = [
-        f"format-version: {MODEL_FORMAT_VERSION}",
-        "model-kind: knn",
-        f"k: {model.k}",
-        f"weighting: {model.weighting}",
-        f"n-samples: {len(model.train_y)}",
-        f"n-features: {model.train_x.shape[1]}",
-    ]
-    for label, row in zip(model.train_y, _floats_lines(model.train_x)):
-        lines.append(f"{int(label)} {row}")
-    return "\n".join(lines) + "\n"
-
-
-def _svm_to_text(model: SvmModel) -> str:
-    k = model.kernel
-    lines = [
-        f"format-version: {MODEL_FORMAT_VERSION}",
-        "model-kind: svm",
-        f"kernel: {k.kind}",
-        f"degree: {k.degree}",
-        f"gamma: {_fmt(k.gamma) if k.gamma is not None else 'none'}",
-        f"coef0: {_fmt(k.coef0)}",
-        f"c: {_fmt(model.c)}",
-        f"bias: {_fmt(model.bias)}",
-        f"n-support: {len(model.support_alpha)}",
-        f"n-features: {model.support_x.shape[1]}",
-        f"feature-mean: {_floats_line(model.feature_mean)}",
-        f"feature-scale: {_floats_line(model.feature_scale)}",
-    ]
-    lines += _floats_lines(np.column_stack(
-        [model.support_alpha, model.support_y, model.support_x]))
-    return "\n".join(lines) + "\n"
-
-
-def _nn_to_text(model: NnModel) -> str:
-    lines = [
-        f"format-version: {MODEL_FORMAT_VERSION}",
-        "model-kind: nn",
-        f"hidden: {model.hidden}",
-        f"learning-rate: {_fmt(model.params.learning_rate)}",
-        f"batch-size: {model.params.batch_size}",
-        f"epochs: {model.params.epochs}",
-        f"seed: {model.seed}",
-        f"n-features: {model.w1.shape[0]}",
-        f"feature-mean: {_floats_line(model.feature_mean)}",
-        f"feature-scale: {_floats_line(model.feature_scale)}",
-        f"b1: {_floats_line(model.b1)}",
-        f"b2: {_floats_line(model.b2)}",
-    ]
-    lines += [f"w1: {row}" for row in _floats_lines(model.w1)]
-    lines += [f"w2: {row}" for row in _floats_lines(model.w2)]
-    return "\n".join(lines) + "\n"
-
-
 def load_model(path):
-    lines = read_text(path).splitlines()
-    _check_version(lines, MODEL_FORMAT_VERSION, path)
-    kind = _read_header_line(lines, 1, "model-kind", path)
-    if kind == "knn":
-        return _knn_from_lines(lines, path)
-    if kind == "svm":
-        return _svm_from_lines(lines, path)
-    if kind == "nn":
-        return _nn_from_lines(lines, path)
-    raise DataFormatError(f"{path}:2: unknown model kind {kind!r}")
-
-
-def _check_width(n_features: int, path, lineno: int) -> None:
-    if n_features != NUM_PIXELS:
-        raise DataFormatError(
-            f"{path}:{lineno}: n-features must be {NUM_PIXELS}, got {n_features}")
-
-
-def _knn_from_lines(lines: list[str], path) -> KnnModel:
-    k = _header_value(lines, 2, "k", path)
-    weighting = _header_value(lines, 3, "weighting", path, _weighting)
-    n_samples = _header_value(lines, 4, "n-samples", path)
-    n_features = _header_value(lines, 5, "n-features", path)
-    _check_width(n_features, path, 6)
-    payload = lines[6:]
-    if len(payload) != n_samples:
-        raise DataFormatError(f"{path}:5: expected {n_samples} sample lines, got {len(payload)}")
-    # Rows are matched by one pattern and parsed in one call; the earliest
-    # that fails it, or parses to a non-finite value ("1e+999"), is walked
-    # for its message.
-    pattern = re.compile(f"[01](?: {_FINITE}){{{n_features}}}")
-    values, n_ok = _payload_rows(payload, pattern, n_features + 1)
-    finite = np.isfinite(values).all(axis=1)
-    if not finite.all():
-        n_ok = int(finite.argmin())
-    if n_ok < n_samples:
-        lineno = 7 + n_ok
-        _parse_row(payload[n_ok], n_features + 1, path, lineno, _KNN_ROW)
-        label = payload[n_ok].split(" ", 1)[0]
-        if label not in ("0", "1"):
-            raise DataFormatError(f"{path}:{lineno}: label must be 0 or 1, got {label!r}")
-        raise AssertionError(f"{path}:{lineno}: sample line passes every check")
-    with _bad_value(lines, 2, "k", path):  # k is checked against the row count
-        return KnnModel(values[:, 1:], values[:, 0].astype(np.int64), k, weighting)
-
-
-def _feature_scale(lines: list[str], index: int, n_features: int, path) -> np.ndarray:
-    scale = _parse_row(_read_header_line(lines, index, "feature-scale", path),
-                       n_features, path, index + 1)
-    with _bad_value(lines, index, "feature-scale", path):
-        check_scale(scale)
-    return scale
-
-
-def _svm_from_lines(lines: list[str], path) -> SvmModel:
-    # The kernel is rebuilt as each of its fields is read, so a value that
-    # breaks a KernelSpec invariant names its own line.
-    spec = _header_value(lines, 2, "kernel", path, KernelSpec)
-    spec = _header_value(lines, 3, "degree", path, lambda t: replace(spec, degree=_int(t)))
-    spec = _header_value(lines, 4, "gamma", path,
-                         lambda t: replace(spec, gamma=_gamma(t, spec.kind)))
-    spec = _header_value(lines, 5, "coef0", path, lambda t: replace(spec, coef0=_float(t)))
-    c = _header_value(lines, 6, "c", path, lambda t: check_c(_float(t)))
-    bias = _header_value(lines, 7, "bias", path, _finite)
-    n_support = _header_value(lines, 8, "n-support", path)
-    n_features = _header_value(lines, 9, "n-features", path)
-    _check_width(n_features, path, 10)
-    mean = _parse_row(_read_header_line(lines, 10, "feature-mean", path), n_features, path, 11)
-    scale = _feature_scale(lines, 11, n_features, path)
-    payload = lines[12:]
-    if len(payload) != n_support:
-        raise DataFormatError(f"{path}:9: expected {n_support} support lines, got {len(payload)}")
-    # As for k-NN rows; the earliest row that fails the pattern or a value
-    # check is walked for its message.
-    pattern = re.compile(f"{_FINITE}(?: {_FINITE}){{{n_features + 1}}}")
-    values, n_ok = _payload_rows(payload, pattern, n_features + 2)
-    alpha, y, x = (np.ascontiguousarray(v) for v in (values[:, 0], values[:, 1], values[:, 2:]))
-    ok = (np.isfinite(values).all(axis=1) & np.isin(y, (-1.0, 1.0))
-          & (0.0 <= alpha) & (alpha <= c))
-    if not ok.all():
-        n_ok = int(ok.argmin())
-    if n_ok < n_support:
-        lineno = 13 + n_ok
-        row = _parse_row(payload[n_ok], n_features + 2, path, lineno)
-        if row[1] not in (-1.0, 1.0):
-            raise DataFormatError(
-                f"{path}:{lineno}: support label must be -1 or +1, got {float(row[1])!r}")
-        if not 0.0 <= row[0] <= c:
-            raise DataFormatError(
-                f"{path}:{lineno}: dual coefficient {float(row[0])!r} outside [0, C]")
-        raise AssertionError(f"{path}:{lineno}: support line passes every check")
-    # What is left to check, sum(alpha * y) = 0, spans the whole support set.
-    with _bad_value(lines, 8, "n-support", path):
-        return SvmModel(spec, c, mean, scale, x, alpha, y, bias)
-
-
-def _nn_from_lines(lines: list[str], path) -> NnModel:
-    hidden = _header_value(lines, 2, "hidden", path)
-    # The training parameters are rebuilt as each field is read, so a value
-    # that breaks one of their invariants names its own line.
-    params = _header_value(lines, 3, "learning-rate", path,
-                           lambda t: TrainingParams(learning_rate=_float(t)))
-    params = _header_value(lines, 4, "batch-size", path,
-                           lambda t: replace(params, batch_size=_int(t)))
-    params = _header_value(lines, 5, "epochs", path, lambda t: replace(params, epochs=_int(t)))
-    seed = _header_value(lines, 6, "seed", path)
-    n_features = _header_value(lines, 7, "n-features", path)
-    if not 1 <= hidden <= MAX_HIDDEN:
-        raise DataFormatError(f"{path}:3: hidden width {hidden} outside [1, {MAX_HIDDEN}]")
-    _check_width(n_features, path, 8)
-    mean = _parse_row(_read_header_line(lines, 8, "feature-mean", path), n_features, path, 9)
-    scale = _feature_scale(lines, 9, n_features, path)
-    b1 = _parse_row(_read_header_line(lines, 10, "b1", path), hidden, path, 11)
-    b2 = _parse_row(_read_header_line(lines, 11, "b2", path), 2, path, 12)
-    # A missing weight line fails at the index where it is expected.
-    w1 = np.array([_parse_row(_read_header_line(lines, i, "w1", path), hidden, path, i + 1)
-                   for i in range(12, 12 + n_features)])
-    end = 12 + n_features + hidden
-    w2 = np.array([_parse_row(_read_header_line(lines, i, "w2", path), 2, path, i + 1)
-                   for i in range(12 + n_features, end)])
-    if len(lines) > end:
-        raise DataFormatError(f"{path}:{end + 1}: unexpected line after the weights")
-    return NnModel(hidden, w1, b1, w2, b2, mean, scale, params, seed)
+    return _load(path, tuple(_MODELS.values()), "unknown model kind {!r}")
 
 
 # --- reports ---------------------------------------------------------------

@@ -197,10 +197,22 @@ class SimParams:
 DEFAULT_SIM_PARAMS = SimParams()
 
 
+def _draw_widths(p: SimParams):  # the keys and width of each range frames are drawn from
+    for f in fields(p):
+        if f.name.endswith("_lo"):
+            hi = f.name[:-3] + "_hi"
+            yield (f.name, hi), getattr(p, hi) - getattr(p, f.name)
+    yield ("person_orient_deg",), 2 * p.person_orient_deg  # drawn from [-this, this]
+
+
 def load_sim_params(path) -> SimParams:
-    """Read SimParams overrides from a flat key=value file ('#' comments)."""
+    """Read SimParams overrides from a flat key=value file ('#' comments).
+
+    Values must be finite, and so must each draw range's width, which must not be negative.
+    """
     known = {f.name for f in fields(SimParams)}
     overrides: dict[str, float] = {}
+    where: dict[str, int] = {}  # the line of each override
     for lineno, line in enumerate(read_text(path).split("\n"), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -215,7 +227,15 @@ def load_sim_params(path) -> SimParams:
             overrides[key] = float(value.strip())
         except ValueError:
             raise DataFormatError(f"{path}:{lineno}: bad value for {key!r}") from None
-    return replace(SimParams(), **overrides)
+        if not math.isfinite(overrides[key]):
+            raise DataFormatError(f"{path}:{lineno}: {key} must be finite, got {value.strip()}")
+        where[key] = lineno
+    params = replace(SimParams(), **overrides)
+    for keys, width in _draw_widths(params):
+        if not 0 <= width < math.inf:
+            raise DataFormatError(f"{path}:{max(where.get(k, 0) for k in keys)}: the range of "
+                                  f"{' and '.join(keys)} has width {width!r}, not finite and >= 0")
+    return params
 
 
 def _frame_seed(rng: np.random.Generator) -> int:

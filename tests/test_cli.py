@@ -54,6 +54,28 @@ class TestSimulate:
         assert cli("simulate", "main", "--n-per-class", 4, "--seed", 1,
                    "--out", out, "--params", cfg) == 2
 
+    @pytest.mark.parametrize("text, lineno, message", [
+        ("room_lo = nan", 2, "room_lo must be finite, got nan"),
+        ("room_lo = inf", 2, "room_lo must be finite, got inf"),
+        ("bottle_radius_lo = nan", 2, "bottle_radius_lo must be finite, got nan"),
+        ("duvet_tau_min = nan", 2, "duvet_tau_min must be finite, got nan"),
+        ("person_orient_deg = 1e308", 2,
+         "the range of person_orient_deg has width inf, not finite and >= 0"),
+        ("room_hi = 1e308\nroom_lo = -1e308", 3,
+         "the range of room_lo and room_hi has width inf, not finite and >= 0"),
+        ("room_lo = 22.0", 2,
+         "the range of room_lo and room_hi has width -1.0, not finite and >= 0"),
+    ], ids=["room-nan", "room-inf", "bottle-nan", "tau-nan", "orient-wide", "room-wide",
+            "room-reversed"])
+    def test_undrawable_params_exit_2(self, tmp_path, capsys, text, lineno, message):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(f"# overrides\n{text}\n")
+        out = tmp_path / "v.csv"
+        assert cli("simulate", "variational", "--n-per-cell", 3, "--seed", 1,
+                   "--out", out, "--params", cfg) == 2
+        assert capsys.readouterr().err == f"error: {cfg}:{lineno}: {message}\n"
+        assert not out.exists()
+
 
 class TestSplit:
     def test_split_counts(self, main_csv, tmp_path):

@@ -11,7 +11,7 @@ from thermal_sense.classifiers.kernels import KERNEL_KINDS, KernelSpec
 from thermal_sense.classifiers.knn import KnnModel
 from thermal_sense.classifiers.nn import NnModel, TrainingParams
 from thermal_sense.classifiers.svm import SvmModel
-from thermal_sense.core import CONDITIONS, Dataset, Label, make_folds
+from thermal_sense.core import CONDITIONS, Dataset, FoldPlan, Label, make_folds
 from thermal_sense.errors import DataFormatError, FormatVersionError
 from thermal_sense.evaluate import KnnSpec, NnSpec, SvmSpec, predictor
 from thermal_sense.persist import (
@@ -279,6 +279,21 @@ class TestFoldPlanFormat:
             load_fold_plan(path)
         assert str(info.value) == f"{path}:{lineno}: bad {key} {value!r}: {reason}"
 
+    def test_writer_bytes(self, tmp_path):
+        # Pinned bytes, not a round trip: a key renamed on both sides must fail.
+        path = tmp_path / "plan.txt"
+        save_fold_plan(FoldPlan(3, (0, 2, 1, 0)), path)
+        assert path.read_bytes() == (b"format-version: 1\nartifact: fold-plan\n"
+                                     b"num-folds: 3\nassignment: 0 2 1 0\n")
+
+    @pytest.mark.parametrize("extra", ["garbage here", "", "assignment: 0 1"])
+    def test_trailing_line_names_line(self, tmp_path, extra):
+        lines = ["format-version: 1", "artifact: fold-plan", "num-folds: 2", "assignment: 0 1"]
+        path = _write(tmp_path / "plan.txt", lines + [extra])
+        with pytest.raises(DataFormatError) as info:
+            load_fold_plan(path)
+        assert str(info.value) == f"{path}:5: unexpected line after the assignment"
+
 
 class TestModelFormat:
     @pytest.fixture
@@ -544,6 +559,67 @@ class TestSvmModelFuzz:
             assert_svm_invariants(model)
 
 
+def assert_knn_invariants(model):
+    """Every KnnModel invariant, checked independently of the constructor."""
+    n = len(model.train_y)
+    assert model.weighting in ("uniform", "distance")
+    assert isinstance(model.k, int) and not isinstance(model.k, bool)
+    assert 1 <= model.k <= n
+    assert model.train_x.shape == (n, 64) and model.train_y.shape == (n,)
+    assert np.isfinite(model.train_x).all()
+    assert set(model.train_y.tolist()) <= {0, 1}
+
+
+def assert_nn_invariants(model):
+    """Every NnModel/TrainingParams invariant, checked independently of the constructors."""
+    h, params = model.hidden, model.params
+    assert isinstance(h, int) and 1 <= h <= 1024
+    assert model.w1.shape == (64, h) and model.b1.shape == (h,)
+    assert model.w2.shape == (h, 2) and model.b2.shape == (2,)
+    assert model.feature_mean.shape == model.feature_scale.shape == (64,)
+    for values in (model.w1, model.b1, model.w2, model.b2, model.feature_mean):
+        assert np.isfinite(values).all()
+    assert (np.isfinite(model.feature_scale) & (model.feature_scale > 0)).all()
+    assert math.isfinite(params.learning_rate) and params.learning_rate > 0
+    assert isinstance(params.batch_size, int) and params.batch_size >= 1
+    assert isinstance(params.epochs, int) and params.epochs >= 1
+    assert isinstance(model.seed, int)
+
+
+def assert_plan_invariants(plan):
+    """Every FoldPlan invariant, checked independently of the constructor."""
+    assert isinstance(plan.num_folds, int) and plan.num_folds >= 2
+    assert isinstance(plan.assignment, tuple)
+    assert all(isinstance(a, int) and 0 <= a < plan.num_folds for a in plan.assignment)
+
+
+class TestTableFuzz:
+    """Any value in any header field of the k-NN, NN and fold-plan files loads with the
+    invariants intact or names file:line."""
+
+    @pytest.mark.parametrize("kind, index", [("knn", i) for i in range(6)]
+                             + [("nn", i) for i in range(12)]
+                             + [("plan", i) for i in range(4)])
+    @settings(max_examples=60, deadline=None)
+    @given(value=_field_values)
+    def test_header_field(self, tmp_path_factory, kind, index, value):
+        base, load, check = {
+            "knn": (_knn_lines, load_model, assert_knn_invariants),
+            "nn": (_nn_fuzz_base, load_model, assert_nn_invariants),
+            "plan": (_plan_lines, load_fold_plan, assert_plan_invariants),
+        }[kind]
+        lines = list(base())
+        key = lines[index].split(":")[0]
+        lines[index] = f"{key}: {value}"
+        path = _write(tmp_path_factory.getbasetemp() / f"fuzz-{kind}{index}.txt", lines)
+        try:
+            loaded = load(path)
+        except DataFormatError as exc:
+            assert re.match(rf"{re.escape(str(path))}:\d+: ", str(exc)), str(exc)
+        else:
+            check(loaded)
+
+
 class TestNnModelFile:
     """Every length in an NN model file is checked at load, with file:line."""
 
@@ -617,6 +693,13 @@ class TestNnModelFile:
         with pytest.raises(DataFormatError, match=f"^{path}:{lineno}: "):
             load_model(path)
 
+    def test_hidden_is_checked_before_later_fields(self, tmp_path, lines):
+        lines[2], lines[6] = "hidden: 0", "seed: x"
+        path = _write(tmp_path / "m.txt", lines)
+        with pytest.raises(DataFormatError) as info:
+            load_model(path)
+        assert str(info.value) == f"{path}:3: hidden width 0 outside [1, 1024]"
+
 
 def _knn_lines():
     model = KnnSpec(1).train_model(dataset_from_arrays(np.zeros((2, 64)), [0, 1]), 0)
@@ -629,6 +712,11 @@ def _nn_lines():
     model = NnSpec(3, TrainingParams(0.05, 4, 2)).train_model(
         dataset_from_arrays(x, [1] * 3 + [0] * 3), 1)
     return model_to_text(model).rstrip("\n").split("\n")
+
+
+@functools.cache
+def _nn_fuzz_base():
+    return tuple(_nn_lines())
 
 
 def _plan_lines():

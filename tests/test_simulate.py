@@ -210,3 +210,36 @@ class TestSimParams:
         cfg.write_text("room_lo = warm\n")
         with pytest.raises(DataFormatError):
             load_sim_params(cfg)
+
+    @pytest.mark.parametrize("text", ["noise_sigma = nan", "skin_hi = -inf"])
+    def test_non_finite_value_names_line(self, tmp_path, text):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(f"room_lo = 20.5\n{text}\n")
+        with pytest.raises(DataFormatError, match=f"^{cfg}:2: {text.split()[0]} must be finite"):
+            load_sim_params(cfg)
+
+    def test_ranges_of_width_zero_to_just_below_overflow_load(self, tmp_path):
+        # 2 * 8e307 is finite, so these ranges can still be drawn from.
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("room_lo = 21.0\nperson_orient_deg = 8e307\n"
+                       "bottle_row_lo = -8e307\nbottle_row_hi = 8e307\n")
+        params = load_sim_params(cfg)
+        assert params.room_lo == params.room_hi and params.person_orient_deg == 8e307
+
+    @pytest.mark.parametrize("text, lineno, keys, width", [
+        ("bottle_row_lo = -1e308\n# the upper bound\nbottle_row_hi = 1e308", 3,
+         "bottle_row_lo and bottle_row_hi", "inf"),
+        ("person_semi_a_hi = 1.7e308\nperson_semi_a_lo = -1e308", 2,
+         "person_semi_a_lo and person_semi_a_hi", "inf"),
+        ("person_orient_deg = 1e308", 1, "person_orient_deg", "inf"),
+        ("room_lo = 22.0", 1, "room_lo and room_hi", "-1.0"),
+        ("# cooler\nbottle_col_hi = 1.0", 2, "bottle_col_lo and bottle_col_hi", "-0.5"),
+        ("person_orient_deg = -25.0", 1, "person_orient_deg", "-50.0"),
+    ])
+    def test_undrawable_range_names_line(self, tmp_path, text, lineno, keys, width):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(text + "\n")
+        with pytest.raises(DataFormatError) as info:
+            load_sim_params(cfg)
+        assert str(info.value) == (
+            f"{cfg}:{lineno}: the range of {keys} has width {width}, not finite and >= 0")
