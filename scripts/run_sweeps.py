@@ -4,9 +4,8 @@
 Generates the main dataset, then runs all three sweep families (SVM
 kernels, k-NN grid, NN widths) on shared folds, and writes one report
 plus one plot CSV per family into --out-dir, in the formats of the
-`sweep` command. THERMAL_SENSE_THREADS sets the worker count, as for
-`sweep`; an invalid value exits 1 before any work starts. Other errors
-exit as in the CLI: 2 for bad data or input, 3 for a training failure.
+`sweep` command. Errors exit as in the CLI: 2 for bad data or input,
+3 for a training failure.
 """
 
 import argparse
@@ -15,13 +14,7 @@ import time
 from pathlib import Path
 
 from thermal_sense.classifiers.nn import TrainingParams
-from thermal_sense.cli import (
-    build_report,
-    exit_on_error,
-    max_workers,
-    sweep_plot_csv,
-    sweep_results,
-)
+from thermal_sense.cli import build_report, exit_on_error, sweep_plot_csv, sweep_results
 from thermal_sense.core import make_folds
 from thermal_sense.evaluate import NnSpec, sweep, sweep_specs
 from thermal_sense.persist import atomic_write_text, save_dataset, save_report
@@ -37,7 +30,6 @@ def main() -> int:
     parser.add_argument("--nn-epochs", type=int, default=200,
                         help="epochs for the width sweep (wide nets train slowly)")
     args = parser.parse_args()
-    workers = max_workers()
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -52,7 +44,7 @@ def main() -> int:
             hp = TrainingParams(epochs=args.nn_epochs)
             specs = tuple(NnSpec(s.hidden, hp) for s in specs)
         start = time.perf_counter()
-        rows = sweep(ds, plan, family, args.seed, specs=specs, max_workers=workers)
+        rows = sweep(ds, plan, family, args.seed, specs=specs)
         elapsed = time.perf_counter() - start
 
         print(f"== {family} ({elapsed:.1f}s)")

@@ -37,11 +37,18 @@ DEFAULT_TOL = 1e-3
 MAX_PAIR_UPDATES = 1_000_000
 
 
-def check_c(c: float) -> float:
-    """C as a float, or InvalidInputError unless it is finite and positive."""
-    if not (math.isfinite(c) and c > 0):
-        raise InvalidInputError(f"C must be finite and positive, got {c!r}")
-    return float(c)
+def check_positive(name: str, value: float) -> float:
+    """C, or tol (LIBSVM's eps), as a float; InvalidInputError unless finite and positive."""
+    if not (math.isfinite(value) and value > 0):
+        raise InvalidInputError(f"{name} must be finite and positive, got {value!r}")
+    return float(value)
+
+
+def check_max_iter(max_iter: int) -> int:
+    """max_iter, or InvalidInputError unless it is an integer of at least 1."""
+    if not isinstance(max_iter, (int, np.integer)) or max_iter < 1:
+        raise InvalidInputError(f"max_iter must be an integer >= 1, got {max_iter!r}")
+    return int(max_iter)
 
 
 def check_scale(scale: np.ndarray) -> np.ndarray:
@@ -66,7 +73,7 @@ class SvmModel:
     bias: float
 
     def __post_init__(self) -> None:
-        check_c(self.c)
+        check_positive("C", self.c)
         check_scale(self.feature_scale)
         if self.kernel.kind != "linear" and self.kernel.gamma is None:
             raise InvalidInputError(f"{self.kernel.kind} kernel needs a resolved gamma")
@@ -209,7 +216,8 @@ def _smo(rows, y: np.ndarray, c: float, tol: float,
 
 def train_svm(train: Dataset, kernel: KernelSpec, c: float = DEFAULT_C,
               tol: float = DEFAULT_TOL, max_iter: int = MAX_PAIR_UPDATES) -> SvmModel:
-    c = check_c(c)
+    c, tol = check_positive("C", c), check_positive("tol", tol)
+    max_iter = check_max_iter(max_iter)
     if len(np.unique(train.y)) < 2:
         raise StratificationError("training set must contain both classes")
     x = train.x
@@ -217,7 +225,7 @@ def train_svm(train: Dataset, kernel: KernelSpec, c: float = DEFAULT_C,
     x_std = (x - mean) / scale
     spec = _resolve_kernel(kernel, x_std)
     y = np.where(train.y == Label.PERSON, 1.0, -1.0)
-    alpha, bias = _smo(_KernelRows(spec, x_std), y, c, float(tol), max_iter)
+    alpha, bias = _smo(_KernelRows(spec, x_std), y, c, tol, max_iter)
 
     sv = alpha > 0
     return SvmModel(

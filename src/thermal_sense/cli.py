@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 
 from . import __version__
@@ -18,13 +17,7 @@ from .classifiers.kernels import KERNEL_KINDS, KernelSpec
 from .classifiers.knn import WEIGHTINGS
 from .classifiers.nn import TrainingParams
 from .core import Label, make_folds, split_train_test
-from .errors import (
-    DataFormatError,
-    InvalidInputError,
-    ThermalSenseError,
-    TrainingError,
-    UsageError,
-)
+from .errors import DataFormatError, InvalidInputError, ThermalSenseError, TrainingError
 from .evaluate import (
     CvResult,
     KnnSpec,
@@ -51,19 +44,6 @@ from .persist import (
 from .simulate import DEFAULT_SIM_PARAMS, generate_main, generate_variational, load_sim_params
 
 TOOL_NAME = "thermal-sense"
-THREADS_ENV = "THERMAL_SENSE_THREADS"
-
-
-def max_workers() -> int:
-    """Sweep worker count from THERMAL_SENSE_THREADS (default 1), or UsageError."""
-    raw = os.environ.get(THREADS_ENV, "1")
-    try:
-        workers = int(raw)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise UsageError(f"{THREADS_ENV} must be a positive integer, got {raw!r}")
-    return workers
 
 
 def build_report(command: str, config: dict, results: dict) -> dict:
@@ -189,7 +169,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     ds = load_dataset(args.data)
     # Fold plan always regenerated from (data, seed): every row shares folds.
     plan = make_folds(ds, args.folds, args.seed)
-    rows = sweep(ds, plan, args.family, args.seed, max_workers=max_workers())
+    rows = sweep(ds, plan, args.family, args.seed)
     for row in rows:
         print(f"{row.label}: accuracy mean={row.result.accuracy_mean:.4f} "
               f"std={row.result.accuracy_std:.4f}")
@@ -370,8 +350,6 @@ def exit_on_error(func, *args) -> int:
         return func(*args)
     except (ThermalSenseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        if isinstance(exc, UsageError):
-            return 1
         return 3 if isinstance(exc, TrainingError) else 2
 
 

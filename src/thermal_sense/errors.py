@@ -1,16 +1,12 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto exit codes: usage problems exit 1, data/format
-problems exit 2, training failures exit 3.
+The CLI maps these onto exit codes: data/format problems exit 2,
+training failures exit 3 (command-line usage errors, from argparse, exit 1).
 """
 
 
 class ThermalSenseError(Exception):
     pass
-
-
-class UsageError(ThermalSenseError, ValueError):
-    """The command line or its environment asks for something invalid."""
 
 
 class InvalidInputError(ThermalSenseError, ValueError):

@@ -8,8 +8,6 @@ are. Metrics whose denominator is zero are reported as None rather than
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,8 +15,8 @@ import numpy as np
 from .classifiers.kernels import KernelSpec
 from .classifiers.knn import KnnModel, predict_knn_batch, predict_knn_grid, train_knn
 from .classifiers.nn import NnModel, TrainingParams, predict_nn_batch, train_nn
-from .classifiers.svm import (DEFAULT_C, DEFAULT_TOL, MAX_PAIR_UPDATES, SvmModel, check_c,
-                              predict_svm_batch, train_svm)
+from .classifiers.svm import (DEFAULT_C, DEFAULT_TOL, MAX_PAIR_UPDATES, SvmModel,
+                              check_max_iter, check_positive, predict_svm_batch, train_svm)
 from .core import CONDITIONS, ConditionTag, Dataset, FoldPlan, Label
 from .errors import InvalidInputError, StratificationError
 
@@ -113,7 +111,9 @@ class SvmSpec:
     max_iter: int = MAX_PAIR_UPDATES
 
     def __post_init__(self) -> None:
-        check_c(self.c)
+        check_positive("C", self.c)
+        check_positive("tol", self.tol)
+        check_max_iter(self.max_iter)
 
     def label(self) -> str:
         return f"svm {self.kernel.kind}"
@@ -208,15 +208,13 @@ def sweep_specs(family: str) -> tuple[ClassifierSpec, ...]:
 
 
 def sweep(ds: Dataset, plan: FoldPlan, family: str, seed: int = 0,
-          specs: tuple[ClassifierSpec, ...] | None = None,
-          max_workers: int = 1) -> tuple[SweepRow, ...]:
+          specs: tuple[ClassifierSpec, ...] | None = None) -> tuple[SweepRow, ...]:
     """One CvResult per configuration, all sharing the same fold plan.
 
     Fold-major: one `cross_validate` drives the folds for the whole grid
     (see _GridTrainer), so each fold's training subset is built once and
     its k-NN models share one neighbour search. Each row equals
-    cross_validate(ds, plan, Trainer(spec, derive_seed(seed, index))),
-    for any max_workers (the specs of a fold train on that many threads).
+    cross_validate(ds, plan, Trainer(spec, derive_seed(seed, index))).
 
     Failures surface in fold order: of two specs failing in different
     folds, the one failing in the earlier fold raises; within a fold,
@@ -225,10 +223,8 @@ def sweep(ds: Dataset, plan: FoldPlan, family: str, seed: int = 0,
     grid = specs if specs is not None else sweep_specs(family)
     if not grid:
         return ()
-    with ThreadPoolExecutor(max_workers) if max_workers > 1 else nullcontext() as pool:
-        trainer = _GridTrainer(grid, seed, ds.y, np.array(plan.assignment),
-                               map if pool is None else pool.map)
-        cross_validate(ds, plan, trainer)
+    trainer = _GridTrainer(grid, seed, ds.y, np.array(plan.assignment))
+    cross_validate(ds, plan, trainer)
     return tuple(SweepRow(spec.label(), spec, CvResult.from_reports(reports))
                  for spec, reports in zip(grid, trainer.reports))
 
@@ -243,12 +239,11 @@ class _GridTrainer:
     result is the first row's.
     """
 
-    def __init__(self, grid, seed: int, y: np.ndarray, assignment: np.ndarray, map_fn):
+    def __init__(self, grid, seed: int, y: np.ndarray, assignment: np.ndarray):
         self.grid = grid
         self.seeds = [derive_seed(seed, index) for index in range(len(grid))]
         self.y = y
         self.assignment = assignment
-        self.map = map_fn
         self.reports: list[list[MetricsReport]] = [[] for _ in grid]
 
     def fit(self, train: Dataset, fold: int):
@@ -257,30 +252,23 @@ class _GridTrainer:
     def _predict_fold(self, train: Dataset, fold: int, xs) -> np.ndarray:
         """Train every spec on the fold and record its report on the test rows xs.
 
-        A model other than k-NN predicts as soon as it is trained. The
-        k-NN models on the first k-NN model's rows and labels vote on
-        its one neighbour search with their own (k, weighting), noted as
-        each is dropped, so only the first is held (with threads, also
-        the models trained ahead of their turn); a k-NN model on other
-        rows searches on its own.
+        The k-NN models on the first one's rows and labels are dropped once
+        their (k, weighting) is noted, and vote on its one neighbour search.
+        Any other model predicts as soon as it is trained.
         """
-        def fit_one(index):
-            model = self.grid[index].train_model(train, derive_seed(self.seeds[index], fold))
-            return index, model if isinstance(model, KnnModel) else predictor(model)(xs)
-
         labels: list = [None] * len(self.grid)
         shared, settings = None, {}  # the first k-NN model; index -> (k, weighting)
-        # (enumerate or zip would hold the last model in their reused result tuple)
-        for index, out in self.map(fit_one, range(len(self.grid))):
-            if not isinstance(out, KnnModel):
-                labels[index] = out
-            elif shared is None or (np.array_equal(out.rows, shared.rows)
-                                    and np.array_equal(out.train_y, shared.train_y)):
-                shared = out if shared is None else shared
-                settings[index] = (out.k, out.weighting)
+        for index, spec in enumerate(self.grid):
+            model = spec.train_model(train, derive_seed(self.seeds[index], fold))
+            if isinstance(model, KnnModel) and (shared is None or (
+                    np.array_equal(model.rows, shared.rows)
+                    and np.array_equal(model.train_y, shared.train_y))):
+                if shared is None:
+                    shared = model
+                settings[index] = (model.k, model.weighting)
             else:
-                labels[index] = predictor(out)(xs)
-            del out  # before the next spec trains
+                labels[index] = predictor(model)(xs)
+            del model  # before the next spec trains
         if shared is not None:
             grid_labels = predict_knn_grid(shared, xs, list(settings.values()))
             for index, knn_labels in zip(settings, grid_labels):

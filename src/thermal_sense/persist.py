@@ -1,12 +1,12 @@
-"""Bit-exact readers and writers for datasets, fold plans, models, reports.
+"""Bit-exact readers and writers for datasets, models and reports.
 
 Datasets are UTF-8 CSV with header `p00,...,p77,label,condition`, LF line
 endings, temperatures printed with exactly two decimals (quarter degrees
-need no more). Models and fold plans are versioned line-oriented text;
-numeric payloads use the shortest round-trip decimal representation, so
-a reloaded model reproduces the original's predictions bit for bit. The
-readers accept numbers only as the writers print them: ASCII `str(int)`
-and `repr(float)`, separated by single spaces.
+need no more). Models are versioned line-oriented text; numeric payloads
+use the shortest round-trip decimal representation, so a reloaded model
+reproduces the original's predictions bit for bit. The readers accept
+numbers only as the writers print them: ASCII `str(int)` and
+`repr(float)`, separated by single spaces.
 Reports are canonical JSON (sorted keys, two-space indent).
 
 All writers go through an atomic temp-file + rename.
@@ -28,7 +28,7 @@ import numpy as np
 from .classifiers.kernels import KernelSpec
 from .classifiers.knn import WEIGHTINGS, KnnModel
 from .classifiers.nn import MAX_HIDDEN, NnModel, TrainingParams
-from .classifiers.svm import SvmModel, check_c, check_scale
+from .classifiers.svm import SvmModel, check_positive, check_scale
 from .core import (
     CONDITIONS,
     GRID_SIZE,
@@ -36,13 +36,10 @@ from .core import (
     TEMP_MAX_C,
     TEMP_MIN_C,
     Dataset,
-    FoldPlan,
     Label,
 )
 from .errors import ConfigError, DataFormatError, FormatVersionError, InvalidInputError
 
-DATASET_FORMAT_VERSION = 1
-FOLD_PLAN_FORMAT_VERSION = 1
 MODEL_FORMAT_VERSION = 1
 REPORT_FORMAT_VERSION = 1
 
@@ -59,15 +56,14 @@ _CSV_ROW = re.compile(",".join(
 _QUARTER_TEXTS = tuple("%.2f" % (TEMP_MIN_C + q / 4) for q in range(
     int(4 * (TEMP_MAX_C - TEMP_MIN_C)) + 1))
 
-# Model-file and fold-plan numbers: str(int) and repr(float) in ASCII (an
-# exponent may have one digit). inf and nan are read, so that the
-# invariant they break names its line.
+# Model-file numbers: str(int) and repr(float) in ASCII (an exponent may
+# have one digit). inf and nan are read, so that the invariant they break
+# names its line.
 _INT = r"-?(?:0|[1-9][0-9]*)"
 _FINITE = r"-?(?:(?:0|[1-9][0-9]*)\.[0-9]+|[1-9](?:\.[0-9]+)?e[+-][0-9]+)"
 _FLOAT = rf"(?:{_FINITE}|-?inf|-?nan)"
 _INT_TEXT = re.compile(_INT)
 _FLOAT_TEXT = re.compile(_FLOAT)
-_INTS_LINE = re.compile(f"(?:{_INT}(?: {_INT})*)?")
 _FLOATS_LINE = re.compile(f"(?:{_FLOAT}(?: {_FLOAT})*)?")
 _KNN_ROW = re.compile(f"{_INT}(?: {_FLOAT})*")  # the label, then the features
 # Model values per block of `_floats_lines`.
@@ -132,12 +128,6 @@ def _float(text: str, finite: bool = False) -> float:
     if _FLOAT_TEXT.fullmatch(text) is None or finite and not np.isfinite(float(text)):
         raise ValueError(text)
     return float(text)
-
-
-def _ints(text: str) -> tuple[int, ...]:
-    if _INTS_LINE.fullmatch(text) is None:
-        raise ValueError(text)
-    return tuple(map(int, text.split()))
 
 
 def _text(lines: list[str], index: int, key: str) -> str:
@@ -261,59 +251,20 @@ def load_dataset(path, name: str | None = None) -> Dataset:
     return dataset_from_csv(text, name if name is not None else Path(path).stem, path)
 
 
-# --- fold plans and models ------------------------------------------------
+# --- models ----------------------------------------------------------------
 #
-# A file is `format-version: N`, a kind line, one `key: text` line per field of its format's
-# table, then a payload. A field is (key, text of the object's value, parse(text, values read
-# so far)); writer and reader walk the same table. A FoldPlan, KernelSpec or TrainingParams is
-# rebuilt field by field, so a value that breaks one of its invariants names its own line.
+# A file is `format-version: N`, `model-kind: <kind>`, one `key: text` line per field of its
+# format's table, then a payload. A field is (key, text of the model's value, parse(text,
+# values read so far)); writer and reader walk the same table. A KernelSpec or TrainingParams
+# is rebuilt field by field, so a value that breaks one of its invariants names its own line.
 
 class _Format(NamedTuple):
-    version: int
-    kind: tuple[str, str]  # the second line's key and value
+    kind: str
     fields: tuple
-    payload: Callable | None = None  # the object's payload lines
-    # (payload lines, values by key, at) -> the object; `at(key)` names a failure at a field's
-    # line, `at(i)` at payload line i. Without one, the object is the last field's value.
-    load: Callable | None = None
-
-
-def _to_text(fmt: _Format, obj) -> str:
-    lines = [f"format-version: {fmt.version}", ": ".join(fmt.kind)]
-    lines += [f"{key}: {text(obj)}" for key, text, _ in fmt.fields]
-    return "\n".join(lines + (fmt.payload(obj) if fmt.payload else [])) + "\n"
-
-
-def _load(path, formats: tuple[_Format, ...], unknown: str):
-    """The object of a file in one of `formats`, which share a version and a kind key."""
-    lines = read_text(path).splitlines()
-    with _at(path, 1, "format-version", lines):
-        version = _int(_text(lines, 0, "format-version"))
-    if version > formats[0].version:
-        raise FormatVersionError(f"{path}:1: format-version {version} is newer than supported "
-                                 f"({formats[0].version})")
-    with _at(path, 2):
-        kind = _text(lines, 1, formats[0].kind[0])
-        fmt = next((f for f in formats if f.kind[1] == kind), None)
-        if fmt is None:
-            raise DataFormatError(unknown.format(kind))  # the error for any other kind
-    values = {}
-    for lineno, (key, _, parse) in enumerate(fmt.fields, start=3):
-        with _at(path, lineno, key, lines):
-            values[key] = parse(_text(lines, lineno - 1, key), values)
-    start = 3 + len(fmt.fields)  # the payload's first line number
-    if fmt.load is None:
-        if len(lines) >= start:
-            with _at(path, start):
-                raise DataFormatError(f"unexpected line after the {fmt.fields[-1][0]}")
-        return values[fmt.fields[-1][0]]
-
-    def at(where):
-        if isinstance(where, str):  # `values` holds the fields in table order
-            return _at(path, 3 + list(values).index(where), where, lines)
-        return _at(path, start + where)
-
-    return fmt.load(lines[start - 1:], values, at)
+    payload: Callable  # the model's payload lines
+    # (payload lines, values by key, at) -> the model; `at(key)` names a failure at a field's
+    # line, `at(i)` at payload line i.
+    load: Callable
 
 
 def _parse_row(text: str, n: int, pattern: re.Pattern = _FLOATS_LINE) -> np.ndarray:
@@ -430,12 +381,6 @@ def _nn_load(payload: list[str], v: dict, at) -> NnModel:
                    v["epochs"], v["seed"])
 
 
-_FOLD_PLAN = _Format(FOLD_PLAN_FORMAT_VERSION, ("artifact", "fold-plan"), (
-    ("num-folds", lambda p: str(p.num_folds), lambda t, _: FoldPlan(_int(t), ())),
-    ("assignment", lambda p: " ".join(map(str, p.assignment)),
-     lambda t, v: replace(v["num-folds"], assignment=_ints(t))),
-))
-
 _STANDARDIZER = (
     ("n-features", lambda m: str(len(m.feature_mean)), lambda t, _: _width(t)),
     ("feature-mean", lambda m: _floats_line(m.feature_mean),
@@ -444,7 +389,7 @@ _STANDARDIZER = (
      lambda t, v: check_scale(_parse_row(t, v["n-features"]))),
 )
 
-_KNN = _Format(MODEL_FORMAT_VERSION, ("model-kind", "knn"), (
+_KNN = _Format("knn", (
     ("k", lambda m: str(m.k), lambda t, _: _int(t)),
     ("weighting", lambda m: m.weighting, lambda t, _: _weighting(t)),
     ("n-samples", lambda m: str(len(m.train_y)), lambda t, _: _int(t)),
@@ -452,7 +397,7 @@ _KNN = _Format(MODEL_FORMAT_VERSION, ("model-kind", "knn"), (
 ), lambda m: [f"{int(label)} {row}" for label, row in zip(m.train_y, _floats_lines(m.train_x))],
     _knn_load)
 
-_SVM = _Format(MODEL_FORMAT_VERSION, ("model-kind", "svm"), (
+_SVM = _Format("svm", (
     ("kernel", lambda m: m.kernel.kind, lambda t, _: KernelSpec(t)),
     ("degree", lambda m: str(m.kernel.degree),
      lambda t, v: replace(v["kernel"], degree=_int(t))),
@@ -461,13 +406,13 @@ _SVM = _Format(MODEL_FORMAT_VERSION, ("model-kind", "svm"), (
      lambda t, v: replace(v["degree"], gamma=None if (t, v["kernel"].kind) == ("none", "linear")
                           else _float(t))),
     ("coef0", lambda m: _fmt(m.kernel.coef0), lambda t, v: replace(v["gamma"], coef0=_float(t))),
-    ("c", lambda m: _fmt(m.c), lambda t, _: check_c(_float(t))),
+    ("c", lambda m: _fmt(m.c), lambda t, _: check_positive("C", _float(t))),
     ("bias", lambda m: _fmt(m.bias), lambda t, _: _float(t, finite=True)),
     ("n-support", lambda m: str(len(m.support_alpha)), lambda t, _: _int(t)),
 ) + _STANDARDIZER, lambda m: _floats_lines(np.column_stack(
     [m.support_alpha, m.support_y, m.support_x])), _svm_load)
 
-_NN = _Format(MODEL_FORMAT_VERSION, ("model-kind", "nn"), (
+_NN = _Format("nn", (
     ("hidden", lambda m: str(m.hidden), lambda t, _: _hidden(t)),
     ("learning-rate", lambda m: _fmt(m.params.learning_rate),
      lambda t, _: TrainingParams(learning_rate=_float(t))),
@@ -485,14 +430,6 @@ _NN = _Format(MODEL_FORMAT_VERSION, ("model-kind", "nn"), (
 _MODELS = {KnnModel: _KNN, SvmModel: _SVM, NnModel: _NN}
 
 
-def save_fold_plan(plan: FoldPlan, path) -> None:
-    atomic_write_text(path, _to_text(_FOLD_PLAN, plan))
-
-
-def load_fold_plan(path) -> FoldPlan:
-    return _load(path, (_FOLD_PLAN,), "not a fold-plan file")
-
-
 def save_model(model, path) -> None:
     atomic_write_text(path, model_to_text(model))
 
@@ -500,12 +437,37 @@ def save_model(model, path) -> None:
 def model_to_text(model) -> str:
     for kind, fmt in _MODELS.items():
         if isinstance(model, kind):
-            return _to_text(fmt, model)
+            lines = [f"format-version: {MODEL_FORMAT_VERSION}", f"model-kind: {fmt.kind}"]
+            lines += [f"{key}: {text(model)}" for key, text, _ in fmt.fields]
+            return "\n".join(lines + fmt.payload(model)) + "\n"
     raise DataFormatError(f"cannot serialize model of type {type(model).__name__}")
 
 
 def load_model(path):
-    return _load(path, tuple(_MODELS.values()), "unknown model kind {!r}")
+    """The model in a file of any of the `_MODELS` formats."""
+    lines = read_text(path).splitlines()
+    with _at(path, 1, "format-version", lines):
+        version = _int(_text(lines, 0, "format-version"))
+    if version > MODEL_FORMAT_VERSION:
+        raise FormatVersionError(f"{path}:1: format-version {version} is newer than supported "
+                                 f"({MODEL_FORMAT_VERSION})")
+    with _at(path, 2):
+        kind = _text(lines, 1, "model-kind")
+        fmt = next((f for f in _MODELS.values() if f.kind == kind), None)
+        if fmt is None:
+            raise DataFormatError(f"unknown model kind {kind!r}")
+    values = {}
+    for lineno, (key, _, parse) in enumerate(fmt.fields, start=3):
+        with _at(path, lineno, key, lines):
+            values[key] = parse(_text(lines, lineno - 1, key), values)
+    start = 3 + len(fmt.fields)  # the payload's first line number
+
+    def at(where):
+        if isinstance(where, str):  # `values` holds the fields in table order
+            return _at(path, 3 + list(values).index(where), where, lines)
+        return _at(path, start + where)
+
+    return fmt.load(lines[start - 1:], values, at)
 
 
 # --- reports ---------------------------------------------------------------

@@ -195,6 +195,20 @@ class SimParams:
 
 
 DEFAULT_SIM_PARAMS = SimParams()
+# The check that enforces each fixed bound a scene puts on a key's value, or on both ends
+# of a drawn range (`room` for room_lo and room_hi), called with that value alone.
+_SCENE_CHECKS = {
+    "room": SceneConfig,
+    "hot_room": SceneConfig,
+    "noise_sigma": lambda v: SceneConfig(DEFAULT_SIM_PARAMS.room_lo, noise_sigma=v),
+    "skin": lambda v: PersonConfig((0.0, 0.0), skin_temp_c=v),
+    "person_semi_a": lambda v: PersonConfig((0.0, 0.0), semi_axes=(v, 1.0)),
+    "person_semi_b": lambda v: PersonConfig((0.0, 0.0), semi_axes=(1.0, v)),
+    "bottle_temp_c": lambda v: PointSource((0.0, 0.0), temp_c=v),
+    "bottle_radius": lambda v: PointSource((0.0, 0.0), radius=v),
+    "duvet_f0": lambda v: duvet_factor(0.0, f0=v),
+    "duvet_tau_min": lambda v: duvet_factor(0.0, tau_min=v),
+}
 
 
 def _draw_widths(p: SimParams):  # the keys and width of each range frames are drawn from
@@ -209,6 +223,7 @@ def load_sim_params(path) -> SimParams:
     """Read SimParams overrides from a flat key=value file ('#' comments).
 
     Values must be finite, and so must each draw range's width, which must not be negative.
+    Then, in line order, each override must pass the scene checks that bound it (_SCENE_CHECKS).
     """
     known = {f.name for f in fields(SimParams)}
     overrides: dict[str, float] = {}
@@ -235,6 +250,13 @@ def load_sim_params(path) -> SimParams:
         if not 0 <= width < math.inf:
             raise DataFormatError(f"{path}:{max(where.get(k, 0) for k in keys)}: the range of "
                                   f"{' and '.join(keys)} has width {width!r}, not finite and >= 0")
+    for key in sorted(where, key=where.get):
+        bound = key.removesuffix("_lo").removesuffix("_hi")  # a range shares its ends' entry
+        check = _SCENE_CHECKS.get(bound, float)  # float: the key has no scene bound
+        try:
+            check(overrides[key])
+        except (InvalidInputError, ConfigError) as exc:
+            raise DataFormatError(f"{path}:{where[key]}: {key}: {exc}") from None
     return params
 
 

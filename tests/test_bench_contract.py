@@ -14,6 +14,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 REPO = Path(__file__).resolve().parents[1]
 
 
@@ -30,8 +32,11 @@ def test_bench_unit_tests_pass(tmp_path):
     assert done.returncode == 0, done.stderr[-2000:]
 
 
-def test_traced_bedside_run_is_correct(tmp_path):
-    done = run_in(tmp_path, REPO / "bench" / "run.py", "--workload", "bedside-stream",
+# A traced run fails if a wrapped name never fires: the sweeps' (`evaluate.cross_validate`,
+# `evaluate.train_svm`, ...) as well as the bedside frame path's.
+@pytest.mark.parametrize("workload", ["bedside-stream", "scale-sweep"])
+def test_traced_run_is_correct(tmp_path, workload):
+    done = run_in(tmp_path, REPO / "bench" / "run.py", "--workload", workload,
                   "--seconds", 0, "--trace", 1)
     assert done.returncode == 0, done.stderr[-2000:]
     result = json.loads(done.stdout.strip().splitlines()[-1])

@@ -65,8 +65,19 @@ class TestSimulate:
          "the range of room_lo and room_hi has width inf, not finite and >= 0"),
         ("room_lo = 22.0", 2,
          "the range of room_lo and room_hi has width -1.0, not finite and >= 0"),
+        ("duvet_f0 = 2", 2, "duvet_f0: need 0 < f0 <= 1 and tau_min > 0"),
+        ("duvet_tau_min = 0", 2, "duvet_tau_min: need 0 < f0 <= 1 and tau_min > 0"),
+        ("bottle_temp_c = 50", 2, "bottle_temp_c: point source at 50.0 exceeds 45 C"),
+        ("room_lo = 10", 2, "room_lo: room temperature 10.0 outside [15, 35]"),
+        ("hot_room_hi = 36", 2, "hot_room_hi: room temperature 36.0 outside [15, 35]"),
+        ("skin_hi = 40", 2, "skin_hi: skin temperature 40.0 outside [28, 37]"),
+        ("person_semi_a_lo = 0", 2, "person_semi_a_lo: semi-axes must be positive"),
+        ("noise_sigma = -0.1", 2, "noise_sigma: noise sigma must be finite and non-negative"),
+        ("noise_sigma = 0.05\nduvet_f0 = 0.5\nbottle_radius_lo = -0.1\nskin_lo = 20", 4,
+         "bottle_radius_lo: radius must be non-negative"),
     ], ids=["room-nan", "room-inf", "bottle-nan", "tau-nan", "orient-wide", "room-wide",
-            "room-reversed"])
+            "room-reversed", "duvet-f0", "duvet-tau", "bottle-hot", "room-cold", "hot-room-hot",
+            "skin-hot", "semi-axis-zero", "noise-negative", "first-bad-line"])
     def test_undrawable_params_exit_2(self, tmp_path, capsys, text, lineno, message):
         cfg = tmp_path / "sim.cfg"
         cfg.write_text(f"# overrides\n{text}\n")
@@ -135,30 +146,12 @@ class TestSweep:
         assert plot_lines[0] == "config,accuracy_mean,accuracy_std"
         assert len(plot_lines) == 9
 
-    @pytest.mark.parametrize("family", ["svm-kernels", "knn-grid"])
-    def test_report_independent_of_thread_count(self, main_csv, tmp_path, monkeypatch, family):
-        report, plot = tmp_path / "s.json", tmp_path / "s.csv"
-        outputs = []
-        for threads in ("1", "2"):
-            monkeypatch.setenv("THERMAL_SENSE_THREADS", threads)
-            assert cli("sweep", "--data", main_csv, "--folds", 5, "--seed", 7,
-                       "--family", family, "--report", report, "--emit-plot-data", plot) == 0
-            outputs.append((report.read_bytes(), plot.read_bytes()))
-        assert outputs[0] == outputs[1]
-
     def test_diverging_nn_exits_3(self, main_csv, monkeypatch, capsys):
         diverging = NnSpec(8, TrainingParams(1e12, 8, 50))
         monkeypatch.setattr(evaluate, "sweep_specs", lambda family: (KnnSpec(1), diverging))
         assert cli("sweep", "--data", main_csv, "--folds", 5, "--seed", 7,
                    "--family", "nn-widths") == 3
         assert capsys.readouterr().err.startswith("error: loss diverged at epoch ")
-
-    @pytest.mark.parametrize("value", ["abc", "0", "-1", ""])
-    def test_bad_thread_count_is_usage_error(self, main_csv, monkeypatch, capsys, value):
-        monkeypatch.setenv("THERMAL_SENSE_THREADS", value)
-        assert cli("sweep", "--data", main_csv, "--folds", 5, "--seed", 7,
-                   "--family", "knn-grid") == 1
-        assert "THERMAL_SENSE_THREADS" in capsys.readouterr().err
 
 
 class TestTrainEvalPredict:
@@ -403,6 +396,19 @@ class TestExitCodes:
     def test_training_failure_exit_code(self, main_csv, tmp_path):
         assert cli("train", "--data", main_csv, "--seed", 1, "--model", "svm",
                    "--max-iter", 1, "--out", tmp_path / "m.model") == 3
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--tol", "nan", "tol must be finite and positive, got nan"),
+        ("--tol", "-1", "tol must be finite and positive, got -1.0"),
+        ("--max-iter", "0", "max_iter must be an integer >= 1, got 0"),
+    ], ids=["tol-nan", "tol-negative", "max-iter-0"])
+    def test_bad_svm_solver_setting_exits_2(self, main_csv, tmp_path, capsys, flag, value,
+                                            message):
+        # rejected before training: the SMO would run to its pair-update cap first
+        assert cli("train", "--data", main_csv, "--seed", 1, "--model", "svm", flag, value,
+                   "--out", tmp_path / "m.model") == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "m.model").exists()
 
     def test_no_stray_temp_files(self, main_csv, tmp_path):
         leftovers = [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]

@@ -267,7 +267,7 @@ class TestTypes:
         assert a.condition is ConditionTag.DUVET_0 and b.condition is ConditionTag.BASELINE
         assert np.array_equal(a.features, ds.x[0])
 
-    def test_fold_plan_bounds(self):
+    def test_fold_assignment_bounds(self):
         with pytest.raises(InvalidInputError):
             FoldPlan(2, (0, 1, 2))
         with pytest.raises(InvalidInputError):

@@ -186,13 +186,11 @@ class TestSweep:
     def test_rows_independent_of_evaluation_order(self):
         ds = balanced_dataset(12)
         plan = make_folds(ds, 4, 3)
-        serial = sweep(ds, plan, "knn-grid", seed=5, max_workers=1)
-        parallel = sweep(ds, plan, "knn-grid", seed=5, max_workers=4)
-        assert serial == parallel
+        rows = sweep(ds, plan, "knn-grid", seed=5)
         # each row equals a standalone cross-validation with the same folds
         from thermal_sense.evaluate import derive_seed
 
-        for index, row in enumerate(serial):
+        for index, row in enumerate(rows):
             lone = cross_validate(ds, plan, Trainer(row.spec, derive_seed(5, index)))
             assert lone == row.result
 
@@ -280,16 +278,15 @@ class TestFoldMajorSweep:
             rows = sweep(ds, plan, family, seed=11)
         self.assert_rows_are_standalone_cvs(ds, plan, rows, specs, 11)
 
-    @pytest.mark.parametrize("workers", [1, 3])
     @pytest.mark.parametrize("labels", ["data", "shuffled"])
-    def test_mixed_specs(self, request, labels, workers):
+    def test_mixed_specs(self, request, labels):
         ds, plan = request.getfixturevalue(labels)
         specs = (SvmSpec(), KnnSpec(3, "distance"), NnSpec(4, TrainingParams(0.05, 8, 10)),
                  KnnSpec(3, "distance"), KnnSpec(1), KnnSpec(9, "distance"),
                  SvmSpec(KernelSpec("rbf")))
         with mock.patch.object(evaluate, "predict_knn_grid",
                                wraps=evaluate.predict_knn_grid) as grid:
-            rows = sweep(ds, plan, "mixed", seed=3, specs=specs, max_workers=workers)
+            rows = sweep(ds, plan, "mixed", seed=3, specs=specs)
         # one search per fold serves all four k-NN specs, k = 9 (a per-query vote) included
         assert grid.call_count == plan.num_folds
         shared = [(3, "distance"), (3, "distance"), (1, "uniform"), (9, "distance")]

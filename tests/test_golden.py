@@ -7,11 +7,14 @@ depend on where the tests run.
 
 `PYTHONPATH=src python tests/test_golden.py` runs the same pipeline and
 prints the digests the current code gives, for a deliberate re-record.
+One test runs it so on two BLAS threads: every digest must hold whatever
+the thread count.
 """
 
 import contextlib
 import hashlib
 import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -114,6 +117,19 @@ def test_output_digest(outputs, name):
 def test_monitor_fires_every_event_kind(outputs):
     kinds = {line.split(",")[1] for line in (outputs / "events.csv").read_text().splitlines()}
     assert kinds == {"bed_exit", "return", "frequent_exits"}
+
+
+def test_digests_independent_of_blas_threads():
+    # This file run as a script, in a process whose BLAS runs on two threads.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, __file__], capture_output=True, text=True, env=env,
+                          timeout=600)
+    assert done.returncode == 0, done.stderr[-2000:]
+    lines = done.stdout.splitlines()
+    assert [line.split()[0] for line in lines] == sorted(GOLDEN)
+    assert [line for line in lines if line.endswith(" changed")] == []
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ from thermal_sense.classifiers.kernels import KERNEL_KINDS, KernelSpec
 from thermal_sense.classifiers.knn import KnnModel
 from thermal_sense.classifiers.nn import NnModel, TrainingParams
 from thermal_sense.classifiers.svm import SvmModel
-from thermal_sense.core import CONDITIONS, Dataset, FoldPlan, Label, make_folds
+from thermal_sense.core import CONDITIONS, Dataset, Label
 from thermal_sense.errors import DataFormatError, FormatVersionError
 from thermal_sense.evaluate import KnnSpec, NnSpec, SvmSpec, predictor
 from thermal_sense.persist import (
@@ -19,20 +19,18 @@ from thermal_sense.persist import (
     dataset_from_csv,
     dataset_to_csv,
     load_dataset,
-    load_fold_plan,
     load_model,
     load_report,
     model_to_text,
     read_text,
     report_to_text,
     save_dataset,
-    save_fold_plan,
     save_model,
     save_report,
 )
 from thermal_sense.simulate import generate_main, load_sim_params
 
-from conftest import balanced_dataset, dataset_from_arrays
+from conftest import dataset_from_arrays
 from oracles import walk_dataset_csv
 
 quarter_temps = st.integers(80, 400).map(lambda q: q / 4.0)
@@ -211,8 +209,7 @@ class TestDatasetCsvFuzz:
 
 
 class TestNonUtf8Files:
-    @pytest.mark.parametrize("load", [load_dataset, load_fold_plan, load_model, load_report,
-                                      load_sim_params])
+    @pytest.mark.parametrize("load", [load_dataset, load_model, load_report, load_sim_params])
     def test_every_reader_names_the_line(self, tmp_path, load):
         path = tmp_path / "bad.txt"
         path.write_bytes(b"format-version: 1\n\xff\n")
@@ -235,64 +232,6 @@ class TestNonUtf8Files:
         path = tmp_path / "ok.txt"
         path.write_bytes("a\r\n\u00e9\rb\n".encode())
         assert read_text(path) == path.read_text(encoding="utf-8") == "a\n\u00e9\nb\n"
-
-
-class TestFoldPlanFormat:
-    def test_round_trip(self, tmp_path):
-        plan = make_folds(balanced_dataset(10), 5, 3)
-        path = tmp_path / "plan.txt"
-        save_fold_plan(plan, path)
-        assert load_fold_plan(path) == plan
-
-    def test_future_version_rejected(self, tmp_path):
-        path = tmp_path / "plan.txt"
-        path.write_text("format-version: 9\nartifact: fold-plan\nnum-folds: 2\nassignment: 0 1\n")
-        with pytest.raises(FormatVersionError):
-            load_fold_plan(path)
-
-    def test_wrong_artifact(self, tmp_path):
-        path = tmp_path / "plan.txt"
-        path.write_text("format-version: 1\nartifact: model\n")
-        with pytest.raises(DataFormatError):
-            load_fold_plan(path)
-
-    @pytest.mark.parametrize("lineno, text", [(3, "num-folds: x"), (4, "assignment: 0 one")])
-    def test_bad_header_names_line(self, tmp_path, lineno, text):
-        lines = ["format-version: 1", "artifact: fold-plan", "num-folds: 2", "assignment: 0 1"]
-        lines[lineno - 1] = text
-        path = tmp_path / "plan.txt"
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(DataFormatError, match=f"^{path}:{lineno}: bad "):
-            load_fold_plan(path)
-
-    @pytest.mark.parametrize("lineno, text, reason", [
-        (3, "num-folds: 1", "need at least 2 folds"),
-        (4, "assignment: 0 1 2", "fold index 2 out of range"),
-    ])
-    def test_plan_invariant_names_line(self, tmp_path, lineno, text, reason):
-        lines = ["format-version: 1", "artifact: fold-plan", "num-folds: 2", "assignment: 0 1"]
-        lines[lineno - 1] = text
-        path = tmp_path / "plan.txt"
-        path.write_text("\n".join(lines) + "\n")
-        key, value = text.split(": ")
-        with pytest.raises(DataFormatError) as info:
-            load_fold_plan(path)
-        assert str(info.value) == f"{path}:{lineno}: bad {key} {value!r}: {reason}"
-
-    def test_writer_bytes(self, tmp_path):
-        # Pinned bytes, not a round trip: a key renamed on both sides must fail.
-        path = tmp_path / "plan.txt"
-        save_fold_plan(FoldPlan(3, (0, 2, 1, 0)), path)
-        assert path.read_bytes() == (b"format-version: 1\nartifact: fold-plan\n"
-                                     b"num-folds: 3\nassignment: 0 2 1 0\n")
-
-    @pytest.mark.parametrize("extra", ["garbage here", "", "assignment: 0 1"])
-    def test_trailing_line_names_line(self, tmp_path, extra):
-        lines = ["format-version: 1", "artifact: fold-plan", "num-folds: 2", "assignment: 0 1"]
-        path = _write(tmp_path / "plan.txt", lines + [extra])
-        with pytest.raises(DataFormatError) as info:
-            load_fold_plan(path)
-        assert str(info.value) == f"{path}:5: unexpected line after the assignment"
 
 
 class TestModelFormat:
@@ -586,34 +525,25 @@ def assert_nn_invariants(model):
     assert isinstance(model.seed, int)
 
 
-def assert_plan_invariants(plan):
-    """Every FoldPlan invariant, checked independently of the constructor."""
-    assert isinstance(plan.num_folds, int) and plan.num_folds >= 2
-    assert isinstance(plan.assignment, tuple)
-    assert all(isinstance(a, int) and 0 <= a < plan.num_folds for a in plan.assignment)
-
-
 class TestTableFuzz:
-    """Any value in any header field of the k-NN, NN and fold-plan files loads with the
+    """Any value in any header field of the k-NN and NN model files loads with the
     invariants intact or names file:line."""
 
     @pytest.mark.parametrize("kind, index", [("knn", i) for i in range(6)]
-                             + [("nn", i) for i in range(12)]
-                             + [("plan", i) for i in range(4)])
+                             + [("nn", i) for i in range(12)])
     @settings(max_examples=60, deadline=None)
     @given(value=_field_values)
     def test_header_field(self, tmp_path_factory, kind, index, value):
-        base, load, check = {
-            "knn": (_knn_lines, load_model, assert_knn_invariants),
-            "nn": (_nn_fuzz_base, load_model, assert_nn_invariants),
-            "plan": (_plan_lines, load_fold_plan, assert_plan_invariants),
+        base, check = {
+            "knn": (_knn_lines, assert_knn_invariants),
+            "nn": (_nn_fuzz_base, assert_nn_invariants),
         }[kind]
         lines = list(base())
         key = lines[index].split(":")[0]
         lines[index] = f"{key}: {value}"
         path = _write(tmp_path_factory.getbasetemp() / f"fuzz-{kind}{index}.txt", lines)
         try:
-            loaded = load(path)
+            loaded = load_model(path)
         except DataFormatError as exc:
             assert re.match(rf"{re.escape(str(path))}:\d+: ", str(exc)), str(exc)
         else:
@@ -719,10 +649,6 @@ def _nn_fuzz_base():
     return tuple(_nn_lines())
 
 
-def _plan_lines():
-    return ["format-version: 1", "artifact: fold-plan", "num-folds: 2", "assignment: 0 1"]
-
-
 def _edit_token(line, index, token):
     tokens = line.split(" ")
     tokens[index] = token
@@ -730,7 +656,7 @@ def _edit_token(line, index, token):
 
 
 class TestNumberGrammar:
-    """Model-file and fold-plan numbers are read only as str(int) and repr(float) print them."""
+    """Model-file numbers are read only as str(int) and repr(float) print them."""
 
     @pytest.mark.parametrize("lines, lineno, edit, message", [
         (_knn_lines, 7, lambda t: _edit_token(t, 1, "2_5.0"), "bad numeric payload"),
@@ -749,19 +675,16 @@ class TestNumberGrammar:
         (_nn_lines, 4, lambda t: "learning-rate: .05", "bad learning-rate '.05'"),
         (_nn_lines, 6, lambda t: "epochs: 2.0", "bad epochs '2.0'"),
         (_nn_lines, 13, lambda t: _edit_token(t, 1, "Infinity"), "bad numeric payload"),
-        (_plan_lines, 3, lambda t: "num-folds: 1_0", "bad num-folds '1_0'"),
-        (_plan_lines, 4, lambda t: "assignment: 0 \u0661", "bad assignment '0 \u0661'"),
     ], ids=["knn-underscore", "knn-arabic-indic", "knn-upper-e", "knn-label-underscore",
             "knn-double-space", "knn-k", "knn-n-samples", "svm-degree", "svm-coef0-dot",
             "svm-c", "svm-bias-plus", "svm-fullwidth-mean", "svm-hex-alpha", "nn-leading-dot",
-            "nn-float-epochs", "nn-infinity", "plan-num-folds", "plan-assignment"])
+            "nn-float-epochs", "nn-infinity"])
     def test_rejection_names_line(self, tmp_path, lines, lineno, edit, message):
         lines = list(lines())
         lines[lineno - 1] = edit(lines[lineno - 1])
         path = _write(tmp_path / "f.txt", lines)
-        load = load_fold_plan if lines[1] == "artifact: fold-plan" else load_model
         with pytest.raises(DataFormatError) as info:
-            load(path)
+            load_model(path)
         assert str(info.value) == f"{path}:{lineno}: {message}"
 
     @pytest.mark.parametrize("edits, message", [

@@ -5,19 +5,15 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
 from thermal_sense.cli import run
 from thermal_sense.persist import load_report
 
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_script(name, *args, threads=None):
+def run_script(name, *args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    if threads is not None:
-        env["THERMAL_SENSE_THREADS"] = threads
     return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *map(str, args)],
                           capture_output=True, text=True, env=env, timeout=600)
 
@@ -49,16 +45,6 @@ def test_run_sweeps_input_error_exits_2(tmp_path):
                       "--folds", 2, "--nn-epochs", 1)
     assert done.returncode == 2
     assert done.stderr == "error: k=7 out of range for 6 training samples\n"
-
-
-@pytest.mark.parametrize("value", ["abc", "0"])
-def test_run_sweeps_bad_thread_count(tmp_path, value):
-    out = tmp_path / "out"
-    done = run_script("run_sweeps.py", "--out-dir", out, "--n-per-class", 8, "--folds", 2,
-                      "--nn-epochs", 1, threads=value)
-    assert done.returncode == 1
-    assert done.stderr.startswith("error: THERMAL_SENSE_THREADS")
-    assert not out.exists()  # refused before the dataset was generated
 
 
 def test_run_robustness_input_error_exits_2(tmp_path):

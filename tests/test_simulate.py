@@ -243,3 +243,10 @@ class TestSimParams:
             load_sim_params(cfg)
         assert str(info.value) == (
             f"{cfg}:{lineno}: the range of {keys} has width {width}, not finite and >= 0")
+
+    def test_scene_bounds_load_at_their_ends(self, tmp_path):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("room_lo = 15\nhot_room_hi = 35\nskin_lo = 28\nskin_hi = 37\n"
+                       "bottle_temp_c = 45\nbottle_radius_lo = 0\nnoise_sigma = 0\nduvet_f0 = 1\n")
+        params = load_sim_params(cfg)
+        assert (params.room_lo, params.hot_room_hi, params.duvet_f0) == (15.0, 35.0, 1.0)
