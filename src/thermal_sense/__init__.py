@@ -6,26 +6,3 @@ a bed-exit alerting state machine, all seeded and reproducible.
 """
 
 __version__ = "0.1.0"
-
-from .core import (
-    ConditionTag,
-    Dataset,
-    FoldPlan,
-    Label,
-    flatten,
-    make_folds,
-    quantize,
-    split_train_test,
-)
-
-__all__ = [
-    "__version__",
-    "ConditionTag",
-    "Dataset",
-    "FoldPlan",
-    "Label",
-    "flatten",
-    "make_folds",
-    "quantize",
-    "split_train_test",
-]

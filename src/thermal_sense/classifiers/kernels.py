@@ -18,12 +18,11 @@ is computed, so an entry of a row that is never read cannot fail a fit.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import InvalidInputError
+from ..errors import InvalidInputError, check_int, check_real
 
 KERNEL_KINDS = ("linear", "poly", "rbf", "sigmoid")
 # Gram entries per block of the elementwise passes (512 KiB of float64).
@@ -46,11 +45,9 @@ class KernelSpec:
     def __post_init__(self) -> None:
         if self.kind not in KERNEL_KINDS:
             raise InvalidInputError(f"unknown kernel {self.kind!r}")
-        if (isinstance(self.degree, bool) or not isinstance(self.degree, numbers.Integral)
-                or self.degree < 1):
-            raise InvalidInputError(f"degree must be an integer of at least 1, got {self.degree!r}")
-        if self.gamma is not None and not (math.isfinite(self.gamma) and self.gamma > 0):
-            raise InvalidInputError(f"gamma must be finite and positive, got {self.gamma!r}")
+        check_int("degree", self.degree, 1)
+        if self.gamma is not None:
+            check_real("gamma", self.gamma)
         if not math.isfinite(self.coef0):
             raise InvalidInputError(f"coef0 must be finite, got {self.coef0!r}")
 

@@ -39,12 +39,11 @@ query (see _MASKED_SUM_K).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from numbers import Integral
 
 import numpy as np
 
 from ..core import Dataset, Label, query_rows
-from ..errors import InvalidInputError
+from ..errors import InvalidInputError, check_int
 
 WEIGHTINGS = ("uniform", "distance")
 PERSON, NO_PERSON = int(Label.PERSON), int(Label.NO_PERSON)
@@ -104,9 +103,7 @@ class KnnModel:
 def _check_setting(k, weighting: str, n: int) -> None:
     if weighting not in WEIGHTINGS:
         raise InvalidInputError(f"unknown weighting {weighting!r}")
-    if isinstance(k, bool) or not isinstance(k, Integral):
-        raise InvalidInputError(f"k must be an integer, got {k!r}")
-    if not (1 <= k <= n):
+    if check_int("k", k, 1) > n:
         raise InvalidInputError(f"k={k} out of range for {n} training samples")
 
 

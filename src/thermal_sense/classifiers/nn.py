@@ -21,13 +21,12 @@ on the buffering.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..core import Dataset, Label, query_rows
-from ..errors import ConfigError, InvalidInputError, TrainingError
+from ..errors import InvalidInputError, TrainingError, check_int, check_real
 from .svm import check_scale, standardize_fit
 
 MAX_HIDDEN = 1024
@@ -40,13 +39,9 @@ class TrainingParams:
     epochs: int = 500
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ConfigError(
-                f"learning rate must be finite and positive, got {self.learning_rate!r}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch size must be at least 1, got {self.batch_size!r}")
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be at least 1, got {self.epochs!r}")
+        check_real("learning rate", self.learning_rate)
+        check_int("batch size", self.batch_size, 1)
+        check_int("epochs", self.epochs, 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,9 +57,7 @@ class NnModel:
     seed: int
 
     def __post_init__(self) -> None:
-        if not (1 <= self.hidden <= MAX_HIDDEN):
-            raise ConfigError(f"hidden width {self.hidden} outside [1, {MAX_HIDDEN}]")
-        h = self.hidden
+        h = check_int("hidden", self.hidden, 1, MAX_HIDDEN)
         d = self.w1.shape[0] if self.w1.ndim == 2 else -1
         shapes = (self.w1.shape, self.b1.shape, self.w2.shape, self.b2.shape,
                   self.feature_mean.shape, self.feature_scale.shape)
@@ -164,9 +157,7 @@ def _mean_loss(probs: np.ndarray, onehot: np.ndarray) -> float:
 
 def train_nn(train: Dataset, hidden: int, params: TrainingParams = TrainingParams(),
              seed: int = 0) -> NnModel:
-    if not (1 <= hidden <= MAX_HIDDEN):
-        raise ConfigError(f"hidden width {hidden} outside [1, {MAX_HIDDEN}]")
-
+    hidden = check_int("hidden", hidden, 1, MAX_HIDDEN)
     x, y = train.x, train.y
     mean, scale = standardize_fit(x)
     x_std = (x - mean) / scale

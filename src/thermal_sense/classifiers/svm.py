@@ -23,32 +23,17 @@ mapped to PERSON (the tie at exactly 0 goes to PERSON).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ..core import Dataset, Label, query_rows
-from ..errors import InvalidInputError, StratificationError, TrainingError
+from ..errors import InvalidInputError, StratificationError, TrainingError, check_int, check_real
 from .kernels import KernelSpec, kernel_matrix
 
 DEFAULT_C = 1.0
 DEFAULT_TOL = 1e-3
 MAX_PAIR_UPDATES = 1_000_000
-
-
-def check_positive(name: str, value: float) -> float:
-    """C, or tol (LIBSVM's eps), as a float; InvalidInputError unless finite and positive."""
-    if not (math.isfinite(value) and value > 0):
-        raise InvalidInputError(f"{name} must be finite and positive, got {value!r}")
-    return float(value)
-
-
-def check_max_iter(max_iter: int) -> int:
-    """max_iter, or InvalidInputError unless it is an integer of at least 1."""
-    if not isinstance(max_iter, (int, np.integer)) or max_iter < 1:
-        raise InvalidInputError(f"max_iter must be an integer >= 1, got {max_iter!r}")
-    return int(max_iter)
 
 
 def check_scale(scale: np.ndarray) -> np.ndarray:
@@ -73,7 +58,7 @@ class SvmModel:
     bias: float
 
     def __post_init__(self) -> None:
-        check_positive("C", self.c)
+        check_real("C", self.c)
         check_scale(self.feature_scale)
         if self.kernel.kind != "linear" and self.kernel.gamma is None:
             raise InvalidInputError(f"{self.kernel.kind} kernel needs a resolved gamma")
@@ -216,8 +201,8 @@ def _smo(rows, y: np.ndarray, c: float, tol: float,
 
 def train_svm(train: Dataset, kernel: KernelSpec, c: float = DEFAULT_C,
               tol: float = DEFAULT_TOL, max_iter: int = MAX_PAIR_UPDATES) -> SvmModel:
-    c, tol = check_positive("C", c), check_positive("tol", tol)
-    max_iter = check_max_iter(max_iter)
+    c, tol = check_real("C", c), check_real("tol", tol)
+    max_iter = check_int("max_iter", max_iter, 1)
     if len(np.unique(train.y)) < 2:
         raise StratificationError("training set must contain both classes")
     x = train.x

@@ -329,13 +329,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_predict)
 
     sp = sub.add_parser("monitor", help="replay a label trace through the bed-exit monitor")
+    monitor = MonitorConfig()
     sp.add_argument("--input", required=True, help="CSV of timestamp,label")
     sp.add_argument("--out", required=True, help="event records: timestamp,event_kind,bed_id")
     sp.add_argument("--bed-id", default="bed0")
-    sp.add_argument("--debounce-frames", type=int, default=3)
-    sp.add_argument("--long-absence-min", type=float, default=15.0)
-    sp.add_argument("--window-hours", type=float, default=8.0)
-    sp.add_argument("--max-exits", type=int, default=5)
+    sp.add_argument("--debounce-frames", type=int, default=monitor.debounce_frames)
+    sp.add_argument("--long-absence-min", type=float, default=monitor.long_absence_s / 60)
+    sp.add_argument("--window-hours", type=float, default=monitor.window_s / 3600)
+    sp.add_argument("--max-exits", type=int, default=monitor.max_exits)
     sp.set_defaults(func=cmd_monitor)
 
     return parser

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidInputError, StratificationError
+from .errors import InvalidInputError, StratificationError, check_int
 
 GRID_SIZE = 8
 NUM_PIXELS = GRID_SIZE * GRID_SIZE
@@ -181,11 +181,10 @@ class FoldPlan:
     assignment: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.num_folds < 2:
-            raise InvalidInputError("need at least 2 folds")
+        check_int("num_folds", self.num_folds, 2)
         for a in self.assignment:
-            if not (0 <= a < self.num_folds):
-                raise InvalidInputError(f"fold index {a} out of range")
+            if type(a) is not int or not 0 <= a < self.num_folds:  # a plain int passes faster
+                check_int("fold index", a, 0, self.num_folds - 1)
 
 
 def _round_half_up(x: Fraction) -> int:
@@ -217,8 +216,7 @@ def split_train_test(ds: Dataset, test_fraction: float, seed: int) -> tuple[Data
 
 def make_folds(ds: Dataset, k: int, seed: int) -> FoldPlan:
     """Stratified k-fold assignment: per-class fold counts differ by at most 1."""
-    if k < 2:
-        raise InvalidInputError("k must be at least 2")
+    k = check_int("k", k, 2)
     rng = np.random.default_rng(seed)
     assignment = np.zeros(len(ds), dtype=np.int64)
     for label in Label:

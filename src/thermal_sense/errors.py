@@ -1,8 +1,11 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and the two checks of a numeric setting.
 
 The CLI maps these onto exit codes: data/format problems exit 2,
 training failures exit 3 (command-line usage errors, from argparse, exit 1).
 """
+
+import math
+from numbers import Integral, Real
 
 
 class ThermalSenseError(Exception):
@@ -10,11 +13,7 @@ class ThermalSenseError(Exception):
 
 
 class InvalidInputError(ThermalSenseError, ValueError):
-    """An operation received a value outside its domain."""
-
-
-class ConfigError(ThermalSenseError, ValueError):
-    """A scene or classifier configuration violates its invariants."""
+    """An operation or configuration received a value outside its domain."""
 
 
 class StratificationError(ThermalSenseError, ValueError):
@@ -35,3 +34,22 @@ class TrainingError(ThermalSenseError, RuntimeError):
 
 class StreamError(ThermalSenseError, ValueError):
     """A monitored label stream violated its ordering contract."""
+
+
+def check_int(name: str, value, low: int, high: int | None = None) -> int:
+    """value as an int, or InvalidInputError unless it is a non-bool integer in [low, high]."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+    if value < low or high is not None and value > high:
+        bound = f"at least {low}" if high is None else f"in [{low}, {high}]"
+        raise InvalidInputError(f"{name} must be {bound}, got {value!r}")
+    return int(value)
+
+
+def check_real(name: str, value, low: float = 0.0, closed: bool = False) -> float:
+    """value as a float, or InvalidInputError unless a finite non-bool > low (>= low if closed)."""
+    if (isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value)
+            or (value < low if closed else value <= low)):
+        bound = f">= {low:g}" if closed else f"> {low:g}" if low else "positive"
+        raise InvalidInputError(f"{name} must be finite and {bound}, got {value!r}")
+    return float(value)

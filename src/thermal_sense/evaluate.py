@@ -16,9 +16,9 @@ from .classifiers.kernels import KernelSpec
 from .classifiers.knn import KnnModel, predict_knn_batch, predict_knn_grid, train_knn
 from .classifiers.nn import NnModel, TrainingParams, predict_nn_batch, train_nn
 from .classifiers.svm import (DEFAULT_C, DEFAULT_TOL, MAX_PAIR_UPDATES, SvmModel,
-                              check_max_iter, check_positive, predict_svm_batch, train_svm)
+                              predict_svm_batch, train_svm)
 from .core import CONDITIONS, ConditionTag, Dataset, FoldPlan, Label
-from .errors import InvalidInputError, StratificationError
+from .errors import InvalidInputError, StratificationError, check_int, check_real
 
 
 @dataclass(frozen=True)
@@ -111,9 +111,9 @@ class SvmSpec:
     max_iter: int = MAX_PAIR_UPDATES
 
     def __post_init__(self) -> None:
-        check_positive("C", self.c)
-        check_positive("tol", self.tol)
-        check_max_iter(self.max_iter)
+        check_real("C", self.c)
+        check_real("tol", self.tol)
+        check_int("max_iter", self.max_iter, 1)
 
     def label(self) -> str:
         return f"svm {self.kernel.kind}"

@@ -21,11 +21,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from numbers import Integral
 from typing import NamedTuple
 
 from .core import Label
-from .errors import ConfigError, StreamError
+from .errors import StreamError, check_int, check_real
 
 
 class Occupancy(Enum):
@@ -54,14 +53,10 @@ class MonitorConfig:
     max_exits: int = 5
 
     def __post_init__(self) -> None:
-        for name, low in (("debounce_frames", 1), ("max_exits", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Integral) or value < low:
-                raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
-        if not (math.isfinite(self.long_absence_s) and self.long_absence_s >= 0):
-            raise ConfigError(f"long_absence_s must be finite and >= 0, got {self.long_absence_s!r}")
-        if not (math.isfinite(self.window_s) and self.window_s > 0):
-            raise ConfigError(f"window_s must be finite and > 0, got {self.window_s!r}")
+        check_int("debounce_frames", self.debounce_frames, 1)
+        check_int("max_exits", self.max_exits, 0)
+        check_real("long_absence_s", self.long_absence_s, closed=True)
+        check_real("window_s", self.window_s)
 
 
 class MonitorState(NamedTuple):

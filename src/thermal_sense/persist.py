@@ -28,7 +28,7 @@ import numpy as np
 from .classifiers.kernels import KernelSpec
 from .classifiers.knn import WEIGHTINGS, KnnModel
 from .classifiers.nn import MAX_HIDDEN, NnModel, TrainingParams
-from .classifiers.svm import SvmModel, check_positive, check_scale
+from .classifiers.svm import SvmModel, check_scale
 from .core import (
     CONDITIONS,
     GRID_SIZE,
@@ -38,7 +38,7 @@ from .core import (
     Dataset,
     Label,
 )
-from .errors import ConfigError, DataFormatError, FormatVersionError, InvalidInputError
+from .errors import DataFormatError, FormatVersionError, InvalidInputError, check_int, check_real
 
 MODEL_FORMAT_VERSION = 1
 REPORT_FORMAT_VERSION = 1
@@ -141,17 +141,17 @@ def _text(lines: list[str], index: int, key: str) -> str:
 def _at(path, lineno: int, key: str = "", lines: list[str] = ()):
     """Name a failure in the block at `path:lineno`, the line of header field `key` if any.
 
-    A DataFormatError carries its whole reason. An InvalidInputError or
-    ConfigError breaks an invariant of the object being built from the
-    field, so it is the reason the field's text is bad; any other
-    ValueError just marks the text bad.
+    A DataFormatError carries its whole reason. An InvalidInputError
+    breaks an invariant of the object being built from the field, so it
+    is the reason the field's text is bad; any other ValueError just marks
+    the text bad.
     """
     try:
         yield
     except DataFormatError as exc:
         raise DataFormatError(f"{path}:{lineno}: {exc}") from None
     except ValueError as exc:
-        reason = f": {exc}" if isinstance(exc, (InvalidInputError, ConfigError)) else ""
+        reason = f": {exc}" if isinstance(exc, InvalidInputError) else ""
         raise DataFormatError(
             f"{path}:{lineno}: bad {key} {_text(lines, lineno - 1, key)!r}{reason}") from None
 
@@ -315,13 +315,6 @@ def _width(text: str) -> int:
     return n_features
 
 
-def _hidden(text: str) -> int:
-    hidden = _int(text)
-    if not 1 <= hidden <= MAX_HIDDEN:
-        raise DataFormatError(f"hidden width {hidden} outside [1, {MAX_HIDDEN}]")
-    return hidden
-
-
 def _knn_load(payload: list[str], v: dict, at) -> KnnModel:
     n = v["n-features"]
 
@@ -406,14 +399,14 @@ _SVM = _Format("svm", (
      lambda t, v: replace(v["degree"], gamma=None if (t, v["kernel"].kind) == ("none", "linear")
                           else _float(t))),
     ("coef0", lambda m: _fmt(m.kernel.coef0), lambda t, v: replace(v["gamma"], coef0=_float(t))),
-    ("c", lambda m: _fmt(m.c), lambda t, _: check_positive("C", _float(t))),
+    ("c", lambda m: _fmt(m.c), lambda t, _: check_real("C", _float(t))),
     ("bias", lambda m: _fmt(m.bias), lambda t, _: _float(t, finite=True)),
     ("n-support", lambda m: str(len(m.support_alpha)), lambda t, _: _int(t)),
 ) + _STANDARDIZER, lambda m: _floats_lines(np.column_stack(
     [m.support_alpha, m.support_y, m.support_x])), _svm_load)
 
 _NN = _Format("nn", (
-    ("hidden", lambda m: str(m.hidden), lambda t, _: _hidden(t)),
+    ("hidden", lambda m: str(m.hidden), lambda t, _: check_int("hidden", _int(t), 1, MAX_HIDDEN)),
     ("learning-rate", lambda m: _fmt(m.params.learning_rate),
      lambda t, _: TrainingParams(learning_rate=_float(t))),
     ("batch-size", lambda m: str(m.params.batch_size),

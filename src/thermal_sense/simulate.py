@@ -27,13 +27,15 @@ from .core import (
     CONDITIONS,
     GRID_SIZE,
     NUM_PIXELS,
+    TEMP_MAX_C,
+    TEMP_MIN_C,
     ConditionTag,
     Dataset,
     Label,
     flatten,
     quantize,
 )
-from .errors import ConfigError, DataFormatError, InvalidInputError
+from .errors import DataFormatError, InvalidInputError, check_int, check_real
 from .persist import read_text
 
 DEFAULT_DUVET_F0 = 0.35
@@ -56,10 +58,10 @@ def duvet_factor(minutes: float, f0: float = DEFAULT_DUVET_F0,
     factor(t) = 1 - (1 - f0) * exp(-t / tau); strictly increasing from
     f0 at t=0 toward 1 as the duvet warms up.
     """
-    if not np.isfinite(minutes) or minutes < 0:
-        raise InvalidInputError(f"minutes must be finite and non-negative, got {minutes!r}")
-    if not (0.0 < f0 <= 1.0) or tau_min <= 0:
-        raise InvalidInputError("need 0 < f0 <= 1 and tau_min > 0")
+    check_real("minutes", minutes, closed=True)
+    if not 0.0 < f0 <= 1.0:
+        raise InvalidInputError(f"f0 {f0} outside (0, 1]")
+    check_real("tau_min", tau_min)
     return 1.0 - (1.0 - f0) * math.exp(-minutes / tau_min)
 
 
@@ -74,10 +76,10 @@ class PersonConfig:
 
     def __post_init__(self) -> None:
         a, b = self.semi_axes
-        if a <= 0 or b <= 0:
-            raise ConfigError("semi-axes must be positive")
+        check_real("semi_axes[0]", a)
+        check_real("semi_axes[1]", b)
         if not (28.0 <= self.skin_temp_c <= 37.0):
-            raise ConfigError(f"skin temperature {self.skin_temp_c} outside [28, 37]")
+            raise InvalidInputError(f"skin temperature {self.skin_temp_c} outside [28, 37]")
 
     def footprint_within_grid(self) -> bool:
         a, b = self.semi_axes
@@ -100,10 +102,9 @@ class PointSource:
     temp_c: float = 37.0
 
     def __post_init__(self) -> None:
-        if self.radius < 0:
-            raise ConfigError("radius must be non-negative")
+        check_real("radius", self.radius, closed=True)
         if self.temp_c > 45.0:
-            raise ConfigError(f"point source at {self.temp_c} exceeds 45 C")
+            raise InvalidInputError(f"point source at {self.temp_c} exceeds 45 C")
 
 
 @dataclass(frozen=True)
@@ -119,16 +120,16 @@ class SceneConfig:
 
     def __post_init__(self) -> None:
         if not (15.0 <= self.room_temp_c <= 35.0):
-            raise ConfigError(f"room temperature {self.room_temp_c} outside [15, 35]")
-        if self.noise_sigma < 0 or not np.isfinite(self.noise_sigma):
-            raise ConfigError("noise sigma must be finite and non-negative")
+            raise InvalidInputError(f"room temperature {self.room_temp_c} outside [15, 35]")
+        if not (0.0 <= self.noise_sigma <= TEMP_MAX_C - TEMP_MIN_C):  # at most the sensor's span
+            raise InvalidInputError(
+                f"noise sigma {self.noise_sigma} outside [0, {TEMP_MAX_C - TEMP_MIN_C:g}]")
         if self.duvet_minutes is not None:
             if self.person is None:
-                raise ConfigError("duvet_minutes given without a person")
-            if self.duvet_minutes < 0:
-                raise ConfigError("duvet_minutes must be non-negative")
+                raise InvalidInputError("duvet_minutes given without a person")
+            check_real("duvet_minutes", self.duvet_minutes, closed=True)
         if self.person is not None and not self.person.footprint_within_grid():
-            raise ConfigError("person footprint extends outside the 8x8 grid")
+            raise InvalidInputError("person footprint extends outside the 8x8 grid")
 
 
 def _ellipse_excess_distance(person: PersonConfig) -> np.ndarray:
@@ -224,6 +225,7 @@ def load_sim_params(path) -> SimParams:
 
     Values must be finite, and so must each draw range's width, which must not be negative.
     Then, in line order, each override must pass the scene checks that bound it (_SCENE_CHECKS).
+    Last, the widest person the ranges can draw must fit the grid (named at the last person_* line).
     """
     known = {f.name for f in fields(SimParams)}
     overrides: dict[str, float] = {}
@@ -255,8 +257,18 @@ def load_sim_params(path) -> SimParams:
         check = _SCENE_CHECKS.get(bound, float)  # float: the key has no scene bound
         try:
             check(overrides[key])
-        except (InvalidInputError, ConfigError) as exc:
+        except InvalidInputError as exc:
             raise DataFormatError(f"{path}:{where[key]}: {key}: {exc}") from None
+    # Each half-extent is monotone in each semi-axis and in |orientation| up to 90: try the ends.
+    axes = (params.person_semi_a_hi, params.person_semi_b_hi)
+    for center in ((params.person_row_lo, params.person_col_lo),
+                   (params.person_row_hi, params.person_col_hi)):
+        for angle in (0.0, min(params.person_orient_deg, 90.0)):
+            if not PersonConfig(center, angle, axes).footprint_within_grid():
+                line = max((where[k] for k in where if k.startswith("person_")), default=0)
+                raise DataFormatError(
+                    f"{path}:{line}: a person at {center} with semi-axes {axes} and orientation "
+                    f"{angle:g} degrees extends outside the 8x8 grid")
     return params
 
 
@@ -329,8 +341,7 @@ def _cell(stream: int, n: int, label: Label, tag: ConditionTag, **scene) -> list
 def generate_main(n_per_class: int, seed: int,
                   params: SimParams = DEFAULT_SIM_PARAMS) -> Dataset:
     """Baseline dataset: n occupied frames followed by n empty frames."""
-    if n_per_class < 1:
-        raise InvalidInputError("n_per_class must be at least 1")
+    check_int("n_per_class", n_per_class, 1)
     plan = (_cell(0, n_per_class, Label.PERSON, ConditionTag.BASELINE, person=True)
             + _cell(1, n_per_class, Label.NO_PERSON, ConditionTag.BASELINE))
     return _render_dataset(plan, seed, params, "main")
@@ -345,8 +356,7 @@ def generate_variational(n_per_cell: int, seed: int,
     across covered-for-0/5/10-minutes tags; empty duvet frames carry the
     duvet_0 tag.
     """
-    if n_per_cell < 1:
-        raise InvalidInputError("n_per_cell must be at least 1")
+    check_int("n_per_cell", n_per_cell, 1)
     if n_per_cell % 3 != 0:
         raise InvalidInputError("n_per_cell must be divisible by 3 for the duvet time split")
     n = n_per_cell

@@ -1,12 +1,23 @@
+import contextlib
+import dataclasses
 import hashlib
+import io
+import math
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thermal_sense import evaluate
 from thermal_sense.classifiers.nn import TrainingParams
-from thermal_sense.cli import run
+from thermal_sense.cli import _read_trace, build_parser, run
+from thermal_sense.errors import DataFormatError
 from thermal_sense.evaluate import KnnSpec, NnSpec
+from thermal_sense.monitor import MonitorConfig
 from thermal_sense.persist import load_dataset, load_report
+from thermal_sense.simulate import (DEFAULT_SIM_PARAMS, generate_main, generate_variational,
+                                    load_sim_params)
 
 P3 = ["--seed", "3"]
 
@@ -65,19 +76,28 @@ class TestSimulate:
          "the range of room_lo and room_hi has width inf, not finite and >= 0"),
         ("room_lo = 22.0", 2,
          "the range of room_lo and room_hi has width -1.0, not finite and >= 0"),
-        ("duvet_f0 = 2", 2, "duvet_f0: need 0 < f0 <= 1 and tau_min > 0"),
-        ("duvet_tau_min = 0", 2, "duvet_tau_min: need 0 < f0 <= 1 and tau_min > 0"),
+        ("duvet_f0 = 2", 2, "duvet_f0: f0 2.0 outside (0, 1]"),
+        ("duvet_tau_min = 0", 2,
+         "duvet_tau_min: tau_min must be finite and positive, got 0.0"),
         ("bottle_temp_c = 50", 2, "bottle_temp_c: point source at 50.0 exceeds 45 C"),
         ("room_lo = 10", 2, "room_lo: room temperature 10.0 outside [15, 35]"),
         ("hot_room_hi = 36", 2, "hot_room_hi: room temperature 36.0 outside [15, 35]"),
         ("skin_hi = 40", 2, "skin_hi: skin temperature 40.0 outside [28, 37]"),
-        ("person_semi_a_lo = 0", 2, "person_semi_a_lo: semi-axes must be positive"),
-        ("noise_sigma = -0.1", 2, "noise_sigma: noise sigma must be finite and non-negative"),
+        ("person_semi_a_lo = 0", 2,
+         "person_semi_a_lo: semi_axes[0] must be finite and positive, got 0.0"),
+        ("noise_sigma = -0.1", 2, "noise_sigma: noise sigma -0.1 outside [0, 80]"),
         ("noise_sigma = 0.05\nduvet_f0 = 0.5\nbottle_radius_lo = -0.1\nskin_lo = 20", 4,
-         "bottle_radius_lo: radius must be non-negative"),
+         "bottle_radius_lo: radius must be finite and >= 0, got -0.1"),
+        ("noise_sigma = 1e308", 2, "noise_sigma: noise sigma 1e+308 outside [0, 80]"),
+        ("person_row_lo = 0\nperson_row_hi = 0.5", 3, "a person at (0.0, 2.2) with semi-axes "
+         "(2.9, 1.4) and orientation 0 degrees extends outside the 8x8 grid"),
+        ("person_orient_deg = 90\nperson_semi_b_lo = 0.5\nperson_semi_a_lo = 2.0", 4,
+         "a person at (2.6, 2.2) with semi-axes (2.9, 1.4) and orientation 90 degrees "
+         "extends outside the 8x8 grid"),
     ], ids=["room-nan", "room-inf", "bottle-nan", "tau-nan", "orient-wide", "room-wide",
             "room-reversed", "duvet-f0", "duvet-tau", "bottle-hot", "room-cold", "hot-room-hot",
-            "skin-hot", "semi-axis-zero", "noise-negative", "first-bad-line"])
+            "skin-hot", "semi-axis-zero", "noise-negative", "first-bad-line", "noise-huge",
+            "person-off-grid", "person-turned-off-grid"])
     def test_undrawable_params_exit_2(self, tmp_path, capsys, text, lineno, message):
         cfg = tmp_path / "sim.cfg"
         cfg.write_text(f"# overrides\n{text}\n")
@@ -345,6 +365,12 @@ class TestMonitorCommand:
         assert not out.exists()
 
 
+    def test_flag_defaults_are_the_library_defaults(self):
+        args = build_parser().parse_args(["monitor", "--input", "t.csv", "--out", "e.csv"])
+        assert MonitorConfig(args.debounce_frames, args.long_absence_min * 60.0,
+                             args.window_hours * 3600.0, args.max_exits) == MonitorConfig()
+
+
 class TestNonUtf8Input:
     """Every file a command reads fails with exit 2 and `file:line`, not a traceback."""
 
@@ -400,7 +426,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("flag, value, message", [
         ("--tol", "nan", "tol must be finite and positive, got nan"),
         ("--tol", "-1", "tol must be finite and positive, got -1.0"),
-        ("--max-iter", "0", "max_iter must be an integer >= 1, got 0"),
+        ("--max-iter", "0", "max_iter must be at least 1, got 0"),
     ], ids=["tol-nan", "tol-negative", "max-iter-0"])
     def test_bad_svm_solver_setting_exits_2(self, main_csv, tmp_path, capsys, flag, value,
                                             message):
@@ -413,3 +439,111 @@ class TestExitCodes:
     def test_no_stray_temp_files(self, main_csv, tmp_path):
         leftovers = [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
         assert leftovers == []
+
+
+_TRACE = ("timestamp,label", "0,person", "30,person", "60.5,no_person", "90,no_person",
+          "120,person")
+_TRACE_TOKENS = st.sampled_from([
+    "", " 30", "30 ", "-1", "0", "60.5", "1e400", "-inf", "nan", "1_0", "0x10", "\u0663", "2e1",
+    "person", "no_person", "Person", "ghost", "timestamp", "label",
+])
+
+
+@st.composite
+def mutated_trace(draw):
+    """A valid timestamp,label trace with a few fields set, edited or cut, or lines inserted."""
+    lines = list(_TRACE)
+    for _ in range(draw(st.integers(1, 3))):
+        row = draw(st.integers(0, len(lines) - 1))
+        fields = lines[row].split(",")
+        i = draw(st.integers(0, len(fields) - 1))
+        op = draw(st.sampled_from(["set", "digit", "cut", "line"]))
+        if op == "set":
+            fields[i] = draw(_TRACE_TOKENS | st.floats().map(repr))
+        elif op == "digit":
+            at = draw(st.integers(0, len(fields[i])))
+            char = draw(st.sampled_from("0123456789.-e,_ x\u0663"))
+            fields[i] = fields[i][:at] + char + fields[i][at + 1:]
+        elif op == "cut":
+            del fields[i]
+        else:
+            lines.insert(row, draw(st.sampled_from(["", lines[row], lines[-1]])))
+            continue
+        lines[row] = ",".join(fields)
+    return "\n".join(lines) + "\n"
+
+
+_SIM_KEYS = [f.name for f in dataclasses.fields(DEFAULT_SIM_PARAMS)]
+_SIM_VALUES = st.one_of(
+    st.floats(-1.0, 9.0).map(lambda v: repr(round(v, 2))),  # near the grid's edges
+    st.floats().map(repr),
+    st.sampled_from(["0", "-0.0", "90", "80", "80.5", "1e308", "-1e308", "1e-320", "nan", "inf",
+                     "warm", ""]),
+)
+
+
+@st.composite
+def mutated_sim_params(draw):
+    """Every parameter at its default, then a few values set or swapped, or lines edited."""
+    lines = [f"{key} = {getattr(DEFAULT_SIM_PARAMS, key)!r}" for key in _SIM_KEYS]
+    for _ in range(draw(st.integers(1, 4))):
+        row = draw(st.integers(0, len(lines) - 1))
+        key, _, value = lines[row].partition(" = ")
+        op = draw(st.sampled_from(["set", "set", "set", "swap", "key", "line"]))
+        if op == "set":
+            value = draw(_SIM_VALUES)
+        elif op == "swap":
+            other = draw(st.integers(0, len(lines) - 1))
+            other_key, _, other_value = lines[other].partition(" = ")
+            lines[other] = f"{other_key} = {value}"
+            value = other_value
+        elif op == "key":
+            key = draw(st.sampled_from(_SIM_KEYS + ["walls", ""]))
+        else:
+            lines.insert(row, draw(st.sampled_from(["", "# note", key, lines[row]])))
+            continue
+        lines[row] = f"{key} = {value}"
+    return "\n".join(lines) + "\n"
+
+
+def _exits_2_with_one_line(*args):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli(*args)
+    return code == 2 and err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+
+class TestReaderFuzz:
+    """A mutated trace or simulator-params file loads with its invariants intact, or fails
+    naming `file:line`, and the CLI then exits 2 with one error line."""
+
+    @settings(max_examples=300)
+    @given(text=mutated_trace())
+    def test_trace(self, tmp_path_factory, text):
+        path = tmp_path_factory.getbasetemp() / "fuzz_trace.csv"
+        path.write_text(text, encoding="utf-8")
+        try:
+            trace = _read_trace(path)
+        except DataFormatError as exc:
+            assert re.match(rf"{re.escape(str(path))}:\d+: ", str(exc)), str(exc)
+            assert _exits_2_with_one_line("monitor", "--input", path,
+                                          "--out", path.with_suffix(".out"))
+        else:
+            times = [ts for ts, _ in trace]
+            assert all(map(math.isfinite, times))
+            assert all(a < b for a, b in zip(times, times[1:]))
+
+    @settings(max_examples=300)
+    @given(text=mutated_sim_params(), seed=st.integers(0, 2**32))
+    def test_sim_params(self, tmp_path_factory, text, seed):
+        path = tmp_path_factory.getbasetemp() / "fuzz_sim.cfg"
+        path.write_text(text, encoding="utf-8")
+        try:
+            params = load_sim_params(path)
+        except DataFormatError as exc:
+            assert re.match(rf"{re.escape(str(path))}:\d+: ", str(exc)), str(exc)
+            assert _exits_2_with_one_line("simulate", "main", "--n-per-class", 1, "--seed", 1,
+                                          "--out", path.with_suffix(".csv"), "--params", path)
+        else:  # every scene the ranges can draw renders
+            generate_main(1, seed, params)
+            generate_variational(3, seed, params)

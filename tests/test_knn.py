@@ -445,7 +445,7 @@ class TestSharedSearch:
 
     @pytest.mark.parametrize("settings, message", [
         ([], "no .k, weighting. settings"),
-        ([(1, "uniform"), (0, "uniform")], "k=0 out of range"),
+        ([(1, "uniform"), (0, "uniform")], "k must be at least 1, got 0"),
         ([(11, "uniform")], "k=11 out of range for 10 training samples"),
         ([(2.0, "uniform")], "k must be an integer"),
         ([(1, "cosine")], "unknown weighting 'cosine'"),

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from thermal_sense.core import Label
-from thermal_sense.errors import ConfigError, StreamError
+from thermal_sense.errors import InvalidInputError, StreamError
 from thermal_sense.monitor import (
     Event,
     EventKind,
@@ -137,7 +137,7 @@ class TestConfig:
         ("window_s", 0.0), ("window_s", -3600.0), ("window_s", math.nan), ("window_s", math.inf),
     ])
     def test_invalid_values_rejected(self, field, value):
-        with pytest.raises(ConfigError, match=field):
+        with pytest.raises(InvalidInputError, match=field):
             MonitorConfig(**{field: value})
 
     def test_smallest_values_accepted(self):

@@ -15,7 +15,7 @@ from thermal_sense.classifiers.nn import (
     train_nn,
 )
 from thermal_sense.core import Dataset, Label, make_folds
-from thermal_sense.errors import ConfigError, InvalidInputError, TrainingError
+from thermal_sense.errors import InvalidInputError, TrainingError
 from thermal_sense.evaluate import derive_seed
 from thermal_sense.simulate import generate_main
 
@@ -51,9 +51,9 @@ def zeroed(model):
 
 class TestTrain:
     def test_hidden_width_bounds(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(InvalidInputError, match="^hidden must be in \\[1, 1024\\]"):
             train_nn(XOR_DS, 0)
-        with pytest.raises(ConfigError):
+        with pytest.raises(InvalidInputError, match="^hidden must be in \\[1, 1024\\]"):
             train_nn(XOR_DS, 2048)
 
     @pytest.mark.parametrize("fields, message", [
@@ -64,7 +64,7 @@ class TestTrain:
         ((0.1, 8, -5), "epochs must be at least 1, got -5"),
     ])
     def test_training_params_invariants(self, fields, message):
-        with pytest.raises(ConfigError, match=f"^{message}$"):
+        with pytest.raises(InvalidInputError, match=f"^{message}$"):
             TrainingParams(*fields)
 
     @pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf])

@@ -427,7 +427,7 @@ class TestModelInvariants:
 
     @pytest.mark.parametrize("lineno, text, reason", [
         (3, "k: 5", "k=5 out of range for 2 training samples"),
-        (3, "k: 0", "k=0 out of range for 2 training samples"),
+        (3, "k: 0", "k must be at least 1, got 0"),
         (4, "weighting: cosine", None),
     ])
     def test_knn_header(self, tmp_path, lineno, text, reason):
@@ -628,7 +628,7 @@ class TestNnModelFile:
         path = _write(tmp_path / "m.txt", lines)
         with pytest.raises(DataFormatError) as info:
             load_model(path)
-        assert str(info.value) == f"{path}:3: hidden width 0 outside [1, 1024]"
+        assert str(info.value) == f"{path}:3: bad hidden '0': hidden must be in [1, 1024], got 0"
 
 
 def _knn_lines():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from thermal_sense.core import ConditionTag, Label
-from thermal_sense.errors import ConfigError, DataFormatError, InvalidInputError
+from thermal_sense.errors import DataFormatError, InvalidInputError
 from thermal_sense.persist import dataset_to_csv
 from thermal_sense.simulate import (
     DEFAULT_SIM_PARAMS,
@@ -70,23 +70,23 @@ class TestRender:
 
 class TestSceneValidation:
     def test_room_range(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(InvalidInputError):
             SceneConfig(room_temp_c=40.0)
 
     def test_duvet_without_person(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(InvalidInputError):
             SceneConfig(room_temp_c=21.0, duvet_minutes=5.0)
 
     def test_person_footprint_outside_grid(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(InvalidInputError):
             SceneConfig(room_temp_c=21.0, person=PersonConfig((0.5, 3.5)))
 
     def test_skin_range(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(InvalidInputError):
             PersonConfig((3.5, 3.5), skin_temp_c=45.0)
 
     def test_source_ceiling(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(InvalidInputError):
             PointSource((3.0, 3.0), temp_c=50.0)
 
 
@@ -219,10 +219,11 @@ class TestSimParams:
             load_sim_params(cfg)
 
     def test_ranges_of_width_zero_to_just_below_overflow_load(self, tmp_path):
-        # 2 * 8e307 is finite, so these ranges can still be drawn from.
+        # 2 * 8e307 is finite, so these ranges can still be drawn from; a person at any
+        # orientation fits the narrowed columns.
         cfg = tmp_path / "sim.cfg"
-        cfg.write_text("room_lo = 21.0\nperson_orient_deg = 8e307\n"
-                       "bottle_row_lo = -8e307\nbottle_row_hi = 8e307\n")
+        cfg.write_text("room_lo = 21.0\nperson_orient_deg = 8e307\nperson_col_lo = 2.5\n"
+                       "person_col_hi = 4.5\nbottle_row_lo = -8e307\nbottle_row_hi = 8e307\n")
         params = load_sim_params(cfg)
         assert params.room_lo == params.room_hi and params.person_orient_deg == 8e307
 
