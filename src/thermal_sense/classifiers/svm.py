@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ..core import Dataset, Label, query_rows
-from ..errors import InvalidInputError, StratificationError, TrainingError, check_int, check_real
+from ..errors import InvalidInputError, TrainingError, check_int, check_real
 from .kernels import KernelSpec, kernel_matrix
 
 DEFAULT_C = 1.0
@@ -204,7 +204,7 @@ def train_svm(train: Dataset, kernel: KernelSpec, c: float = DEFAULT_C,
     c, tol = check_real("C", c), check_real("tol", tol)
     max_iter = check_int("max_iter", max_iter, 1)
     if len(np.unique(train.y)) < 2:
-        raise StratificationError("training set must contain both classes")
+        raise InvalidInputError("training set must contain both classes")
     x = train.x
     mean, scale = standardize_fit(x)
     x_std = (x - mean) / scale

@@ -36,7 +36,7 @@ from .persist import (
     atomic_write_text,
     load_dataset,
     load_model,
-    read_text,
+    read_lines,
     save_dataset,
     save_model,
     save_report,
@@ -228,7 +228,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 
 def _read_trace(path) -> list[tuple[float, Label]]:
-    lines = read_text(path).splitlines()
+    lines = read_lines(path)
     if not lines or lines[0] != "timestamp,label":
         raise DataFormatError(f"{path}:1: expected header 'timestamp,label'")
     trace: list[tuple[float, Label]] = []

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidInputError, StratificationError, check_int
+from .errors import InvalidInputError, check_int
 
 GRID_SIZE = 8
 NUM_PIXELS = GRID_SIZE * GRID_SIZE
@@ -119,7 +119,6 @@ class Dataset:
     x: np.ndarray
     y: np.ndarray
     conditions: np.ndarray | None = None
-    name: str = "dataset"
 
     def __post_init__(self) -> None:
         x = _frozen(self.x, np.float64)
@@ -151,7 +150,7 @@ class Dataset:
         return tuple(Sample(row, Label(label), CONDITIONS[code]) for row, label, code
                      in zip(self.x, self.y.tolist(), self.conditions.tolist()))
 
-    def subset(self, indices, name: str | None = None) -> "Dataset":
+    def subset(self, indices) -> "Dataset":
         """The rows at `indices`, copied once and stored read-only.
 
         Rows of a checked dataset pass every row check, so only the index
@@ -169,7 +168,6 @@ class Dataset:
             rows = getattr(self, field)[idx]
             rows.flags.writeable = False
             object.__setattr__(out, field, rows)
-        object.__setattr__(out, "name", name if name is not None else self.name)
         return out
 
 
@@ -207,11 +205,10 @@ def split_train_test(ds: Dataset, test_fraction: float, seed: int) -> tuple[Data
     for label in Label:
         idx = np.flatnonzero(ds.y == label)
         if len(idx) == 0:
-            raise StratificationError(f"class {label.to_text()} has no samples")
+            raise InvalidInputError(f"class {label.to_text()} has no samples")
         n_test = _round_half_up(Fraction(len(idx)) * frac)
         test[idx[rng.permutation(len(idx))[:n_test]]] = True
-    return (ds.subset(np.flatnonzero(~test), f"{ds.name}-train"),
-            ds.subset(np.flatnonzero(test), f"{ds.name}-test"))
+    return ds.subset(np.flatnonzero(~test)), ds.subset(np.flatnonzero(test))
 
 
 def make_folds(ds: Dataset, k: int, seed: int) -> FoldPlan:
@@ -222,7 +219,7 @@ def make_folds(ds: Dataset, k: int, seed: int) -> FoldPlan:
     for label in Label:
         idx = np.flatnonzero(ds.y == label)
         if len(idx) < k:
-            raise StratificationError(
+            raise InvalidInputError(
                 f"class {label.to_text()} has {len(idx)} samples, fewer than {k} folds"
             )
         assignment[idx[rng.permutation(len(idx))]] = np.arange(len(idx)) % k

@@ -16,24 +16,12 @@ class InvalidInputError(ThermalSenseError, ValueError):
     """An operation or configuration received a value outside its domain."""
 
 
-class StratificationError(ThermalSenseError, ValueError):
-    """A split/fold request cannot preserve class representation."""
-
-
 class DataFormatError(ThermalSenseError, ValueError):
     """A file does not conform to its on-disk format."""
 
 
-class FormatVersionError(DataFormatError):
-    """A file declares a format version newer than this reader supports."""
-
-
 class TrainingError(ThermalSenseError, RuntimeError):
     """Training failed to converge or diverged."""
-
-
-class StreamError(ThermalSenseError, ValueError):
-    """A monitored label stream violated its ordering contract."""
 
 
 def check_int(name: str, value, low: int, high: int | None = None) -> int:

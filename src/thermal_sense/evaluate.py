@@ -18,7 +18,7 @@ from .classifiers.nn import NnModel, TrainingParams, predict_nn_batch, train_nn
 from .classifiers.svm import (DEFAULT_C, DEFAULT_TOL, MAX_PAIR_UPDATES, SvmModel,
                               predict_svm_batch, train_svm)
 from .core import CONDITIONS, ConditionTag, Dataset, FoldPlan, Label
-from .errors import InvalidInputError, StratificationError, check_int, check_real
+from .errors import InvalidInputError, check_int, check_real
 
 
 @dataclass(frozen=True)
@@ -176,10 +176,10 @@ def cross_validate(ds: Dataset, plan: FoldPlan, trainer) -> CvResult:
         train_idx = np.flatnonzero(~test_mask)
         test_idx = np.flatnonzero(test_mask)
         if len(test_idx) == 0:
-            raise StratificationError(f"fold {f} is empty")
+            raise InvalidInputError(f"fold {f} is empty")
         if len(np.unique(ds.y[train_idx])) < 2:
-            raise StratificationError(f"training portion for fold {f} is missing a class")
-        predict = trainer.fit(ds.subset(train_idx, f"{ds.name}-fold{f}-train"), f)
+            raise InvalidInputError(f"training portion for fold {f} is missing a class")
+        predict = trainer.fit(ds.subset(train_idx), f)
         counts = confusion(predict(ds.x[test_idx]), ds.y[test_idx])
         reports.append(MetricsReport.from_counts(counts))
     return CvResult.from_reports(reports)

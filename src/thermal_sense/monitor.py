@@ -24,7 +24,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from .core import Label
-from .errors import StreamError, check_int, check_real
+from .errors import InvalidInputError, check_int, check_real
 
 
 class Occupancy(Enum):
@@ -79,9 +79,9 @@ def initial_state() -> MonitorState:
 def step(state: MonitorState, label: Label, ts: float,
          cfg: MonitorConfig = MonitorConfig()) -> tuple[MonitorState, list[Event]]:
     if not math.isfinite(ts):
-        raise StreamError(f"timestamp {ts} is not finite")
+        raise InvalidInputError(f"timestamp {ts} is not finite")
     if state.last_ts is not None and ts <= state.last_ts:
-        raise StreamError(f"timestamp {ts} not after previous {state.last_ts}")
+        raise InvalidInputError(f"timestamp {ts} not after previous {state.last_ts}")
 
     target = Occupancy.OCCUPIED if label == Label.PERSON else Occupancy.EMPTY
     events: list[Event] = []

@@ -1,4 +1,4 @@
-"""Bit-exact readers and writers for datasets, models and reports.
+"""Bit-exact readers and writers for datasets and models, and the report writer.
 
 Datasets are UTF-8 CSV with header `p00,...,p77,label,condition`, LF line
 endings, temperatures printed with exactly two decimals (quarter degrees
@@ -38,7 +38,7 @@ from .core import (
     Dataset,
     Label,
 )
-from .errors import DataFormatError, FormatVersionError, InvalidInputError, check_int, check_real
+from .errors import DataFormatError, InvalidInputError, check_int, check_real
 
 MODEL_FORMAT_VERSION = 1
 REPORT_FORMAT_VERSION = 1
@@ -92,6 +92,13 @@ def read_text(path) -> str:
         raise DataFormatError(f"{path}:{line}: not UTF-8 text") from None
 
 
+def read_lines(path) -> list[str]:
+    r"""`read_text` (where `\r\n` and `\r` are `\n`) split at `\n` only, not at `\x1c` or
+    `\u2028` as `str.splitlines` would; a final newline ends the last line."""
+    lines = read_text(path).split("\n")
+    return lines[:-1] if lines[-1] == "" else lines
+
+
 def _fmt(value: float) -> str:
     return repr(float(value))
 
@@ -131,10 +138,10 @@ def _float(text: str, finite: bool = False) -> float:
 
 
 def _text(lines: list[str], index: int, key: str) -> str:
-    """The text after `key:` on line `index` (from 0), or DataFormatError."""
+    """The text after `key:` and its spaces on line `index` (from 0), or DataFormatError."""
     if index >= len(lines) or not lines[index].startswith(key + ":"):
         raise DataFormatError(f"expected '{key}: ...'")
-    return lines[index][len(key) + 1:].strip()
+    return lines[index][len(key) + 1:].strip(" ")
 
 
 @contextmanager
@@ -206,7 +213,7 @@ def _raise_row_error(line: str) -> None:
     raise AssertionError("row passes every field check")
 
 
-def dataset_from_csv(text: str, name: str, path="<memory>") -> Dataset:
+def dataset_from_csv(text: str, path="<memory>") -> Dataset:
     """Parse dataset CSV text; a bad row fails with the message of its first bad field.
 
     Each row is matched against `_CSV_ROW` and parsed straight into the
@@ -243,12 +250,11 @@ def dataset_from_csv(text: str, name: str, path="<memory>") -> Dataset:
     if bad_row < n:
         with _at(path, bad_row + 2):
             _raise_row_error(lines[bad_row + 1])
-    return Dataset(x, y, codes, name)
+    return Dataset(x, y, codes)
 
 
-def load_dataset(path, name: str | None = None) -> Dataset:
-    text = read_text(path)
-    return dataset_from_csv(text, name if name is not None else Path(path).stem, path)
+def load_dataset(path) -> Dataset:
+    return dataset_from_csv(read_text(path), path)
 
 
 # --- models ----------------------------------------------------------------
@@ -438,12 +444,12 @@ def model_to_text(model) -> str:
 
 def load_model(path):
     """The model in a file of any of the `_MODELS` formats."""
-    lines = read_text(path).splitlines()
+    lines = read_lines(path)
     with _at(path, 1, "format-version", lines):
         version = _int(_text(lines, 0, "format-version"))
     if version > MODEL_FORMAT_VERSION:
-        raise FormatVersionError(f"{path}:1: format-version {version} is newer than supported "
-                                 f"({MODEL_FORMAT_VERSION})")
+        raise DataFormatError(f"{path}:1: format-version {version} is newer than supported "
+                              f"({MODEL_FORMAT_VERSION})")
     with _at(path, 2):
         kind = _text(lines, 1, "model-kind")
         fmt = next((f for f in _MODELS.values() if f.kind == kind), None)
@@ -473,20 +479,3 @@ def report_to_text(report: dict) -> str:
 
 def save_report(report: dict, path) -> None:
     atomic_write_text(path, report_to_text(report))
-
-
-def load_report(path) -> dict:
-    try:
-        payload = json.loads(read_text(path))
-    except json.JSONDecodeError as exc:
-        raise DataFormatError(f"{path}: invalid JSON ({exc})") from None
-    if not isinstance(payload, dict):
-        raise DataFormatError(f"{path}: report must be a JSON object")
-    version = payload.get("format-version")
-    if not isinstance(version, int):
-        raise DataFormatError(f"{path}: missing integer format-version")
-    if version > REPORT_FORMAT_VERSION:
-        raise FormatVersionError(
-            f"{path}: format-version {version} is newer than supported ({REPORT_FORMAT_VERSION})"
-        )
-    return payload

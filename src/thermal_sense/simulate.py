@@ -36,7 +36,7 @@ from .core import (
     quantize,
 )
 from .errors import DataFormatError, InvalidInputError, check_int, check_real
-from .persist import read_text
+from .persist import read_lines
 
 DEFAULT_DUVET_F0 = 0.35
 DEFAULT_DUVET_TAU_MIN = 4.0
@@ -157,7 +157,10 @@ def render(cfg: SceneConfig) -> np.ndarray:
 
     for src in cfg.heat_sources:
         d = np.maximum(np.hypot(_ROWS - src.center[0], _COLS - src.center[1]) - src.radius, 0.0)
-        field = np.maximum(field, src.temp_c * np.exp(-0.5 * d * d))
+        # d * d overflows only for a source too far away to warm any pixel, and
+        # exp(-inf) is exactly 0, so the overflow changes no value: silence it.
+        with np.errstate(over="ignore"):
+            field = np.maximum(field, src.temp_c * np.exp(-0.5 * d * d))
 
     rng = np.random.default_rng(cfg.seed)
     noisy = field + rng.normal(0.0, cfg.noise_sigma, field.shape) if cfg.noise_sigma > 0 else field
@@ -230,7 +233,7 @@ def load_sim_params(path) -> SimParams:
     known = {f.name for f in fields(SimParams)}
     overrides: dict[str, float] = {}
     where: dict[str, int] = {}  # the line of each override
-    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+    for lineno, line in enumerate(read_lines(path), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
@@ -319,7 +322,7 @@ def _scene(seed_key: tuple[int, ...], p: SimParams, *, hot: bool = False,
     )
 
 
-def _render_dataset(plan, seed: int, params: SimParams, name: str) -> Dataset:
+def _render_dataset(plan, seed: int, params: SimParams) -> Dataset:
     """Render frame plans (stream, i, label, condition, scene options) in order.
 
     Frame i of a stream is seeded by (seed, stream, i) and written straight
@@ -330,7 +333,7 @@ def _render_dataset(plan, seed: int, params: SimParams, name: str) -> Dataset:
         x[row] = flatten(render(_scene((seed, stream, i), params, **scene)))
     labels = [label for _, _, label, _, _ in plan]
     codes = [CONDITIONS.index(tag) for _, _, _, tag, _ in plan]
-    return Dataset(x, labels, codes, name)
+    return Dataset(x, labels, codes)
 
 
 def _cell(stream: int, n: int, label: Label, tag: ConditionTag, **scene) -> list:
@@ -344,7 +347,7 @@ def generate_main(n_per_class: int, seed: int,
     check_int("n_per_class", n_per_class, 1)
     plan = (_cell(0, n_per_class, Label.PERSON, ConditionTag.BASELINE, person=True)
             + _cell(1, n_per_class, Label.NO_PERSON, ConditionTag.BASELINE))
-    return _render_dataset(plan, seed, params, "main")
+    return _render_dataset(plan, seed, params)
 
 
 def generate_variational(n_per_cell: int, seed: int,
@@ -371,4 +374,4 @@ def generate_variational(n_per_cell: int, seed: int,
            for i in range(n) for minutes, tag in [duvet[i // (n // 3)]]]
         + _cell(7, n, Label.NO_PERSON, ConditionTag.DUVET_0)
     )
-    return _render_dataset(plan, seed, params, "variational")
+    return _render_dataset(plan, seed, params)

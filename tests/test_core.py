@@ -16,7 +16,7 @@ from thermal_sense.core import (
     quantize,
     split_train_test,
 )
-from thermal_sense.errors import InvalidInputError, StratificationError
+from thermal_sense.errors import InvalidInputError
 
 from conftest import balanced_dataset, dataset_from_arrays
 from oracles import reference_quantize
@@ -154,7 +154,7 @@ class TestSplit:
     def test_empty_class_errors(self):
         x = np.full((4, 64), 25.0)
         ds = dataset_from_arrays(x, [1, 1, 1, 1])
-        with pytest.raises(StratificationError):
+        with pytest.raises(InvalidInputError, match="^class no_person has no samples$"):
             split_train_test(ds, 0.5, 0)
 
     def test_bad_fraction(self):
@@ -181,7 +181,8 @@ class TestFolds:
         assert make_folds(ds, 4, 9) == make_folds(ds, 4, 9)
 
     def test_class_smaller_than_k(self):
-        with pytest.raises(StratificationError):
+        with pytest.raises(InvalidInputError,
+                           match="^class no_person has 3 samples, fewer than 4 folds$"):
             make_folds(balanced_dataset(3), 4, 0)
 
     @given(
@@ -233,11 +234,10 @@ class TestTypes:
 
     @pytest.mark.parametrize("indices", [[4, 0, 4, 2], range(5), [], np.array([3])])
     def test_subset_equals_a_checked_copy(self, indices):
-        ds = Dataset(np.arange(320.0).reshape(5, 64), [1, 0, 1, 1, 0], [3, 0, 5, 1, 2], "d")
+        ds = Dataset(np.arange(320.0).reshape(5, 64), [1, 0, 1, 1, 0], [3, 0, 5, 1, 2])
         idx = np.asarray(indices, dtype=np.intp)
-        want = Dataset(ds.x[idx], ds.y[idx], ds.conditions[idx], "part")
-        got = ds.subset(indices, "part")
-        assert got.name == "part" and ds.subset(indices).name == "d"
+        want = Dataset(ds.x[idx], ds.y[idx], ds.conditions[idx])
+        got = ds.subset(indices)
         for field in ("x", "y", "conditions"):
             a, b = getattr(got, field), getattr(want, field)
             assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)

@@ -9,7 +9,7 @@ from thermal_sense.classifiers.kernels import KernelSpec
 from thermal_sense.classifiers.knn import KnnModel, train_knn
 from thermal_sense.classifiers.nn import TrainingParams
 from thermal_sense.core import CONDITIONS, ConditionTag, Dataset, FoldPlan, Label, make_folds
-from thermal_sense.errors import InvalidInputError, StratificationError, TrainingError
+from thermal_sense.errors import InvalidInputError, TrainingError
 from thermal_sense.evaluate import (
     ConfusionCounts,
     KnnSpec,
@@ -133,7 +133,8 @@ class TestCrossValidate:
         ds = balanced_dataset(2)
         # fold 0 holds both NO_PERSON samples, so its training part is single-class
         plan = FoldPlan(2, (1, 1, 0, 0))
-        with pytest.raises(StratificationError):
+        with pytest.raises(InvalidInputError,
+                           match="^training portion for fold 0 is missing a class$"):
             cross_validate(ds, plan, StubTrainer())
 
     def test_separable_data_knn(self, rng):
@@ -213,11 +214,11 @@ def without_row_0(train):
 
 
 def labels_flipped(train):
-    return Dataset(train.x, 1 - train.y, train.conditions, train.name)
+    return Dataset(train.x, 1 - train.y, train.conditions)
 
 
 def rows_shifted(train):
-    return Dataset(train.x + 0.25, train.y, train.conditions, train.name)
+    return Dataset(train.x + 0.25, train.y, train.conditions)
 
 
 class LiveModels:
@@ -257,7 +258,7 @@ class TestFoldMajorSweep:
         """The same rows with shuffled labels, so that neighbours disagree."""
         ds, _ = data
         y = np.random.default_rng(2).permutation(ds.y)
-        shuffled = Dataset(ds.x, y, ds.conditions, "shuffled")
+        shuffled = Dataset(ds.x, y, ds.conditions)
         return shuffled, make_folds(shuffled, 5, 7)
 
     @staticmethod
@@ -358,7 +359,7 @@ class TestEvaluateByCondition:
                     x.append(gen.normal(level, 0.5, 64))
                     y.append(label)
                     codes.append(CONDITIONS.index(tag))
-        ds = Dataset(x, y, codes, "mixed")
+        ds = Dataset(x, y, codes)
         overall, per = evaluate_by_condition(model, ds)
         assert sum(r.counts.total for r in per.values()) == overall.counts.total
         assert sum(r.counts.tp for r in per.values()) == overall.counts.tp
@@ -368,7 +369,7 @@ class TestEvaluateByCondition:
         model, _ = self.build(rng)
         gen = np.random.default_rng(6)
         ds = Dataset(gen.normal(32, 0.5, (4, 64)), [Label.PERSON] * 4,
-                     [CONDITIONS.index(ConditionTag.DUVET_5)] * 4, "only-person")
+                     [CONDITIONS.index(ConditionTag.DUVET_5)] * 4)
         overall, per = evaluate_by_condition(model, ds)
         assert per[ConditionTag.DUVET_5].specificity is None
         assert overall.specificity is None

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from thermal_sense.core import Label
-from thermal_sense.errors import InvalidInputError, StreamError
+from thermal_sense.errors import InvalidInputError
 from thermal_sense.monitor import (
     Event,
     EventKind,
@@ -110,15 +110,15 @@ class TestContract:
     def test_non_monotonic_timestamp(self):
         state = initial_state()
         state, _ = step(state, P, 10.0, CFG)
-        with pytest.raises(StreamError):
+        with pytest.raises(InvalidInputError, match=r"^timestamp 10\.0 not after previous 10\.0$"):
             step(state, P, 10.0, CFG)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_timestamp(self, bad):
         state, _ = step(initial_state(), P, 0.0, CFG)
-        with pytest.raises(StreamError):
+        with pytest.raises(InvalidInputError, match=f"^timestamp {bad} is not finite$"):
             step(state, P, bad, CFG)
-        with pytest.raises(StreamError):
+        with pytest.raises(InvalidInputError, match=f"^timestamp {bad} is not finite$"):
             step(initial_state(), P, bad, CFG)
 
     def test_unknown_start_emits_nothing(self):

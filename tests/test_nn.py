@@ -164,8 +164,7 @@ class TestGradient:
     def test_duplicated_batch_keeps_mean_gradient(self, rng):
         batch = random_batch(rng, 6)
         model = train_nn(batch, 8, TrainingParams(0.05, 4, 3), seed=0)
-        doubled = Dataset(np.vstack([batch.x, batch.x]), np.concatenate([batch.y, batch.y]),
-                          name="doubled")
+        doubled = Dataset(np.vstack([batch.x, batch.x]), np.concatenate([batch.y, batch.y]))
         assert np.allclose(nn_gradient(model, batch), nn_gradient(model, doubled),
                            rtol=0, atol=1e-15)
 

@@ -1,12 +1,12 @@
 """Smoke runs of scripts/run_sweeps.py and scripts/run_robustness.py on tiny inputs."""
 
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 from thermal_sense.cli import run
-from thermal_sense.persist import load_report
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -25,7 +25,7 @@ def test_run_sweeps(tmp_path):
                       "--nn-epochs", 1)
     assert done.returncode == 0, done.stderr
     for family, size in (("svm-kernels", 4), ("knn-grid", 8), ("nn-widths", 11)):
-        rows = load_report(out / f"sweep_{family}.json")["results"]["rows"]
+        rows = json.loads((out / f"sweep_{family}.json").read_text())["results"]["rows"]
         assert len(rows) == size
         assert all(len(row["cv"]["folds"]) == 2 for row in rows)
         lines = (out / f"sweep_{family}.csv").read_text().splitlines()
@@ -35,8 +35,8 @@ def test_run_sweeps(tmp_path):
     report = tmp_path / "knn.json"
     assert run(["sweep", "--data", str(out / "main.csv"), "--folds", "2", "--seed", "7",
                 "--family", "knn-grid", "--report", str(report)]) == 0
-    assert (load_report(report)["results"]
-            == load_report(out / "sweep_knn-grid.json")["results"])
+    assert (json.loads(report.read_text())["results"]
+            == json.loads((out / "sweep_knn-grid.json").read_text())["results"])
 
 
 def test_run_sweeps_input_error_exits_2(tmp_path):
@@ -62,7 +62,7 @@ def test_run_robustness(tmp_path):
                       "--n-per-cell", 3)
     assert done.returncode == 0, done.stderr
     for name in ("svm_linear", "knn_1", "nn_128"):
-        results = load_report(out / f"robustness_{name}.json")["results"]
+        results = json.loads((out / f"robustness_{name}.json").read_text())["results"]
         assert set(results["by_condition"]) == {
             "hot_room", "water_bottle", "duvet_0", "duvet_5", "duvet_10"}
         lines = (out / f"robustness_{name}.csv").read_text().splitlines()

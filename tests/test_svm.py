@@ -14,7 +14,7 @@ from thermal_sense.classifiers.svm import (
     train_svm,
 )
 from thermal_sense.core import Label, make_folds
-from thermal_sense.errors import InvalidInputError, StratificationError, TrainingError
+from thermal_sense.errors import InvalidInputError, TrainingError
 from thermal_sense.evaluate import SvmSpec
 from thermal_sense.persist import model_to_text
 from thermal_sense.simulate import generate_main
@@ -329,7 +329,7 @@ class TestTrain:
 
     def test_single_class_rejected(self):
         ds = dataset_from_arrays(np.zeros((3, 64)), [1, 1, 1])
-        with pytest.raises(StratificationError):
+        with pytest.raises(InvalidInputError, match="^training set must contain both classes$"):
             train_svm(ds, KernelSpec("linear"))
 
     @pytest.mark.parametrize("c", [0.0, -1.0, np.nan, np.inf])
