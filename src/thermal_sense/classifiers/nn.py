@@ -6,17 +6,20 @@ stored in the model. Initialization is uniform scaled by fan-in, biases
 start at zero, and both the initial weights and the epoch shuffles come
 from the seed, so training is a pure function of (data, params, seed).
 
-Flat parameter layout: w1 row-major, b1, w2 row-major, b2. Training
-keeps the parameters in one flat buffer in this layout, with w1, b1, w2
-and b2 as C-contiguous views into it, and the gradient in a second
-buffer with the same layout, so an update is `grad *= lr; theta -= grad`.
-nn_gradient returns the gradient in this layout, and flatten_weights /
+Flat parameter layout: w1 row-major, b1, w2 row-major, b2, so [w1; b1]
+and [w2; b2] are contiguous (d+1, h) and (h+1, 2) blocks. nn_gradient
+returns the gradient in this layout, and flatten_weights /
 replace_weights convert models to and from it.
 
-A training step writes into arrays allocated once per fit, but performs
-the same floating-point operations in the same order as the plain
-forward/backward pass written out in _step, so the weights do not depend
-on the buffering.
+Training keeps the parameters in one flat buffer and the gradient in a
+second, and treats each bias as the weight of an input fixed at 1: the
+standardized features carry a ones column and so do the hidden
+activations, so `[x | 1] @ [w1; b1]` is the hidden pre-activation and the
+two backward products `[a1 | 1].T @ d` and `[x | 1].T @ d_z1` fill the
+weight and bias gradients together. b2 alone is added after its product.
+_step scales the output error by the `scale` it is given: 1 / rows for
+nn_gradient and nn_loss, lr / rows in training, so that an update is
+`theta -= grad`. A step writes into arrays allocated once per fit.
 """
 
 from __future__ import annotations
@@ -72,10 +75,25 @@ def _param_count(d: int, h: int) -> int:
     return d * h + h + h * 2 + 2
 
 
+def _blocks(flat: np.ndarray, d: int, h: int) -> tuple[np.ndarray, np.ndarray]:
+    """[w1; b1] and [w2; b2] as (d+1, h) and (h+1, 2) C-contiguous views into a flat buffer."""
+    e = (d + 1) * h
+    return flat[:e].reshape(d + 1, h), flat[e:].reshape(h + 1, 2)
+
+
 def _views(flat: np.ndarray, d: int, h: int) -> tuple[np.ndarray, ...]:
     """w1, b1, w2, b2 as C-contiguous views into a flat parameter buffer."""
-    e1, e2, e3 = d * h, d * h + h, d * h + 3 * h
-    return flat[:e1].reshape(d, h), flat[e1:e2], flat[e2:e3].reshape(h, 2), flat[e3:]
+    w1b1, w2b2 = _blocks(flat, d, h)
+    return w1b1[:d], w1b1[d], w2b2[:h], w2b2[h]
+
+
+def _standardized_with_ones(x: np.ndarray, mean: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """[(x - mean) / scale | 1]: b1 is the weight of the ones column."""
+    n, d = x.shape
+    x_aug = np.ones((n, d + 1))
+    np.subtract(x, mean, out=x_aug[:, :d])
+    x_aug[:, :d] /= scale
+    return x_aug
 
 
 def _forward(model: NnModel, x_std: np.ndarray) -> np.ndarray:
@@ -94,34 +112,40 @@ class _Workspace:
 
     def __init__(self, rows: int, hidden: int):
         self.z1 = np.empty((rows, hidden))
-        self.a1 = np.empty((rows, hidden))
+        self.a1_ones = np.ones((rows, hidden + 1))  # [a1 | 1]: only a1 is ever written
+        self.a1 = self.a1_ones[:, :hidden]
         self.relu = np.empty((rows, hidden), dtype=bool)
         self.d_a1 = np.empty((rows, hidden))
         self.d_logits = np.empty((rows, 2))
         self.row = np.empty((rows, 1))  # per-row max, then per-row sum
 
 
-def _step(weights, grads, x: np.ndarray, onehot: np.ndarray, probs: np.ndarray,
+def _step(w1b1: np.ndarray, w2b2: np.ndarray, g1: np.ndarray, g2: np.ndarray,
+          x_aug: np.ndarray, onehot: np.ndarray, probs: np.ndarray, scale: float,
           ws: _Workspace) -> None:
     """Forward and backward pass over one batch, in place.
 
-    Fills `probs` (softmax output) and `grads` (views in the flat layout)
-    with exactly the operations, in order, of
+    `x_aug` is the batch's standardized features with a ones column;
+    `w1b1`, `w2b2` are the parameter blocks [w1; b1], [w2; b2] and `g1`,
+    `g2` the gradient blocks of the same shapes. Fills `probs` (softmax
+    output) and the gradient blocks, `scale` times the gradient of the
+    summed cross-entropy, with the operations, in order, of
 
-        z1 = x @ w1 + b1;  a1 = maximum(z1, 0);  logits = a1 @ w2 + b2
+        z1 = x_aug @ [w1; b1];  a1 = maximum(z1, 0);  logits = a1 @ w2 + b2
         e = exp(logits - logits.max(axis=1));  probs = e / e.sum(axis=1)
-        d = (probs - onehot) / n
-        gw2 = a1.T @ d;  gb2 = d.sum(axis=0);  d_a1 = d @ w2.T
-        d_z1 = d_a1 * (z1 > 0);  gw1 = x.T @ d_z1;  gb1 = d_z1.sum(axis=0)
+        d = (probs - onehot) * scale
+        [gw2; gb2] = [a1 | 1].T @ d;  d_a1 = d @ w2.T
+        d_z1 = d_a1 * (z1 > 0);  [gw1; gb1] = x_aug.T @ d_z1
 
     The two-column row max and row sum are elementwise ops on the columns,
-    bitwise equal to the axis-1 reductions.
+    bitwise equal to the axis-1 reductions. b2 is added after its product,
+    not folded into it: with two output columns BLAS takes another path,
+    and the logits would move in the last bit.
     """
-    w1, b1, w2, b2 = weights
-    gw1, gb1, gw2, gb2 = grads
+    h = len(w2b2) - 1
+    w2, b2 = w2b2[:h], w2b2[h]
     z1, a1, relu, d_a1, d_logits, row = ws.z1, ws.a1, ws.relu, ws.d_a1, ws.d_logits, ws.row
-    np.matmul(x, w1, out=z1)
-    z1 += b1
+    np.matmul(x_aug, w1b1, out=z1)
     np.maximum(z1, 0.0, out=a1)
     np.matmul(a1, w2, out=probs)
     probs += b2
@@ -132,14 +156,12 @@ def _step(weights, grads, x: np.ndarray, onehot: np.ndarray, probs: np.ndarray,
     np.add(p0, p1, out=r)
     probs /= row
     np.subtract(probs, onehot, out=d_logits)
-    d_logits /= len(x)
-    np.matmul(a1.T, d_logits, out=gw2)
-    np.add.reduce(d_logits, axis=0, out=gb2)
+    d_logits *= scale
+    np.matmul(ws.a1_ones.T, d_logits, out=g2)
     np.matmul(d_logits, w2.T, out=d_a1)
     np.greater(z1, 0.0, out=relu)
     d_a1 *= relu
-    np.matmul(x.T, d_a1, out=gw1)
-    np.add.reduce(d_a1, axis=0, out=gb1)
+    np.matmul(x_aug.T, d_a1, out=g1)
 
 
 def _mean_loss(probs: np.ndarray, onehot: np.ndarray) -> float:
@@ -160,57 +182,57 @@ def train_nn(train: Dataset, hidden: int, params: TrainingParams = TrainingParam
     hidden = check_int("hidden", hidden, 1, MAX_HIDDEN)
     x, y = train.x, train.y
     mean, scale = standardize_fit(x)
-    x_std = (x - mean) / scale
-    n, d = x_std.shape
+    x_aug = _standardized_with_ones(x, mean, scale)
+    n, d = x.shape
 
     rng = np.random.default_rng(seed)
     theta = np.zeros(_param_count(d, hidden))
-    weights = w1, b1, w2, b2 = _views(theta, d, hidden)
-    w1[...] = rng.uniform(-1.0, 1.0, (d, hidden)) / np.sqrt(d)
-    w2[...] = rng.uniform(-1.0, 1.0, (hidden, 2)) / np.sqrt(hidden)
+    w1b1, w2b2 = blocks = _blocks(theta, d, hidden)
+    w1b1[:d] = rng.uniform(-1.0, 1.0, (d, hidden)) / np.sqrt(d)
+    w2b2[:hidden] = rng.uniform(-1.0, 1.0, (hidden, 2)) / np.sqrt(hidden)
     grad = np.empty_like(theta)
-    grads = _views(grad, d, hidden)
+    grads = _blocks(grad, d, hidden)
 
-    # Each epoch's shuffled copy of the data; batches are slices of it.
+    # Each epoch's shuffled copy of the data; batches are slices of it. A
+    # batch's gradient is scaled by lr / rows, so an update is theta -= grad.
     onehot = _one_hot(y)
-    x_epoch, onehot_epoch = np.empty_like(x_std), np.empty_like(onehot)
+    x_epoch, onehot_epoch = np.empty_like(x_aug), np.empty_like(onehot)
     probs = np.empty((n, 2))
     starts = range(0, n, params.batch_size)
     lengths = [min(params.batch_size, n - s) for s in starts]
     spaces = {rows: _Workspace(rows, hidden) for rows in set(lengths)}
-    batches = [(x_epoch[s:s + rows], onehot_epoch[s:s + rows], probs[s:s + rows], spaces[rows])
-               for s, rows in zip(starts, lengths)]
-
     lr = params.learning_rate
+    batches = [(x_epoch[s:s + rows], onehot_epoch[s:s + rows], probs[s:s + rows], lr / rows,
+                spaces[rows]) for s, rows in zip(starts, lengths)]
+
     # Overflow here is legitimate divergence; it surfaces as a non-finite
     # epoch loss and is raised as TrainingError.
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(params.epochs):
             perm = rng.permutation(n)
-            np.take(x_std, perm, axis=0, out=x_epoch)
+            np.take(x_aug, perm, axis=0, out=x_epoch)
             np.take(onehot, perm, axis=0, out=onehot_epoch)
             for batch in batches:
-                _step(weights, grads, *batch)
-                grad *= lr
+                _step(*blocks, *grads, *batch)
                 theta -= grad
             if not np.isfinite(_mean_loss(probs, onehot_epoch)):
                 raise TrainingError(f"loss diverged at epoch {epoch}")
     if not np.all(np.isfinite(theta)):
         raise TrainingError("non-finite weights after training")
-    return NnModel(hidden, w1, b1, w2, b2, mean, scale, params, seed)
+    return NnModel(hidden, *_views(theta, d, hidden), mean, scale, params, seed)
 
 
 def _loss_and_gradient(model: NnModel, batch: Dataset) -> tuple[float, np.ndarray]:
     """Mean cross-entropy over the batch and its flat gradient, via _step."""
     if len(batch) == 0:
         raise InvalidInputError("batch must be non-empty")
-    x_std, y = (batch.x - model.feature_mean) / model.feature_scale, batch.y
-    n, d = x_std.shape
-    probs, onehot = np.empty((n, 2)), _one_hot(y)
+    n, d = batch.x.shape
+    x_aug = _standardized_with_ones(batch.x, model.feature_mean, model.feature_scale)
+    probs, onehot = np.empty((n, 2)), _one_hot(batch.y)
     grad = np.empty(_param_count(d, model.hidden))
     with np.errstate(over="ignore", invalid="ignore"):
-        _step((model.w1, model.b1, model.w2, model.b2), _views(grad, d, model.hidden),
-              x_std, onehot, probs, _Workspace(n, model.hidden))
+        _step(*_blocks(flatten_weights(model), d, model.hidden), *_blocks(grad, d, model.hidden),
+              x_aug, onehot, probs, 1 / n, _Workspace(n, model.hidden))
         return _mean_loss(probs, onehot), grad
 
 

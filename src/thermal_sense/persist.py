@@ -84,18 +84,21 @@ def atomic_write_text(path, text: str) -> None:
 
 
 def read_text(path) -> str:
-    """A file's text, or DataFormatError naming the line of its first byte that is not UTF-8."""
+    r"""A file's text as written (no newline translation), or DataFormatError naming the
+    line of its first byte that is not UTF-8, where `\r\n`, `\r` and `\n` each end a line."""
+    data = Path(path).read_bytes()
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:  # exc.start: an offset into the whole file
-        line = Path(path).read_bytes().count(b"\n", 0, exc.start) + 1
+        head = data[:exc.start]
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
         raise DataFormatError(f"{path}:{line}: not UTF-8 text") from None
 
 
 def read_lines(path) -> list[str]:
-    r"""`read_text` (where `\r\n` and `\r` are `\n`) split at `\n` only, not at `\x1c` or
-    `\u2028` as `str.splitlines` would; a final newline ends the last line."""
-    lines = read_text(path).split("\n")
+    r"""`read_text` with `\r\n` and `\r` taken as `\n`, split at `\n` only, not at `\x1c`
+    or `\u2028` as `str.splitlines` would; a final newline ends the last line."""
+    lines = read_text(path).replace("\r\n", "\n").replace("\r", "\n").split("\n")
     return lines[:-1] if lines[-1] == "" else lines
 
 

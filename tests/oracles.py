@@ -177,6 +177,26 @@ def central_difference_gradient(loss_fn, theta, h=1e-5):
     return grad
 
 
+def backprop_gradient(model, batch):
+    """Mean cross-entropy gradient of an NN model over a batch, flattened as
+    w1, b1, w2, b2: the biases added after their products and their
+    gradients summed over the rows, as the textbook writes backprop."""
+    import numpy as np
+
+    x = (batch.x - model.feature_mean) / model.feature_scale
+    n = len(x)
+    z1 = x @ model.w1 + model.b1
+    a1 = np.maximum(z1, 0.0)
+    logits = a1 @ model.w2 + model.b2
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    d = e / e.sum(axis=1, keepdims=True)
+    d[np.arange(n), batch.y] -= 1.0
+    d /= n
+    d_z1 = (d @ model.w2.T) * (z1 > 0)
+    return np.concatenate([(x.T @ d_z1).ravel(), d_z1.sum(axis=0), (a1.T @ d).ravel(),
+                           d.sum(axis=0)])
+
+
 def pairwise_kernel(spec, x, y):
     """Reference kernel value for one pair of equal-length vectors.
 

@@ -227,7 +227,7 @@ class TestTrainEvalPredict:
         assert cli("train", "--data", main_csv, "--seed", 7, "--model", "nn",
                    "--hidden", 4, "--epochs", 20, "--out", out) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "e8f2af357e133848168861e6446ea588bf186593a73bf3b36db2aac140f80c6c")
+            "08856ca48a70052b47a4caae97fc6119f5d6bba62c134be417416209cffbbd26")
 
 
     @pytest.mark.parametrize("lineno, edit", [(9, "feature-mean"), (13, "w1")])
@@ -399,6 +399,15 @@ class TestMonitorCommand:
         args = build_parser().parse_args(["monitor", "--input", "t.csv", "--out", "e.csv"])
         assert MonitorConfig(args.debounce_frames, args.long_absence_min * 60.0,
                              args.window_hours * 3600.0, args.max_exits) == MonitorConfig()
+
+
+class TestCrlfDataset:
+    def test_cv_on_a_crlf_dataset_exits_2(self, main_csv, tmp_path, capsys):
+        crlf = tmp_path / "crlf.csv"
+        crlf.write_bytes(main_csv.read_bytes().replace(b"\n", b"\r\n"))
+        capsys.readouterr()
+        assert cli("cv", "--data", crlf, "--seed", 1, "--model", "knn") == 2
+        assert capsys.readouterr().err == f"error: {crlf}: CR line endings are not accepted\n"
 
 
 class TestNonUtf8Input:

@@ -70,7 +70,7 @@ GOLDEN = {
     "events.csv": "c6056078980fef48c459c79400b6897a10ada3c9e351cce3cd30134e39d6c6c3",
     "knn.model": "f3bca5e540344910d57f8a0e6533171dd5ba6af315eea3ff063a9e18b7c168f2",
     "main.csv": "b705505a013ca0ef99ea0f87e8e839881e775b2bcf6560477f8e01ffb39bb242",
-    "nn.model": "323b96d2c9637ec5c16a47f5fa0fd24d08913bba1a17dc3881fa315fbb94dbcd",
+    "nn.model": "a3eb2c51868557a4803236bf0d66b0b98c44ddde31394885e84e4489f83545f7",
     "predict_knn.csv": "94ecdf157faa7cf0c9c2d7adb93d41b873e693c9d934f023e04dfa68546585cc",
     "predict_nn.csv": "b7803525704658f8b1f4505193011a7492dedf4b606329a19f82a6d12ec900ca",
     "predict_svm.csv": "fcb59560d7467f9e455c18e4e006250c48e832818a95a2e675233ca1f628eae1",

@@ -24,7 +24,7 @@ from conftest import dataset_from_arrays
 
 def predict_one(model, x):
     return predict_nn_batch(model, np.asarray(x)[None, :])[0]
-from oracles import central_difference_gradient
+from oracles import backprop_gradient, central_difference_gradient
 
 
 def embedded(points):
@@ -112,24 +112,51 @@ def main_fold():
 
 
 class TestGoldenWeights:
-    """SHA-256 of the trained weights' bytes, recorded before the training
-    loop was rewritten around flat buffers; any float reordering shows."""
+    """SHA-256 of the trained weights' bytes; any float reordering shows.
+
+    Recorded when training took the biases into the matrix products (a
+    ones column on the inputs and on the hidden activations) and scaled
+    the output error by lr / rows, so that an update is `theta -= grad`."""
 
     @pytest.mark.parametrize("case, hidden, params, seed, digest", [
         # NN(128) as in the paper; 432 = 13 * 32 + 16, so the last batch is ragged
         ("fold", 128, TrainingParams(0.01, 32, 20), derive_seed(7, 0),
-         "97512018a04e47ed884e4725c66de44724349a91a97f5f0187da437d205dbdb5"),
+         "c5c169ac3e1f2e1c9fb17b50d5eb867d0c2f9b5290204f9e5e1dec9f9e10e35a"),
         ("small", 16, TrainingParams(0.05, 64, 30), 3,  # batch larger than n
-         "1d1daff2fb3a981e52cfc8f305385aa7de23795c3824ffc58bcb1ef85be3b4f1"),
+         "0364497605731d72ed4052c1c5a287f9d05e947961ae35b1f7759074d9a96cb1"),
         ("fold", 1, TrainingParams(0.01, 32, 10), 5,
-         "143e8c0f4069ad7937c455a4ce09e9f659f68d7cc2e0bebb45d8334ec56f0321"),
+         "40220adb5db4cfdd2e02c4121db7e81a7423a6613e19f19138da974108732696"),
         ("small", 5, TrainingParams(0.05, 7, 40), 7,  # 22 = 3 * 7 + 1
-         "3770f618e753488da9224b9f34b046573dca9e1020cc7b13520f67b0d9c81084"),
-    ])
+         "f6def9e07637b97d2046ab497ea4491b6a1261d59051c6b2d3a158d1a1e1e593"),
+    ], ids=["fold-128", "small-16", "fold-1", "small-5"])
     def test_weight_bytes(self, main_fold, case, hidden, params, seed, digest):
         ds = main_fold if case == "fold" else main_fold.subset(range(0, len(main_fold), 20))
         model = train_nn(ds, hidden, params, seed)
         assert hashlib.sha256(flatten_weights(model).tobytes()).hexdigest() == digest
+
+
+class TestOneStep:
+    """With one batch per epoch, one epoch of training is one gradient-descent step."""
+
+    @pytest.mark.parametrize("n", [7, 33])
+    @pytest.mark.parametrize("hidden", [1, 4, 128])
+    def test_first_epoch_steps_from_the_seeded_initialisation(self, rng, hidden, n):
+        batch, lr, seed, d = random_batch(rng, n), 0.05, 11, 64
+        trained = train_nn(batch, hidden, TrainingParams(lr, 40, 1), seed)
+        # fan-in-scaled uniform weights from the seed, zero biases
+        init = np.random.default_rng(seed)
+        w1 = init.uniform(-1.0, 1.0, (d, hidden)) / np.sqrt(d)
+        w2 = init.uniform(-1.0, 1.0, (hidden, 2)) / np.sqrt(hidden)
+        theta0 = np.concatenate([w1.ravel(), np.zeros(hidden), w2.ravel(), np.zeros(2)])
+        model0 = replace_weights(trained, theta0)
+        grad = nn_gradient(model0, batch)
+        # the ones columns that carry the biases: nn_gradient against the plain
+        # formula, then the training step against nn_gradient
+        want_grad = backprop_gradient(model0, batch)
+        assert np.max(np.abs(grad - want_grad)) <= 1e-12 * np.max(np.abs(want_grad))
+        want = theta0 - lr * grad
+        got = flatten_weights(trained)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestModelShapes:

@@ -22,6 +22,7 @@ from thermal_sense.persist import (
     load_dataset,
     load_model,
     model_to_text,
+    read_lines,
     read_text,
     report_to_text,
     save_dataset,
@@ -221,6 +222,7 @@ class TestNonUtf8Files:
         (b"ok\n\n\nok \xc3", 4),  # a truncated two-byte sequence at the end
         ("\u00e9\n\u20ac\r\n".encode() + b"a\x80b\n", 3),  # multi-byte text before it
         (b"a\r\n" * 5000 + b"\xed\xa0\x80", 5001),  # a UTF-16 surrogate
+        (b"a\rb\r\r\n\n\xff", 5),  # a lone \r and a \r\n each end one line
     ])
     def test_line_is_one_plus_the_newlines_before_the_byte(self, tmp_path, data, line):
         path = tmp_path / "bad.txt"
@@ -231,7 +233,14 @@ class TestNonUtf8Files:
     def test_utf8_text_reads_as_before(self, tmp_path):
         path = tmp_path / "ok.txt"
         path.write_bytes("a\r\n\u00e9\rb\n".encode())
-        assert read_text(path) == path.read_text(encoding="utf-8") == "a\n\u00e9\nb\n"
+        assert read_text(path) == "a\r\n\u00e9\rb\n"
+        assert read_lines(path) == path.read_text(encoding="utf-8").split("\n")[:-1]
+
+    def test_sim_params_line_counts_a_lone_cr(self, tmp_path):
+        path = tmp_path / "sim.cfg"
+        path.write_bytes(b"room_lo = 20\rroom_lo = \xff\n")
+        with pytest.raises(DataFormatError, match=f"^{re.escape(str(path))}:2: not UTF-8 text$"):
+            load_sim_params(path)
 
 
 class TestModelFormat:
