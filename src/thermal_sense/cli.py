@@ -202,12 +202,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
     def fmt(value):
         return "n/a" if value is None else f"{value:.4f}"
 
-    print(f"overall: n={overall.counts.total} accuracy={fmt(overall.accuracy)} "
-          f"sensitivity={fmt(overall.sensitivity)} specificity={fmt(overall.specificity)}")
+    rows = [("overall", overall)]
     if args.by_condition:
-        for tag, rep in by_condition.items():
-            print(f"{tag.value}: n={rep.counts.total} accuracy={fmt(rep.accuracy)} "
-                  f"sensitivity={fmt(rep.sensitivity)} specificity={fmt(rep.specificity)}")
+        rows += [(tag.value, rep) for tag, rep in by_condition.items()]
+    for name, rep in rows:
+        print(f"{name}: n={rep.counts.total} accuracy={fmt(rep.accuracy)} "
+              f"sensitivity={fmt(rep.sensitivity)} specificity={fmt(rep.specificity)}")
     if args.emit_plot_data:
         atomic_write_text(args.emit_plot_data, eval_plot_csv(overall, by_condition))
         print(f"wrote plot data to {args.emit_plot_data}")

@@ -47,9 +47,11 @@ _PIXEL_FIELDS = tuple(f"p{r}{c}" for r in range(GRID_SIZE) for c in range(GRID_S
 CSV_HEADER = ",".join(_PIXEL_FIELDS + ("label", "condition"))
 _LABELS = tuple(label.to_text() for label in Label)  # label i is written as _LABELS[i]
 _CONDITION_CODES = {tag.value: code for code, tag in enumerate(CONDITIONS)}
-# The rows the format admits, up to the range and quarter-degree checks.
+# A temperature as the writer prints it: ASCII digits and exactly two decimals.
+_TEMPERATURE = re.compile(r"[0-9]+\.[0-9]{2}")
+# The rows the format admits, up to the `_off_grid` check.
 _CSV_ROW = re.compile(",".join(
-    [r"[0-9]+\.[0-9]{2}"] * NUM_PIXELS
+    [_TEMPERATURE.pattern] * NUM_PIXELS
     + ["(?:" + "|".join(map(re.escape, texts)) + ")"
        for texts in (_LABELS, _CONDITION_CODES)]))
 # The text of each quarter degree in [20, 100], indexed by 4 * (t - 20).
@@ -60,8 +62,7 @@ _QUARTER_TEXTS = tuple("%.2f" % (TEMP_MIN_C + q / 4) for q in range(
 # have one digit). inf and nan are read, so that the invariant they break
 # names its line.
 _INT = r"-?(?:0|[1-9][0-9]*)"
-_FINITE = r"-?(?:(?:0|[1-9][0-9]*)\.[0-9]+|[1-9](?:\.[0-9]+)?e[+-][0-9]+)"
-_FLOAT = rf"(?:{_FINITE}|-?inf|-?nan)"
+_FLOAT = r"-?(?:(?:0|[1-9][0-9]*)\.[0-9]+|[1-9](?:\.[0-9]+)?e[+-][0-9]+|inf|nan)"
 _INT_TEXT = re.compile(_INT)
 _FLOAT_TEXT = re.compile(_FLOAT)
 _FLOATS_LINE = re.compile(f"(?:{_FLOAT}(?: {_FLOAT})*)?")
@@ -72,7 +73,7 @@ _LINES_BLOCK = 1 << 14
 
 def atomic_write_text(path, text: str) -> None:
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=f".{path.name}.", suffix=".tmp")
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
@@ -106,16 +107,12 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def _floats_line(values: np.ndarray) -> str:
-    return " ".join(map(repr, values.tolist()))
-
-
 def _floats_lines(values: np.ndarray) -> list[str]:
-    """`_floats_line` of each row of a 2-d array, formatting each distinct value once.
+    """Each row of a 2-d array as the `repr`s of its values joined by spaces.
 
-    Values are told apart by their bits, so 0.0 and -0.0 keep their own
-    text. Rows are taken in blocks of about `_LINES_BLOCK` values, which
-    bounds the working set of a large model.
+    Each distinct value is formatted once. Values are told apart by their
+    bits, so 0.0 and -0.0 keep their own text. Rows are taken in blocks of
+    about `_LINES_BLOCK` values, which bounds the working set of a large model.
     """
     bits = np.asarray(values, dtype=np.float64).view(np.int64)
     step = max(1, _LINES_BLOCK // max(1, bits.shape[1]))
@@ -168,10 +165,15 @@ def _at(path, lineno: int, key: str = "", lines: list[str] = ()):
 
 # --- datasets ----------------------------------------------------------
 
+def _off_grid(x):
+    """Whether `x` (a number, or each entry of an array) is not a quarter degree in [20, 100]."""
+    quarters = x * 4.0
+    return (x < TEMP_MIN_C) | (x > TEMP_MAX_C) | (quarters != np.floor(quarters))
+
+
 def dataset_to_csv(ds: Dataset) -> str:
     x = ds.x
-    quarters = x * 4.0
-    bad = (x < TEMP_MIN_C) | (x > TEMP_MAX_C) | (quarters != np.floor(quarters))
+    bad = _off_grid(x)
     if bad.any():
         i, j = np.argwhere(bad)[0]
         raise DataFormatError(
@@ -180,7 +182,7 @@ def dataset_to_csv(ds: Dataset) -> str:
         )
     texts = _QUARTER_TEXTS.__getitem__
     lines = [CSV_HEADER]
-    for row, label, code in zip((quarters - 4 * TEMP_MIN_C).astype(np.intp).tolist(),
+    for row, label, code in zip((x * 4.0 - 4 * TEMP_MIN_C).astype(np.intp).tolist(),
                                 ds.y.tolist(), ds.conditions.tolist()):
         lines.append(f"{','.join(map(texts, row))},{_LABELS[label]},{CONDITIONS[code].value}")
     return "\n".join(lines) + "\n"
@@ -190,17 +192,6 @@ def save_dataset(ds: Dataset, path) -> None:
     atomic_write_text(path, dataset_to_csv(ds))
 
 
-def _parse_temperature(tok: str, field: str) -> float:
-    # Writer emits exactly two decimals of ASCII digits; accept nothing looser.
-    whole, dot, frac = tok.partition(".")
-    if not (whole.isdigit() and dot and len(frac) == 2 and frac.isdigit() and tok.isascii()):
-        raise DataFormatError(f"field {field}: malformed temperature {tok!r}")
-    value = float(tok)
-    if not (TEMP_MIN_C <= value <= TEMP_MAX_C) or not (value * 4).is_integer():
-        raise DataFormatError(f"field {field}: {tok} is not a quarter degree in [20, 100]")
-    return value
-
-
 def _raise_row_error(line: str) -> None:
     """Raise the first error of a data row that fails a check, walking its fields in order."""
     fields = line.split(",")
@@ -208,7 +199,10 @@ def _raise_row_error(line: str) -> None:
     if len(fields) != n_fields:
         raise DataFormatError(f"expected {n_fields} fields, got {len(fields)}")
     for field, tok in zip(_PIXEL_FIELDS, fields):
-        _parse_temperature(tok, field)
+        if _TEMPERATURE.fullmatch(tok) is None:
+            raise DataFormatError(f"field {field}: malformed temperature {tok!r}")
+        if _off_grid(float(tok)):
+            raise DataFormatError(f"field {field}: {tok} is not a quarter degree in [20, 100]")
     if fields[-2] not in _LABELS:
         raise DataFormatError(f"field label: unknown label {fields[-2]!r}")
     if fields[-1] not in _CONDITION_CODES:
@@ -220,7 +214,7 @@ def dataset_from_csv(text: str, path="<memory>") -> Dataset:
     """Parse dataset CSV text; a bad row fails with the message of its first bad field.
 
     Each row is matched against `_CSV_ROW` and parsed straight into the
-    matrix; range and quarter-degree checks then run on the whole matrix.
+    matrix; `_off_grid` then runs on the whole matrix.
     The earliest row that fails either is walked field by field to name
     the error, so messages do not depend on the fast path.
     """
@@ -244,10 +238,7 @@ def dataset_from_csv(text: str, path="<memory>") -> Dataset:
         x[row] = fields[:NUM_PIXELS]
         y[row] = _LABELS.index(fields[-2])
         codes[row] = _CONDITION_CODES[fields[-1]]
-    parsed = x[:bad_row]
-    quarters = parsed * 4.0
-    off_grid = ((parsed < TEMP_MIN_C) | (parsed > TEMP_MAX_C)
-                | (quarters != np.floor(quarters))).any(axis=1)
+    off_grid = _off_grid(x[:bad_row]).any(axis=1)
     if off_grid.any():
         bad_row = int(off_grid.argmax())
     if bad_row < n:
@@ -288,26 +279,33 @@ def _parse_row(text: str, n: int, pattern: re.Pattern = _FLOATS_LINE) -> np.ndar
     return values
 
 
-def _payload_rows(payload: list[str], count: str, noun: str, values: dict, at, pattern: str,
-                  width: int, ok, walk) -> np.ndarray:
+def _payload_rows(payload: list[str], count: str, noun: str, values: dict, at,
+                  grammar: re.Pattern, width: int, checks: tuple) -> np.ndarray:
     """The `values[count]` payload rows, each `width` numbers, parsed in one call.
 
-    The earliest row that does not fully match `pattern` or fails `ok` (a
-    check of each row of the parsed matrix) is walked by `walk(line)` for its message.
+    `checks` holds (test, message) pairs: `test(rows)` tells which rows of
+    a parsed matrix pass, and `message` is formatted with the failing
+    row's values as `row` and its text's tokens as `tokens`. The rows
+    that match `grammar` with `width` tokens are parsed together and every
+    test runs on the matrix; the earliest failing line then fails with the
+    message of `_parse_row` or else of its first failing check.
     """
     with at(count):
         if len(payload) != values[count]:
             raise DataFormatError(f"expected {values[count]} {noun} lines, got {len(payload)}")
-    row = re.compile(pattern)
-    n = next((i for i, line in enumerate(payload) if row.fullmatch(line) is None), len(payload))
+    n = next((i for i, line in enumerate(payload)
+              if grammar.fullmatch(line) is None or line.count(" ") != width - 1), len(payload))
     rows = np.loadtxt(payload[:n], delimiter=" ", ndmin=2) if n else np.empty((0, width))
-    good = ok(rows)
+    good = np.isfinite(rows).all(axis=1)  # the grammar admits "nan", and "1e+999" overflows
+    for test, _ in checks:
+        good &= test(rows)
     if not good.all():
         n = int(good.argmin())
     if n < len(payload):
         with at(n):
-            walk(payload[n])
-            raise AssertionError("payload line passes every check")
+            row = _parse_row(payload[n], width, grammar)
+            message = next(text for test, text in checks if not test(row[None])[0])
+            raise DataFormatError(message.format(row=row.tolist(), tokens=payload[n].split(" ")))
     return rows
 
 
@@ -325,42 +323,26 @@ def _width(text: str) -> int:
 
 
 def _knn_load(payload: list[str], v: dict, at) -> KnnModel:
-    n = v["n-features"]
-
-    def walk(line: str) -> None:
-        _parse_row(line, n + 1, _KNN_ROW)
-        label = line.split(" ", 1)[0]
-        if label not in ("0", "1"):
-            raise DataFormatError(f"label must be 0 or 1, got {label!r}")
-
-    # A row with a value that parses to a non-finite number ("1e+999") fails `ok`.
-    rows = _payload_rows(payload, "n-samples", "sample", v, at, f"[01](?: {_FINITE}){{{n}}}",
-                         n + 1, lambda rows: np.isfinite(rows).all(axis=1), walk)
+    # Of the texts `_INT` admits, only "0" and "1" parse to 0 or 1 with the sign bit clear.
+    checks = ((lambda r: np.isin(r[:, 0], (0.0, 1.0)) & ~np.signbit(r[:, 0]),
+               "label must be 0 or 1, got {tokens[0]!r}"),)
+    rows = _payload_rows(payload, "n-samples", "sample", v, at, _KNN_ROW, v["n-features"] + 1,
+                         checks)
     with at("k"):  # k is checked against the row count
         return KnnModel(rows[:, 1:], rows[:, 0].astype(np.int64), v["k"], v["weighting"])
 
 
 def _svm_load(payload: list[str], v: dict, at) -> SvmModel:
-    n, c = v["n-features"], v["c"]
-
-    def ok(rows: np.ndarray) -> np.ndarray:
-        alpha, y = rows[:, 0], rows[:, 1]
-        return (np.isfinite(rows).all(axis=1) & np.isin(y, (-1.0, 1.0))
-                & (0.0 <= alpha) & (alpha <= c))
-
-    def walk(line: str) -> None:
-        row = _parse_row(line, n + 2)
-        if row[1] not in (-1.0, 1.0):
-            raise DataFormatError(f"support label must be -1 or +1, got {float(row[1])!r}")
-        if not 0.0 <= row[0] <= c:
-            raise DataFormatError(f"dual coefficient {float(row[0])!r} outside [0, C]")
-
-    rows = _payload_rows(payload, "n-support", "support", v, at,
-                         f"{_FINITE}(?: {_FINITE}){{{n + 1}}}", n + 2, ok, walk)
+    checks = ((lambda r: np.isin(r[:, 1], (-1.0, 1.0)),
+               "support label must be -1 or +1, got {row[1]!r}"),
+              (lambda r: (0.0 <= r[:, 0]) & (r[:, 0] <= v["c"]),
+               "dual coefficient {row[0]!r} outside [0, C]"))
+    rows = _payload_rows(payload, "n-support", "support", v, at, _FLOATS_LINE,
+                         v["n-features"] + 2, checks)
     alpha, y, x = (np.ascontiguousarray(a) for a in (rows[:, 0], rows[:, 1], rows[:, 2:]))
     # What is left to check, sum(alpha * y) = 0, spans the whole support set.
     with at("n-support"):
-        return SvmModel(v["coef0"], c, v["feature-mean"], v["feature-scale"], x, alpha, y,
+        return SvmModel(v["coef0"], v["c"], v["feature-mean"], v["feature-scale"], x, alpha, y,
                         v["bias"])
 
 
@@ -385,9 +367,9 @@ def _nn_load(payload: list[str], v: dict, at) -> NnModel:
 
 _STANDARDIZER = (
     ("n-features", lambda m: str(len(m.feature_mean)), lambda t, _: _width(t)),
-    ("feature-mean", lambda m: _floats_line(m.feature_mean),
+    ("feature-mean", lambda m: _floats_lines(m.feature_mean[None])[0],
      lambda t, v: _parse_row(t, v["n-features"])),
-    ("feature-scale", lambda m: _floats_line(m.feature_scale),
+    ("feature-scale", lambda m: _floats_lines(m.feature_scale[None])[0],
      lambda t, v: check_scale(_parse_row(t, v["n-features"]))),
 )
 
@@ -424,8 +406,8 @@ _NN = _Format("nn", (
      lambda t, v: replace(v["batch-size"], epochs=_int(t))),
     ("seed", lambda m: str(m.seed), lambda t, _: _int(t)),
 ) + _STANDARDIZER + (
-    ("b1", lambda m: _floats_line(m.b1), lambda t, v: _parse_row(t, v["hidden"])),
-    ("b2", lambda m: _floats_line(m.b2), lambda t, _: _parse_row(t, 2)),
+    ("b1", lambda m: _floats_lines(m.b1[None])[0], lambda t, v: _parse_row(t, v["hidden"])),
+    ("b2", lambda m: _floats_lines(m.b2[None])[0], lambda t, _: _parse_row(t, 2)),
 ), lambda m: ([f"w1: {row}" for row in _floats_lines(m.w1)]
               + [f"w2: {row}" for row in _floats_lines(m.w2)]), _nn_load)
 

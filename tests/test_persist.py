@@ -741,6 +741,14 @@ class TestNumberGrammar:
     @pytest.mark.parametrize("lineno, index, token, message", [
         (8, 9, "1e+999", "non-finite value in payload"),
         (7, 0, "2", "label must be 0 or 1, got '2'"),
+        (7, 0, "-0", "label must be 0 or 1, got '-0'"),
+        (7, 0, "10", "label must be 0 or 1, got '10'"),
+        (8, 0, "-1", "label must be 0 or 1, got '-1'"),
+        (7, 0, "99999999999999999999", "label must be 0 or 1, got '99999999999999999999'"),
+        (7, 0, "00", "bad numeric payload"),
+        (8, 0, "1.0", "bad numeric payload"),
+        (8, 0, "+1", "bad numeric payload"),
+        (7, 0, "1e0", "bad numeric payload"),
     ])
     def test_sample_value_names_line(self, tmp_path, lineno, index, token, message):
         lines = _knn_lines()
