@@ -14,9 +14,10 @@ import sys
 from pathlib import Path
 
 from thermal_sense.classifiers.kernels import KernelSpec
-from thermal_sense.cli import build_report, eval_plot_csv, eval_results, exit_on_error
+from thermal_sense.cli import exit_on_error
 from thermal_sense.evaluate import KnnSpec, NnSpec, SvmSpec, evaluate_by_condition
-from thermal_sense.persist import atomic_write_text, save_dataset, save_report
+from thermal_sense.persist import (atomic_write_text, build_report, eval_plot_csv, eval_results,
+                                   save_dataset, save_report)
 from thermal_sense.simulate import generate_main, generate_variational
 
 

@@ -14,10 +14,11 @@ import time
 from pathlib import Path
 
 from thermal_sense.classifiers.nn import TrainingParams
-from thermal_sense.cli import build_report, exit_on_error, sweep_plot_csv, sweep_results
+from thermal_sense.cli import exit_on_error
 from thermal_sense.core import make_folds
 from thermal_sense.evaluate import NnSpec, sweep, sweep_specs
-from thermal_sense.persist import atomic_write_text, save_dataset, save_report
+from thermal_sense.persist import (atomic_write_text, build_report, save_dataset, save_report,
+                                   sweep_plot_csv, sweep_results)
 from thermal_sense.simulate import generate_main
 
 

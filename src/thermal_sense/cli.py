@@ -12,16 +12,13 @@ import argparse
 import math
 import sys
 
-from . import __version__
 from .classifiers.kernels import KERNEL_KINDS, KernelSpec
 from .classifiers.knn import WEIGHTINGS
 from .classifiers.nn import TrainingParams
 from .core import Label, make_folds, split_train_test
 from .errors import DataFormatError, InvalidInputError, ThermalSenseError, TrainingError
 from .evaluate import (
-    CvResult,
     KnnSpec,
-    MetricsReport,
     NnSpec,
     SWEEP_FAMILIES,
     SvmSpec,
@@ -33,72 +30,33 @@ from .evaluate import (
 )
 from .monitor import MonitorConfig, replay
 from .persist import (
+    TOOL_NAME,
     atomic_write_text,
+    build_report,
+    cv_results,
+    eval_plot_csv,
+    eval_results,
     load_dataset,
     load_model,
     read_lines,
     save_dataset,
     save_model,
     save_report,
+    sweep_plot_csv,
+    sweep_results,
 )
 from .simulate import DEFAULT_SIM_PARAMS, generate_main, generate_variational, load_sim_params
 
-TOOL_NAME = "thermal-sense"
-
-
-def build_report(command: str, config: dict, results: dict) -> dict:
-    """A report: the tool and version, the command, its full configuration, its results."""
-    return {"tool": TOOL_NAME, "version": __version__, "command": command, "config": config,
-            "results": results}
-
-
-def _save_report(args: argparse.Namespace, results: dict) -> None:
-    config = {k: v for k, v in vars(args).items() if k != "func"}
-    save_report(build_report(args.command, config, results), args.report)
-
-
-def _metrics_dict(report: MetricsReport) -> dict:
-    c = report.counts
-    return {"tp": c.tp, "fp": c.fp, "tn": c.tn, "fn": c.fn, "accuracy": report.accuracy,
-            "sensitivity": report.sensitivity, "specificity": report.specificity}
-
-
-def _cv_dict(result: CvResult) -> dict:
-    return {
-        "accuracy_mean": result.accuracy_mean,
-        "accuracy_std": result.accuracy_std,
-        "folds": [_metrics_dict(r) for r in result.fold_reports],
-    }
-
-
-def sweep_results(rows) -> dict:
-    return {"rows": [{"label": row.label, "cv": _cv_dict(row.result)} for row in rows]}
-
-
-def sweep_plot_csv(rows) -> str:
-    lines = ["config,accuracy_mean,accuracy_std"]
-    lines += [f"{row.label},{row.result.accuracy_mean!r},{row.result.accuracy_std!r}"
-              for row in rows]
-    return "\n".join(lines) + "\n"
-
-
-def eval_results(overall: MetricsReport, by_condition: dict | None = None) -> dict:
-    results: dict = {"overall": _metrics_dict(overall)}
-    if by_condition is not None:
-        results["by_condition"] = {tag.value: _metrics_dict(rep)
-                                   for tag, rep in by_condition.items()}
-    return results
-
-
-def eval_plot_csv(overall: MetricsReport, by_condition: dict) -> str:
-    def cell(value: float | None) -> str:
-        return "" if value is None else repr(value)
-
-    lines = ["condition,n,accuracy,sensitivity,specificity"]
-    rows = [("overall", overall)] + [(tag.value, rep) for tag, rep in by_condition.items()]
-    lines += [f"{name},{rep.counts.total},{rep.accuracy!r},{cell(rep.sensitivity)},"
-              f"{cell(rep.specificity)}" for name, rep in rows]
-    return "\n".join(lines) + "\n"
+def _write_outputs(args: argparse.Namespace, results: dict, plot: str | None = None) -> None:
+    """Write the `--report` of `results` and the `--emit-plot-data` CSV `plot`, if asked for."""
+    if args.report:
+        config = {k: v for k, v in vars(args).items() if k != "func"}
+        save_report(build_report(args.command, config, results), args.report)
+    if plot is not None and args.emit_plot_data:
+        atomic_write_text(args.emit_plot_data, plot)
+        print(f"wrote plot data to {args.emit_plot_data}")
+    if args.report:
+        print(f"wrote report to {args.report}")
 
 
 def _spec_from_args(args: argparse.Namespace):
@@ -159,9 +117,7 @@ def cmd_cv(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
     result = cross_validate(ds, plan, Trainer(spec, args.seed))
     print(f"{spec.label()}: accuracy mean={result.accuracy_mean:.4f} std={result.accuracy_std:.4f}")
-    if args.report:
-        _save_report(args, _cv_dict(result))
-        print(f"wrote report to {args.report}")
+    _write_outputs(args, cv_results(result))
     return 0
 
 
@@ -173,13 +129,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     for row in rows:
         print(f"{row.label}: accuracy mean={row.result.accuracy_mean:.4f} "
               f"std={row.result.accuracy_std:.4f}")
-    if args.report:
-        _save_report(args, sweep_results(rows))
-    if args.emit_plot_data:
-        atomic_write_text(args.emit_plot_data, sweep_plot_csv(rows))
-        print(f"wrote plot data to {args.emit_plot_data}")
-    if args.report:
-        print(f"wrote report to {args.report}")
+    _write_outputs(args, sweep_results(rows), sweep_plot_csv(rows))
     return 0
 
 
@@ -196,8 +146,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
     model = load_model(args.model)
     ds = load_dataset(args.data)
     overall, by_condition = evaluate_by_condition(model, ds)
-    if args.report:
-        _save_report(args, eval_results(overall, by_condition if args.by_condition else None))
 
     def fmt(value):
         return "n/a" if value is None else f"{value:.4f}"
@@ -208,11 +156,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     for name, rep in rows:
         print(f"{name}: n={rep.counts.total} accuracy={fmt(rep.accuracy)} "
               f"sensitivity={fmt(rep.sensitivity)} specificity={fmt(rep.specificity)}")
-    if args.emit_plot_data:
-        atomic_write_text(args.emit_plot_data, eval_plot_csv(overall, by_condition))
-        print(f"wrote plot data to {args.emit_plot_data}")
-    if args.report:
-        print(f"wrote report to {args.report}")
+    _write_outputs(args, eval_results(overall, by_condition if args.by_condition else None),
+                   eval_plot_csv(overall, by_condition))
     return 0
 
 
@@ -253,6 +198,8 @@ def _read_trace(path) -> list[tuple[float, Label]]:
 
 
 def cmd_monitor(args: argparse.Namespace) -> int:
+    if any(c in args.bed_id for c in ",\r\n"):  # it is a field of each event record
+        raise InvalidInputError(f"--bed-id must not contain ',', CR or LF, got {args.bed_id!r}")
     cfg = MonitorConfig(
         debounce_frames=args.debounce_frames,
         long_absence_s=args.long_absence_min * 60.0,

@@ -1,4 +1,4 @@
-"""Bit-exact readers and writers for datasets and models, and the report writer.
+"""Bit-exact readers and writers for datasets and models; the report and plot-CSV formats.
 
 Datasets are UTF-8 CSV with header `p00,...,p77,label,condition`, LF line
 endings, temperatures printed with exactly two decimals (quarter degrees
@@ -7,7 +7,8 @@ use the shortest round-trip decimal representation, so a reloaded model
 reproduces the original's predictions bit for bit. The readers accept
 numbers only as the writers print them: ASCII `str(int)` and
 `repr(float)`, separated by single spaces.
-Reports are canonical JSON (sorted keys, two-space indent).
+Reports are canonical JSON (sorted keys, two-space indent); their builders
+and the plot-CSV builders read result attributes only.
 
 All writers go through an atomic temp-file + rename.
 """
@@ -21,10 +22,11 @@ import tempfile
 from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
+from . import __version__
 from .classifiers.kernels import KernelSpec
 from .classifiers.knn import WEIGHTINGS, KnnModel
 from .classifiers.nn import MAX_HIDDEN, NnModel, TrainingParams
@@ -40,6 +42,10 @@ from .core import (
 )
 from .errors import DataFormatError, InvalidInputError, check_int, check_real
 
+if TYPE_CHECKING:
+    from .evaluate import CvResult, MetricsReport
+
+TOOL_NAME = "thermal-sense"
 MODEL_FORMAT_VERSION = 1
 REPORT_FORMAT_VERSION = 1
 
@@ -65,7 +71,7 @@ _INT = r"-?(?:0|[1-9][0-9]*)"
 _FLOAT = r"-?(?:(?:0|[1-9][0-9]*)\.[0-9]+|[1-9](?:\.[0-9]+)?e[+-][0-9]+|inf|nan)"
 _INT_TEXT = re.compile(_INT)
 _FLOAT_TEXT = re.compile(_FLOAT)
-_FLOATS_LINE = re.compile(f"(?:{_FLOAT}(?: {_FLOAT})*)?")
+_FLOATS_LINE = re.compile(f"{_FLOAT}(?: {_FLOAT})*")  # no float line of the formats is empty
 _KNN_ROW = re.compile(f"{_INT}(?: {_FLOAT})*")  # the label, then the features
 # Model values per block of `_floats_lines`.
 _LINES_BLOCK = 1 << 14
@@ -213,8 +219,8 @@ def _raise_row_error(line: str) -> None:
 def dataset_from_csv(text: str, path="<memory>") -> Dataset:
     """Parse dataset CSV text; a bad row fails with the message of its first bad field.
 
-    Each row is matched against `_CSV_ROW` and parsed straight into the
-    matrix; `_off_grid` then runs on the whole matrix.
+    The rows before the first that `_CSV_ROW` rejects are parsed into the
+    matrix in one call; `_off_grid` then runs on the whole matrix.
     The earliest row that fails either is walked field by field to name
     the error, so messages do not depend on the fast path.
     """
@@ -225,26 +231,20 @@ def dataset_from_csv(text: str, path="<memory>") -> Dataset:
     lines = text.split("\n")[:-1]
     if not lines or lines[0] != CSV_HEADER:
         raise DataFormatError(f"{path}:1: bad or missing header")
-    n = len(lines) - 1
-    x = np.empty((n, NUM_PIXELS))
-    y = np.empty(n, dtype=np.int64)
-    codes = np.empty(n, dtype=np.int8)
-    bad_row = n
-    for row, line in enumerate(lines[1:]):
-        if _CSV_ROW.fullmatch(line) is None:
-            bad_row = row
-            break
-        fields = line.split(",")
-        x[row] = fields[:NUM_PIXELS]
-        y[row] = _LABELS.index(fields[-2])
-        codes[row] = _CONDITION_CODES[fields[-1]]
-    off_grid = _off_grid(x[:bad_row]).any(axis=1)
+    rows = lines[1:]
+    bad_row = next((i for i, line in enumerate(rows) if _CSV_ROW.fullmatch(line) is None),
+                   len(rows))
+    x = (np.loadtxt(rows[:bad_row], delimiter=",", usecols=range(NUM_PIXELS), ndmin=2)
+         if bad_row else np.empty((0, NUM_PIXELS)))
+    off_grid = _off_grid(x).any(axis=1)
     if off_grid.any():
         bad_row = int(off_grid.argmax())
-    if bad_row < n:
+    if bad_row < len(rows):
         with _at(path, bad_row + 2):
-            _raise_row_error(lines[bad_row + 1])
-    return Dataset(x, y, codes)
+            _raise_row_error(rows[bad_row])
+    tails = [line.rsplit(",", 2) for line in rows]
+    return Dataset(x, np.array([_LABELS.index(label) for _, label, _ in tails], dtype=np.int64),
+                   np.array([_CONDITION_CODES[code] for _, _, code in tails], dtype=np.int8))
 
 
 def load_dataset(path) -> Dataset:
@@ -455,6 +455,56 @@ def load_model(path):
 
 
 # --- reports ---------------------------------------------------------------
+
+def build_report(command: str, config: dict, results: dict) -> dict:
+    """A report: the tool and version, the command, its full configuration, its results."""
+    return {"tool": TOOL_NAME, "version": __version__, "command": command, "config": config,
+            "results": results}
+
+
+def _metrics_dict(report: MetricsReport) -> dict:
+    c = report.counts
+    return {"tp": c.tp, "fp": c.fp, "tn": c.tn, "fn": c.fn, "accuracy": report.accuracy,
+            "sensitivity": report.sensitivity, "specificity": report.specificity}
+
+
+def cv_results(result: CvResult) -> dict:
+    return {
+        "accuracy_mean": result.accuracy_mean,
+        "accuracy_std": result.accuracy_std,
+        "folds": [_metrics_dict(r) for r in result.fold_reports],
+    }
+
+
+def sweep_results(rows) -> dict:
+    return {"rows": [{"label": row.label, "cv": cv_results(row.result)} for row in rows]}
+
+
+def sweep_plot_csv(rows) -> str:
+    lines = ["config,accuracy_mean,accuracy_std"]
+    lines += [f"{row.label},{row.result.accuracy_mean!r},{row.result.accuracy_std!r}"
+              for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def eval_results(overall: MetricsReport, by_condition: dict | None = None) -> dict:
+    results: dict = {"overall": _metrics_dict(overall)}
+    if by_condition is not None:
+        results["by_condition"] = {tag.value: _metrics_dict(rep)
+                                   for tag, rep in by_condition.items()}
+    return results
+
+
+def eval_plot_csv(overall: MetricsReport, by_condition: dict) -> str:
+    def cell(value: float | None) -> str:
+        return "" if value is None else repr(value)
+
+    lines = ["condition,n,accuracy,sensitivity,specificity"]
+    rows = [("overall", overall)] + [(tag.value, rep) for tag, rep in by_condition.items()]
+    lines += [f"{name},{rep.counts.total},{rep.accuracy!r},{cell(rep.sensitivity)},"
+              f"{cell(rep.specificity)}" for name, rep in rows]
+    return "\n".join(lines) + "\n"
+
 
 def report_to_text(report: dict) -> str:
     payload = dict(report)

@@ -335,6 +335,16 @@ class TestMonitorCommand:
         assert [line.split(",")[1] for line in lines] == ["bed_exit", "return"]
         assert all(line.endswith(",bed7") for line in lines)
 
+    @pytest.mark.parametrize("bed_id", ["a,b\nc", "a,b", "a\rb", "a\nb"])
+    def test_bed_id_that_would_split_a_record_exits_2(self, tmp_path, capsys, bed_id):
+        trace = tmp_path / "trace.csv"
+        trace.write_text("timestamp,label\n0,person\n30,no_person\n")
+        out = tmp_path / "e.csv"
+        assert cli("monitor", "--input", trace, "--out", out, "--bed-id", bed_id) == 2
+        assert capsys.readouterr().err == (
+            f"error: --bed-id must not contain ',', CR or LF, got {bed_id!r}\n")
+        assert not out.exists()
+
     def test_bad_trace(self, tmp_path):
         trace = tmp_path / "trace.csv"
         trace.write_text("timestamp,label\nnoon,person\n")

@@ -758,6 +758,21 @@ class TestNumberGrammar:
             load_model(path)
         assert str(info.value) == f"{path}:{lineno}: {message}"
 
+    @pytest.mark.parametrize("lines, lineno, blank", [
+        (_svm_lines, 13, ""),
+        (_svm_lines, 11, "feature-mean:"),
+        (_nn_lines, 12, "b2:"),
+        (_knn_lines, 7, ""),
+    ], ids=["svm-support", "svm-feature-mean", "nn-b2", "knn-sample"])
+    def test_blank_numeric_line_is_a_bad_payload(self, tmp_path, lines, lineno, blank):
+        # every numeric line of the formats holds at least one value
+        lines = list(lines())
+        lines[lineno - 1] = blank
+        path = _write(tmp_path / "m.txt", lines)
+        with pytest.raises(DataFormatError) as info:
+            load_model(path)
+        assert str(info.value) == f"{path}:{lineno}: bad numeric payload"
+
     def test_every_repr_form_round_trips(self, tmp_path):
         values = [0.0, -0.0, 0.1, -2.5, 1e-05, 0.0001, 1e+16, 1.5e+300, 5e-324,
                   2.2250738585072014e-308, 1.7976931348623157e+308, 123456789.0]

@@ -69,3 +69,21 @@ def test_run_robustness(tmp_path):
         assert lines[0] == "condition,n,accuracy,sensitivity,specificity"
         assert lines[1].startswith("overall,18,")
         assert len(lines) == 7
+
+
+def test_run_robustness_matches_the_cli(tmp_path):
+    # each classifier's results are those of `train` and `eval --by-condition` on the same data
+    out = tmp_path / "out"
+    done = run_script("run_robustness.py", "--out-dir", out, "--n-per-class", 6,
+                      "--n-per-cell", 3)
+    assert done.returncode == 0, done.stderr
+    for name, flags in (("svm_linear", ["--model", "svm", "--kernel", "linear"]),
+                        ("knn_1", ["--model", "knn", "--k", "1", "--weighting", "uniform"]),
+                        ("nn_128", ["--model", "nn", "--hidden", "128"])):
+        model, report = tmp_path / f"{name}.model", tmp_path / f"{name}.json"
+        assert run(["train", "--data", str(out / "main.csv"), "--seed", "7", *flags,
+                    "--out", str(model)]) == 0
+        assert run(["eval", "--model", str(model), "--data", str(out / "variational.csv"),
+                    "--by-condition", "--report", str(report)]) == 0
+        assert (json.loads(report.read_text())["results"]
+                == json.loads((out / f"robustness_{name}.json").read_text())["results"])
