@@ -25,8 +25,6 @@ import numpy as np
 from ..errors import InvalidInputError, check_int, check_real
 
 KERNEL_KINDS = ("linear", "poly", "rbf", "sigmoid")
-# Gram entries per block of the elementwise passes (512 KiB of float64).
-BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -87,24 +85,18 @@ def kernel_matrix(spec: KernelSpec, a: np.ndarray, b: np.ndarray,
     if gamma is None:
         raise InvalidInputError(f"{spec.kind} kernel needs gamma resolved before evaluation")
     if spec.kind == "rbf":
+        # exp(-gamma * max(|a|^2 + |b|^2 - 2 a.b, 0))
         na = np.sum(a * a, axis=1)
         nb = np.sum(b * b, axis=1) if b_sq is None else b_sq
-    # The elementwise passes run over blocks of rows that stay in cache.
-    rows = max(1, BLOCK // max(1, k.shape[1]))
-    for start in range(0, len(k), rows):
-        block = k[start:start + rows]
-        if spec.kind == "rbf":
-            # exp(-gamma * max(|a|^2 + |b|^2 - 2 a.b, 0))
-            block *= 2.0
-            np.subtract(na[start:start + rows, None] + nb[None, :], block, out=block)
-            np.maximum(block, 0.0, out=block)
-            block *= -gamma
-            np.exp(block, out=block)
-        else:
-            block *= gamma
-            block += spec.coef0
-            if spec.kind == "poly":
-                np.copyto(block, _power(block, spec.degree))
-            else:
-                np.tanh(block, out=block)
+        k *= 2.0
+        np.subtract(na[:, None] + nb[None, :], k, out=k)
+        np.maximum(k, 0.0, out=k)
+        k *= -gamma
+        np.exp(k, out=k)
+    else:
+        k *= gamma
+        k += spec.coef0
+        if spec.kind == "poly":
+            return _power(k, spec.degree)
+        np.tanh(k, out=k)
     return k

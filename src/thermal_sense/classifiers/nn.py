@@ -114,7 +114,7 @@ class _Workspace:
         self.z1 = np.empty((rows, hidden))
         self.a1_ones = np.ones((rows, hidden + 1))  # [a1 | 1]: only a1 is ever written
         self.a1 = self.a1_ones[:, :hidden]
-        self.relu = np.empty((rows, hidden), dtype=bool)
+        self.relu = np.empty((rows, hidden))  # 1.0 or 0.0: a float product, not a bool cast
         self.d_a1 = np.empty((rows, hidden))
         self.d_logits = np.empty((rows, 2))
         self.row = np.empty((rows, 1))  # per-row max, then per-row sum
@@ -181,6 +181,8 @@ def train_nn(train: Dataset, hidden: int, params: TrainingParams = TrainingParam
              seed: int = 0) -> NnModel:
     hidden = check_int("hidden", hidden, 1, MAX_HIDDEN)
     x, y = train.x, train.y
+    if len(x) == 0:
+        raise InvalidInputError("training set is empty")
     mean, scale = standardize_fit(x)
     x_aug = _standardized_with_ones(x, mean, scale)
     n, d = x.shape

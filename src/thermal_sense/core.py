@@ -195,7 +195,8 @@ def split_train_test(ds: Dataset, test_fraction: float, seed: int) -> tuple[Data
 
     Per-class test counts are round(class_count * test_fraction) with
     half-up rounding done in exact arithmetic on the decimal value of
-    the fraction. Sample order within each part follows the input order.
+    the fraction, and each class must keep a sample on both sides.
+    Sample order within each part follows the input order.
     """
     if not (0.0 < test_fraction < 1.0):
         raise InvalidInputError("test_fraction must be strictly between 0 and 1")
@@ -207,6 +208,9 @@ def split_train_test(ds: Dataset, test_fraction: float, seed: int) -> tuple[Data
         if len(idx) == 0:
             raise InvalidInputError(f"class {label.to_text()} has no samples")
         n_test = _round_half_up(Fraction(len(idx)) * frac)
+        if not 0 < n_test < len(idx):
+            raise InvalidInputError(f"test_fraction {test_fraction} leaves class {label.to_text()} with "
+                                    f"{len(idx) - n_test} training and {n_test} test samples")
         test[idx[rng.permutation(len(idx))[:n_test]]] = True
     return ds.subset(np.flatnonzero(~test)), ds.subset(np.flatnonzero(test))
 

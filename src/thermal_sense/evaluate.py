@@ -9,6 +9,7 @@ are. Metrics whose denominator is zero are reported as None rather than
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -211,9 +212,11 @@ def sweep(ds: Dataset, plan: FoldPlan, family: str, seed: int = 0,
           specs: tuple[ClassifierSpec, ...] | None = None) -> tuple[SweepRow, ...]:
     """One CvResult per configuration, all sharing the same fold plan.
 
-    Fold-major: one `cross_validate` drives the folds for the whole grid
-    (see _GridTrainer), so each fold's training subset is built once and
-    its k-NN models share one neighbour search. Each row equals
+    Fold-major: one `cross_validate` drives the folds for the whole grid.
+    Its trainer's predictor does a fold's grid work (see _fold_labels),
+    records one report per spec and returns the first spec's labels, so
+    each fold's training subset is built once and its k-NN models share
+    one neighbour search. Each row equals
     cross_validate(ds, plan, Trainer(spec, derive_seed(seed, index))).
 
     Failures surface in fold order: of two specs failing in different
@@ -223,60 +226,49 @@ def sweep(ds: Dataset, plan: FoldPlan, family: str, seed: int = 0,
     grid = specs if specs is not None else sweep_specs(family)
     if not grid:
         return ()
-    trainer = _GridTrainer(grid, seed, ds.y, np.array(plan.assignment))
-    cross_validate(ds, plan, trainer)
-    return tuple(SweepRow(spec.label(), spec, CvResult.from_reports(reports))
-                 for spec, reports in zip(grid, trainer.reports))
+    seeds = [derive_seed(seed, index) for index in range(len(grid))]
+    assignment = np.array(plan.assignment)
+    reports: list[list[MetricsReport]] = [[] for _ in grid]
+
+    def fit(train: Dataset, fold: int):
+        def predict(xs) -> np.ndarray:
+            labels = _fold_labels(grid, [derive_seed(s, fold) for s in seeds], train, xs)
+            truth = ds.y[assignment == fold]
+            for spec_reports, spec_labels in zip(reports, labels):
+                spec_reports.append(MetricsReport.from_counts(confusion(spec_labels, truth)))
+            return labels[0]
+        return predict
+
+    cross_validate(ds, plan, SimpleNamespace(fit=fit))
+    return tuple(SweepRow(spec.label(), spec, CvResult.from_reports(spec_reports))
+                 for spec, spec_reports in zip(grid, reports))
 
 
-class _GridTrainer:
-    """A whole sweep grid as one trainer, so the grid's folds are cross_validate's.
+def _fold_labels(grid, seeds, train: Dataset, xs) -> list[np.ndarray]:
+    """Train each spec of grid on train with its seed; return each one's labels for xs.
 
-    The predictor `fit` returns does the fold's work once it has the
-    fold's test rows, so that each model predicts as soon as it is
-    trained (see _predict_fold); it records one report per spec and
-    returns the first spec's labels, so the cross-validation's own
-    result is the first row's.
+    The k-NN models on the first one's rows and labels are dropped once
+    their (k, weighting) is noted, and vote on its one neighbour search.
+    Any other model predicts as soon as it is trained.
     """
-
-    def __init__(self, grid, seed: int, y: np.ndarray, assignment: np.ndarray):
-        self.grid = grid
-        self.seeds = [derive_seed(seed, index) for index in range(len(grid))]
-        self.y = y
-        self.assignment = assignment
-        self.reports: list[list[MetricsReport]] = [[] for _ in grid]
-
-    def fit(self, train: Dataset, fold: int):
-        return lambda xs: self._predict_fold(train, fold, xs)
-
-    def _predict_fold(self, train: Dataset, fold: int, xs) -> np.ndarray:
-        """Train every spec on the fold and record its report on the test rows xs.
-
-        The k-NN models on the first one's rows and labels are dropped once
-        their (k, weighting) is noted, and vote on its one neighbour search.
-        Any other model predicts as soon as it is trained.
-        """
-        labels: list = [None] * len(self.grid)
-        shared, settings = None, {}  # the first k-NN model; index -> (k, weighting)
-        for index, spec in enumerate(self.grid):
-            model = spec.train_model(train, derive_seed(self.seeds[index], fold))
-            if isinstance(model, KnnModel) and (shared is None or (
-                    np.array_equal(model.rows, shared.rows)
-                    and np.array_equal(model.train_y, shared.train_y))):
-                if shared is None:
-                    shared = model
-                settings[index] = (model.k, model.weighting)
-            else:
-                labels[index] = predictor(model)(xs)
-            del model  # before the next spec trains
-        if shared is not None:
-            grid_labels = predict_knn_grid(shared, xs, list(settings.values()))
-            for index, knn_labels in zip(settings, grid_labels):
-                labels[index] = knn_labels
-        truth = self.y[self.assignment == fold]
-        for reports, spec_labels in zip(self.reports, labels):
-            reports.append(MetricsReport.from_counts(confusion(spec_labels, truth)))
-        return labels[0]
+    labels: list = [None] * len(grid)
+    shared, settings = None, {}  # the first k-NN model; index -> (k, weighting)
+    for index, (spec, spec_seed) in enumerate(zip(grid, seeds)):
+        model = spec.train_model(train, spec_seed)
+        if isinstance(model, KnnModel) and (shared is None or (
+                np.array_equal(model.rows, shared.rows)
+                and np.array_equal(model.train_y, shared.train_y))):
+            if shared is None:
+                shared = model
+            settings[index] = (model.k, model.weighting)
+        else:
+            labels[index] = predictor(model)(xs)
+        del model  # before the next spec trains
+    if shared is not None:
+        grid_labels = predict_knn_grid(shared, xs, list(settings.values()))
+        for index, knn_labels in zip(settings, grid_labels):
+            labels[index] = knn_labels
+    return labels
 
 
 def evaluate_by_condition(model, ds: Dataset) -> tuple[MetricsReport, dict[ConditionTag, MetricsReport]]:

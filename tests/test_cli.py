@@ -499,6 +499,28 @@ class TestExitCodes:
         assert capsys.readouterr().err == "error: class no_person has no samples\n"
         assert not (tmp_path / "tr.csv").exists()
 
+    @pytest.mark.parametrize("fraction, n_train, n_test", [(0.99, 0, 6), (0.01, 6, 0)])
+    def test_split_that_empties_a_side_exits_2(self, tmp_path, capsys, fraction, n_train,
+                                               n_test):
+        data, tr, te = tmp_path / "main.csv", tmp_path / "tr.csv", tmp_path / "te.csv"
+        assert cli("simulate", "main", "--n-per-class", 6, "--seed", 7, "--out", data) == 0
+        capsys.readouterr()
+        assert cli("split", "--data", data, "--test-fraction", fraction, "--seed", 1,
+                   "--train-out", tr, "--test-out", te) == 2
+        assert capsys.readouterr().err == (f"error: test_fraction {fraction} leaves class "
+                                           f"no_person with {n_train} training and {n_test} "
+                                           "test samples\n")
+        assert not tr.exists() and not te.exists()
+
+    def test_nn_training_on_an_empty_set_exits_2(self, main_csv, tmp_path, capsys):
+        header_only = tmp_path / "empty.csv"
+        header_only.write_text(main_csv.read_text().split("\n")[0] + "\n")
+        model = tmp_path / "m.model"
+        assert cli("train", "--data", header_only, "--seed", 1, "--model", "nn",
+                   "--out", model) == 2
+        assert capsys.readouterr().err == "error: training set is empty\n"
+        assert not model.exists()
+
     def test_newer_model_format_exits_2(self, main_csv, tmp_path, capsys):
         model = tmp_path / "m.model"
         assert cli("train", "--data", main_csv, "--seed", 1, "--model", "knn", "--out", model) == 0

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -150,6 +151,13 @@ class TestSplit:
             return sorted(tuple(r) for p in parts for r in np.column_stack([p.x, p.y]).tolist())
 
         assert rows(train, test) == rows(ds)
+
+    @pytest.mark.parametrize("fraction, n_train, n_test", [(0.99, 0, 6), (0.01, 6, 0)])
+    def test_each_class_keeps_a_training_and_a_test_sample(self, fraction, n_train, n_test):
+        message = (f"test_fraction {fraction} leaves class no_person with {n_train} training "
+                   f"and {n_test} test samples")
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            split_train_test(balanced_dataset(6), fraction, 0)
 
     def test_empty_class_errors(self):
         x = np.full((4, 64), 25.0)

@@ -56,6 +56,11 @@ class TestTrain:
         with pytest.raises(InvalidInputError, match="^hidden must be in \\[1, 1024\\]"):
             train_nn(XOR_DS, 2048)
 
+    def test_empty_training_set_is_invalid_input(self):
+        empty = dataset_from_arrays(np.empty((0, 64)), np.empty(0, dtype=np.int64))
+        with pytest.raises(InvalidInputError, match="^training set is empty$"):
+            train_nn(empty, 4)
+
     @pytest.mark.parametrize("fields, message", [
         ((0.0, 8, 10), "learning rate must be finite and positive, got 0.0"),
         ((float("nan"), 8, 10), "learning rate must be finite and positive, got nan"),
