@@ -15,6 +15,7 @@ from pathlib import Path
 
 from thermal_sense.classifiers.kernels import KernelSpec
 from thermal_sense.cli import exit_on_error
+from thermal_sense.errors import check_int
 from thermal_sense.evaluate import KnnSpec, NnSpec, SvmSpec, evaluate_by_condition
 from thermal_sense.persist import (atomic_write_text, build_report, eval_plot_csv, eval_results,
                                    save_dataset, save_report)
@@ -28,6 +29,7 @@ def main() -> int:
     parser.add_argument("--n-per-class", type=int, default=240)
     parser.add_argument("--n-per-cell", type=int, default=30)
     args = parser.parse_args()
+    check_int("--seed", args.seed, 0)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

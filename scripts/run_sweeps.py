@@ -16,6 +16,7 @@ from pathlib import Path
 from thermal_sense.classifiers.nn import TrainingParams
 from thermal_sense.cli import exit_on_error
 from thermal_sense.core import make_folds
+from thermal_sense.errors import check_int
 from thermal_sense.evaluate import NnSpec, sweep, sweep_specs
 from thermal_sense.persist import (atomic_write_text, build_report, save_dataset, save_report,
                                    sweep_plot_csv, sweep_results)
@@ -31,6 +32,7 @@ def main() -> int:
     parser.add_argument("--nn-epochs", type=int, default=200,
                         help="epochs for the width sweep (wide nets train slowly)")
     args = parser.parse_args()
+    check_int("--seed", args.seed, 0)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

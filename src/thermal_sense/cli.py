@@ -16,7 +16,7 @@ from .classifiers.kernels import KERNEL_KINDS, KernelSpec
 from .classifiers.knn import WEIGHTINGS
 from .classifiers.nn import TrainingParams
 from .core import Label, make_folds, split_train_test
-from .errors import DataFormatError, InvalidInputError, ThermalSenseError, TrainingError
+from .errors import DataFormatError, InvalidInputError, ThermalSenseError, TrainingError, check_int
 from .evaluate import (
     KnnSpec,
     NnSpec,
@@ -301,13 +301,19 @@ def exit_on_error(func, *args) -> int:
         return 3 if isinstance(exc, TrainingError) else 2
 
 
+def _run_command(args: argparse.Namespace) -> int:
+    if hasattr(args, "seed"):
+        check_int("--seed", args.seed, 0)  # numpy seeds its generators from these only
+    return args.func(args)
+
+
 def run(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
-    return exit_on_error(args.func, args)
+    return exit_on_error(_run_command, args)
 
 
 def main() -> None:

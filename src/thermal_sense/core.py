@@ -62,16 +62,17 @@ def _frozen(values, dtype) -> np.ndarray:
 
 
 def quantize(raw) -> np.ndarray:
-    """Quantize an 8x8 array of Celsius floats to the sensor's output grid.
+    """Quantize an 8x8 array of Celsius floats, or a stack (..., 8, 8), to the sensor's grid.
 
     Each pixel is rounded to the nearest quarter degree (midpoints round
-    up) and clamped to [20, 100]. The frame returned is read-only.
+    up) and clamped to [20, 100]. The array returned is read-only. A
+    non-finite pixel is named by its (row, col) in the first frame that has one.
     """
     arr = np.asarray(raw, dtype=np.float64)
-    if arr.shape != (GRID_SIZE, GRID_SIZE):
+    if arr.shape[-2:] != (GRID_SIZE, GRID_SIZE):
         raise InvalidInputError(f"expected an 8x8 array, got shape {arr.shape}")
     if not np.isfinite(arr).all():
-        r, c = np.argwhere(~np.isfinite(arr))[0]
+        *_, r, c = np.argwhere(~np.isfinite(arr))[0]
         raise InvalidInputError(f"non-finite value at pixel ({r}, {c})")
     # Clamped (np.clip's value, at less overhead), then rounded: 20 and 100
     # are on the grid, so this is rounding then clamping bit for bit, and

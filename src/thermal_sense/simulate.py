@@ -13,7 +13,13 @@ up, so frames taken right after covering are the hardest to tell apart
 from an empty bed.
 
 Every frame is seeded independently, so datasets are reproducible
-byte-for-byte and frames may be rendered in any order.
+byte-for-byte and frames may be rendered in any order. A dataset is
+made in two phases, BLOCK frames at a time. Per frame, a scene's values
+are drawn from the frame's own generator, in a fixed order, and the
+scene is checked. Then the block is rendered over (n, 8, 8) arrays:
+each frame's noise comes from its own generator, and every other step
+is elementwise, so a frame's bytes are those it renders to alone.
+`render` is the same path with one frame.
 """
 
 from __future__ import annotations
@@ -32,7 +38,6 @@ from .core import (
     ConditionTag,
     Dataset,
     Label,
-    flatten,
     quantize,
 )
 from .errors import DataFormatError, InvalidInputError, check_int, check_real
@@ -44,11 +49,12 @@ DEFAULT_DUVET_TAU_MIN = 4.0
 # Pixel centers sit at integer coordinates 0..7; the grid covers [-0.5, 7.5].
 _GRID_LO = -0.5
 _GRID_HI = GRID_SIZE - 0.5
-_ROWS, _COLS = np.meshgrid(
+# Each pixel's (row, col) center, shaped (2, 1, 8, 8) to broadcast over a block of frames.
+_CENTERS = np.stack(np.meshgrid(
     np.arange(GRID_SIZE, dtype=np.float64),
     np.arange(GRID_SIZE, dtype=np.float64),
     indexing="ij",
-)
+))[:, None]
 
 
 def duvet_factor(minutes: float, f0: float = DEFAULT_DUVET_F0,
@@ -132,39 +138,67 @@ class SceneConfig:
             raise InvalidInputError("person footprint extends outside the 8x8 grid")
 
 
-def _ellipse_excess_distance(person: PersonConfig) -> np.ndarray:
-    """Distance (grid units, approximate) of each pixel outside the ellipse; 0 inside."""
-    th = math.radians(person.orientation_deg)
-    dr = _ROWS - person.center[0]
-    dc = _COLS - person.center[1]
-    a, b = person.semi_axes
-    u = (dr * math.cos(th) + dc * math.sin(th)) / a
-    v = (-dr * math.sin(th) + dc * math.cos(th)) / b
-    rho = np.hypot(u, v)
-    return np.maximum(rho - 1.0, 0.0) * min(a, b)
+BLOCK = 64  # frames rendered together: a block's arrays are 32 KB each
+
+
+def _person_values(s: SceneConfig) -> tuple[float, ...]:
+    """s's person: center, (cos, cos), (sin, -sin) of the orientation, semi-axes, the shorter
+    one, and the effective (duvet-attenuated) body temperature."""
+    pc = s.person
+    factor = 1.0 if s.duvet_minutes is None else duvet_factor(
+        s.duvet_minutes, s.duvet_f0, s.duvet_tau_min)
+    th = math.radians(pc.orientation_deg)
+    cos, sin = math.cos(th), math.sin(th)
+    return (*pc.center, cos, cos, sin, -sin, *pc.semi_axes, min(pc.semi_axes),
+            s.room_temp_c + (pc.skin_temp_c - s.room_temp_c) * factor)
+
+
+def _grids(rows: list) -> np.ndarray:
+    """Per-frame scalars, (m,) or (m, k), as float64 grids (m, 8, 8) or (k, m, 8, 8): each value
+    repeated over its frame's pixels, so no arithmetic on the grids broadcasts a scalar."""
+    cols = np.array(rows, dtype=np.float64).T
+    return cols.repeat(NUM_PIXELS).reshape(*cols.shape, GRID_SIZE, GRID_SIZE)
+
+
+def _render_block(scenes: list[SceneConfig]) -> np.ndarray:
+    """Render scenes as one (n, 8, 8) array: max-composed contributions + noise, quantized."""
+    field = _grids([s.room_temp_c for s in scenes])
+
+    people = [k for k, s in enumerate(scenes) if s.person is not None]
+    if people:
+        g = _grids([_person_values(scenes[k]) for k in people])
+        offset = _CENTERS - g[0:2]  # (dr, dc)
+        # u = (dr * cos + dc * sin) / a and v = (dc * cos + dr * -sin) / b, which is
+        # (-dr * sin + dc * cos) / b bit for bit: negation and addition order are exact.
+        u, v = (offset * g[2:4] + offset[::-1] * g[4:6]) / g[6:8]
+        # Distance (grid units, approximate) of each pixel outside the ellipse; 0 inside.
+        d = np.maximum(np.hypot(u, v) - 1.0, 0.0) * g[8]
+        at = people if len(people) < len(scenes) else slice(None)  # a slice needs no gather
+        field[at] = np.maximum(field[at], g[9] * np.exp(-0.5 * d * d))
+
+    sources = [s.heat_sources for s in scenes]
+    for j in range(max(map(len, sources), default=0)):  # each frame's j-th source, in order
+        warm = [k for k, h in enumerate(sources) if len(h) > j]
+        g = _grids([(*sources[k][j].center, sources[k][j].radius, sources[k][j].temp_c)
+                    for k in warm])
+        dr, dc = _CENTERS - g[0:2]
+        d = np.maximum(np.hypot(dr, dc) - g[2], 0.0)
+        at = warm if len(warm) < len(scenes) else slice(None)
+        # d * d overflows only for a source too far away to warm any pixel, and
+        # exp(-inf) is exactly 0, so the overflow changes no value: silence it.
+        with np.errstate(over="ignore"):
+            field[at] = np.maximum(field[at], g[3] * np.exp(-0.5 * d * d))
+
+    for k, s in enumerate(scenes):
+        rng = np.random.default_rng(s.seed)
+        if s.noise_sigma > 0:
+            field[k] += rng.normal(0.0, s.noise_sigma, (GRID_SIZE, GRID_SIZE))
+    return quantize(field)
 
 
 def render(cfg: SceneConfig) -> np.ndarray:
     """Render one frame: max-composed contributions + noise, quantized."""
-    field = np.full((GRID_SIZE, GRID_SIZE), cfg.room_temp_c, dtype=np.float64)
-
-    if cfg.person is not None:
-        factor = 1.0 if cfg.duvet_minutes is None else duvet_factor(
-            cfg.duvet_minutes, cfg.duvet_f0, cfg.duvet_tau_min)
-        effective = cfg.room_temp_c + (cfg.person.skin_temp_c - cfg.room_temp_c) * factor
-        d = _ellipse_excess_distance(cfg.person)
-        field = np.maximum(field, effective * np.exp(-0.5 * d * d))
-
-    for src in cfg.heat_sources:
-        d = np.maximum(np.hypot(_ROWS - src.center[0], _COLS - src.center[1]) - src.radius, 0.0)
-        # d * d overflows only for a source too far away to warm any pixel, and
-        # exp(-inf) is exactly 0, so the overflow changes no value: silence it.
-        with np.errstate(over="ignore"):
-            field = np.maximum(field, src.temp_c * np.exp(-0.5 * d * d))
-
-    rng = np.random.default_rng(cfg.seed)
-    noisy = field + rng.normal(0.0, cfg.noise_sigma, field.shape) if cfg.noise_sigma > 0 else field
-    return quantize(noisy)
+    return _render_block([cfg])[0]
 
 
 @dataclass(frozen=True)
@@ -275,79 +309,75 @@ def load_sim_params(path) -> SimParams:
     return params
 
 
-def _frame_seed(rng: np.random.Generator) -> int:
-    return int(rng.integers(0, 2**63 - 1))
+def _mix(p: SimParams, *, hot: bool = False, person: bool = False, bottle: bool = False,
+         duvet_minutes: float | None = None):
+    """The scene drawer of one mix of options: a seed key -> its SceneConfig. Each value is
+    lo + (hi - lo) * u, with u from one rng.random(k) call: bit for bit what k uniform(lo, hi)
+    calls in this order give, leaving the same generator state. The noise seed is drawn last."""
+    ranges = [(p.hot_room_lo, p.hot_room_hi) if hot else (p.room_lo, p.room_hi)]
+    if person:
+        ranges += [(p.person_row_lo, p.person_row_hi), (p.person_col_lo, p.person_col_hi),
+                   (-p.person_orient_deg, p.person_orient_deg),
+                   (p.person_semi_a_lo, p.person_semi_a_hi),
+                   (p.person_semi_b_lo, p.person_semi_b_hi), (p.skin_lo, p.skin_hi)]
+    if bottle:
+        ranges += [(p.bottle_row_lo, p.bottle_row_hi), (p.bottle_col_lo, p.bottle_col_hi),
+                   (p.bottle_radius_lo, p.bottle_radius_hi)]
+    lo, hi = np.array(ranges, dtype=np.float64).T
+    width = hi - lo
+    drawable = bool(((width >= 0) & (width < math.inf)).all())  # what rng.uniform accepts
+
+    def scene(key) -> SceneConfig:
+        rng = np.random.default_rng(key)
+        if not drawable:
+            for a, b in ranges:
+                rng.uniform(a, b)  # raises numpy's own error at the first bad range
+        v = (lo + width * rng.random(len(ranges))).tolist()
+        return SceneConfig(
+            v[0], PersonConfig((v[1], v[2]), v[3], (v[4], v[5]), v[6]) if person else None,
+            (PointSource((v[-3], v[-2]), v[-1], p.bottle_temp_c),) if bottle else (),
+            duvet_minutes, p.noise_sigma, int(rng.integers(0, 2**63 - 1)), p.duvet_f0,
+            p.duvet_tau_min)
+    return scene
 
 
-def _draw_person(rng: np.random.Generator, p: SimParams) -> PersonConfig:
-    return PersonConfig(
-        center=(
-            rng.uniform(p.person_row_lo, p.person_row_hi),
-            rng.uniform(p.person_col_lo, p.person_col_hi),
-        ),
-        orientation_deg=rng.uniform(-p.person_orient_deg, p.person_orient_deg),
-        semi_axes=(
-            rng.uniform(p.person_semi_a_lo, p.person_semi_a_hi),
-            rng.uniform(p.person_semi_b_lo, p.person_semi_b_hi),
-        ),
-        skin_temp_c=rng.uniform(p.skin_lo, p.skin_hi),
-    )
+def _uint32_words(n: int) -> list[int]:
+    """A non-negative int as numpy's SeedSequence reads it: uint32 words, low first, 0 as [0]."""
+    return [n >> shift & 0xFFFFFFFF for shift in range(0, max(n.bit_length(), 1), 32)]
 
 
-def _draw_bottle(rng: np.random.Generator, p: SimParams) -> PointSource:
-    return PointSource(
-        center=(
-            rng.uniform(p.bottle_row_lo, p.bottle_row_hi),
-            rng.uniform(p.bottle_col_lo, p.bottle_col_hi),
-        ),
-        radius=rng.uniform(p.bottle_radius_lo, p.bottle_radius_hi),
-        temp_c=p.bottle_temp_c,
-    )
-
-
-def _scene(seed_key: tuple[int, ...], p: SimParams, *, hot: bool = False,
-           person: bool = False, bottle: bool = False,
-           duvet_minutes: float | None = None) -> SceneConfig:
-    rng = np.random.default_rng(seed_key)
-    room = rng.uniform(p.hot_room_lo, p.hot_room_hi) if hot else rng.uniform(p.room_lo, p.room_hi)
-    return SceneConfig(
-        room_temp_c=room,
-        person=_draw_person(rng, p) if person else None,
-        heat_sources=(_draw_bottle(rng, p),) if bottle else (),
-        duvet_minutes=duvet_minutes,
-        noise_sigma=p.noise_sigma,
-        seed=_frame_seed(rng),
-        duvet_f0=p.duvet_f0,
-        duvet_tau_min=p.duvet_tau_min,
-    )
-
-
-def _render_dataset(plan, seed: int, params: SimParams) -> Dataset:
-    """Render frame plans (stream, i, label, condition, scene options) in order.
-
-    Frame i of a stream is seeded by (seed, stream, i) and written straight
-    into the preallocated feature matrix.
+def _render_dataset(plan, seed: int) -> Dataset:
+    """Render frame plans (stream, i, label, condition, scene drawer) in order, BLOCK frames at a
+    time. Frame i of a stream is drawn from default_rng((seed, stream, i)), given as the uint32
+    words that key is read as (stream and i one each): the same generator, made in half the time.
     """
+    words = _uint32_words(check_int("seed", seed, 0))
     x = np.empty((len(plan), NUM_PIXELS))
-    for row, (stream, i, _, _, scene) in enumerate(plan):
-        x[row] = flatten(render(_scene((seed, stream, i), params, **scene)))
+    for start in range(0, len(plan), BLOCK):
+        scenes = []
+        try:  # a failing scene raises after the frames before it render: the first failure wins
+            for stream, i, _, _, draw in plan[start:start + BLOCK]:
+                scenes.append(draw(np.array([*words, stream, i], dtype=np.uint32)))
+        finally:
+            x[start:start + len(scenes)] = _render_block(scenes).reshape(-1, NUM_PIXELS)
     labels = [label for _, _, label, _, _ in plan]
     codes = [CONDITIONS.index(tag) for _, _, _, tag, _ in plan]
     return Dataset(x, labels, codes)
 
 
-def _cell(stream: int, n: int, label: Label, tag: ConditionTag, **scene) -> list:
-    """Plans for frames 0..n-1 of a stream, all with one label, condition and scene."""
-    return [(stream, i, label, tag, scene) for i in range(n)]
+def _cell(stream: int, frames: range, label: Label, tag: ConditionTag, draw) -> list:
+    """Plans for the given frames of a stream, all with one label, condition and scene drawer."""
+    return [(stream, i, label, tag, draw) for i in frames]
 
 
 def generate_main(n_per_class: int, seed: int,
                   params: SimParams = DEFAULT_SIM_PARAMS) -> Dataset:
     """Baseline dataset: n occupied frames followed by n empty frames."""
     check_int("n_per_class", n_per_class, 1)
-    plan = (_cell(0, n_per_class, Label.PERSON, ConditionTag.BASELINE, person=True)
-            + _cell(1, n_per_class, Label.NO_PERSON, ConditionTag.BASELINE))
-    return _render_dataset(plan, seed, params)
+    frames = range(n_per_class)
+    plan = (_cell(0, frames, Label.PERSON, ConditionTag.BASELINE, _mix(params, person=True))
+            + _cell(1, frames, Label.NO_PERSON, ConditionTag.BASELINE, _mix(params)))
+    return _render_dataset(plan, seed)
 
 
 def generate_variational(n_per_cell: int, seed: int,
@@ -362,16 +392,18 @@ def generate_variational(n_per_cell: int, seed: int,
     check_int("n_per_cell", n_per_cell, 1)
     if n_per_cell % 3 != 0:
         raise InvalidInputError("n_per_cell must be divisible by 3 for the duvet time split")
-    n = n_per_cell
+    frames, third = range(n_per_cell), n_per_cell // 3
     duvet = ((0.0, ConditionTag.DUVET_0), (5.0, ConditionTag.DUVET_5),
              (10.0, ConditionTag.DUVET_10))
     plan = (
-        _cell(2, n, Label.PERSON, ConditionTag.HOT_ROOM, hot=True, person=True)
-        + _cell(3, n, Label.NO_PERSON, ConditionTag.HOT_ROOM, hot=True)
-        + _cell(4, n, Label.PERSON, ConditionTag.WATER_BOTTLE, person=True, bottle=True)
-        + _cell(5, n, Label.NO_PERSON, ConditionTag.WATER_BOTTLE, bottle=True)
-        + [(6, i, Label.PERSON, tag, {"person": True, "duvet_minutes": minutes})
-           for i in range(n) for minutes, tag in [duvet[i // (n // 3)]]]
-        + _cell(7, n, Label.NO_PERSON, ConditionTag.DUVET_0)
+        _cell(2, frames, Label.PERSON, ConditionTag.HOT_ROOM, _mix(params, hot=True, person=True))
+        + _cell(3, frames, Label.NO_PERSON, ConditionTag.HOT_ROOM, _mix(params, hot=True))
+        + _cell(4, frames, Label.PERSON, ConditionTag.WATER_BOTTLE,
+                _mix(params, person=True, bottle=True))
+        + _cell(5, frames, Label.NO_PERSON, ConditionTag.WATER_BOTTLE, _mix(params, bottle=True))
+        + [row for k, (minutes, tag) in enumerate(duvet)
+           for row in _cell(6, range(k * third, (k + 1) * third), Label.PERSON, tag,
+                            _mix(params, person=True, duvet_minutes=minutes))]
+        + _cell(7, frames, Label.NO_PERSON, ConditionTag.DUVET_0, _mix(params))
     )
-    return _render_dataset(plan, seed, params)
+    return _render_dataset(plan, seed)

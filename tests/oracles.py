@@ -289,3 +289,68 @@ def reference_smo(rows, y, c, tol, max_iter):
     else:
         bias = float((m_up + m_low) / 2.0)
     return alpha, bias
+
+
+def reference_scene(key, p, hot=False, person=False, bottle=False, duvet_minutes=None):
+    """Reference scene draw: default_rng(key) and one scalar uniform(lo, hi) call per value.
+
+    The order is room, then the person (row, col, orientation, semi-axes, skin), then the
+    bottle (row, col, radius), then the frame's noise seed.
+    """
+    import numpy as np
+
+    from thermal_sense.simulate import PersonConfig, PointSource, SceneConfig
+
+    rng = np.random.default_rng(key)
+    room = rng.uniform(p.hot_room_lo, p.hot_room_hi) if hot else rng.uniform(p.room_lo, p.room_hi)
+    body = None
+    if person:
+        center = (rng.uniform(p.person_row_lo, p.person_row_hi),
+                  rng.uniform(p.person_col_lo, p.person_col_hi))
+        angle = rng.uniform(-p.person_orient_deg, p.person_orient_deg)
+        axes = (rng.uniform(p.person_semi_a_lo, p.person_semi_a_hi),
+                rng.uniform(p.person_semi_b_lo, p.person_semi_b_hi))
+        body = PersonConfig(center, angle, axes, rng.uniform(p.skin_lo, p.skin_hi))
+    sources = ()
+    if bottle:
+        center = (rng.uniform(p.bottle_row_lo, p.bottle_row_hi),
+                  rng.uniform(p.bottle_col_lo, p.bottle_col_hi))
+        sources = (PointSource(center, rng.uniform(p.bottle_radius_lo, p.bottle_radius_hi),
+                               p.bottle_temp_c),)
+    return SceneConfig(room, body, sources, duvet_minutes, p.noise_sigma,
+                       int(rng.integers(0, 2**63 - 1)), p.duvet_f0, p.duvet_tau_min)
+
+
+def reference_render(cfg):
+    """Reference frame render, one scene at a time with scalar operands.
+
+    Each pixel is the max of the room temperature, the body's contribution and each source's,
+    contributions decaying as exp(-d^2/2) with d the distance outside the shape, plus noise
+    from default_rng(cfg.seed), through reference_quantize. Finite pixels only.
+    """
+    import numpy as np
+
+    rows, cols = np.meshgrid(np.arange(8.0), np.arange(8.0), indexing="ij")
+    field = np.full((8, 8), cfg.room_temp_c, dtype=np.float64)
+    if cfg.person is not None:
+        body = cfg.person
+        factor = 1.0
+        if cfg.duvet_minutes is not None:
+            factor = 1.0 - (1.0 - cfg.duvet_f0) * math.exp(-cfg.duvet_minutes / cfg.duvet_tau_min)
+        effective = cfg.room_temp_c + (body.skin_temp_c - cfg.room_temp_c) * factor
+        th = math.radians(body.orientation_deg)
+        dr = rows - body.center[0]
+        dc = cols - body.center[1]
+        a, b = body.semi_axes
+        u = (dr * math.cos(th) + dc * math.sin(th)) / a
+        v = (-dr * math.sin(th) + dc * math.cos(th)) / b
+        d = np.maximum(np.hypot(u, v) - 1.0, 0.0) * min(a, b)
+        field = np.maximum(field, effective * np.exp(-0.5 * d * d))
+    for src in cfg.heat_sources:
+        d = np.maximum(np.hypot(rows - src.center[0], cols - src.center[1]) - src.radius, 0.0)
+        with np.errstate(over="ignore"):  # a far-off source: d * d is inf, exp(-inf) is 0
+            field = np.maximum(field, src.temp_c * np.exp(-0.5 * d * d))
+    rng = np.random.default_rng(cfg.seed)
+    if cfg.noise_sigma > 0:
+        field = field + rng.normal(0.0, cfg.noise_sigma, field.shape)
+    return reference_quantize(field)

@@ -521,6 +521,20 @@ class TestExitCodes:
         assert capsys.readouterr().err == "error: training set is empty\n"
         assert not model.exists()
 
+    @pytest.mark.parametrize("args", [
+        ["simulate", "main", "--n-per-class", 2, "--out", "OUT"],
+        ["split", "--data", "DATA", "--train-out", "OUT", "--test-out", "OUT2"],
+        ["cv", "--data", "DATA", "--folds", 5, "--model", "knn", "--report", "OUT"],
+        ["sweep", "--data", "DATA", "--folds", 5, "--family", "knn-grid", "--report", "OUT"],
+        ["train", "--data", "DATA", "--model", "nn", "--hidden", 4, "--out", "OUT"],
+    ], ids=["simulate", "split", "cv", "sweep", "train-nn"])
+    def test_negative_seed_exits_2(self, main_csv, tmp_path, capsys, args):
+        paths = {"DATA": main_csv, "OUT": tmp_path / "out", "OUT2": tmp_path / "out2"}
+        capsys.readouterr()
+        assert cli(*[paths.get(a, a) for a in args], "--seed", -1) == 2
+        assert capsys.readouterr() == ("", "error: --seed must be at least 0, got -1\n")
+        assert not (tmp_path / "out").exists() and not (tmp_path / "out2").exists()
+
     def test_newer_model_format_exits_2(self, main_csv, tmp_path, capsys):
         model = tmp_path / "m.model"
         assert cli("train", "--data", main_csv, "--seed", 1, "--model", "knn", "--out", model) == 0

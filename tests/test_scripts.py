@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from thermal_sense.cli import run
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -54,6 +56,14 @@ def test_run_robustness_input_error_exits_2(tmp_path):
                       "--n-per-class", 6, "--n-per-cell", 3)
     assert done.returncode == 2
     assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("name", ["run_sweeps.py", "run_robustness.py"])
+def test_negative_seed_exits_2(tmp_path, name):
+    done = run_script(name, "--out-dir", tmp_path / "out", "--seed", -1)
+    assert done.returncode == 2
+    assert done.stderr == "error: --seed must be at least 0, got -1\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_robustness(tmp_path):

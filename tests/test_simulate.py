@@ -1,6 +1,12 @@
+import hashlib
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from thermal_sense import simulate
 from thermal_sense.core import ConditionTag, Label
 from thermal_sense.errors import DataFormatError, InvalidInputError
 from thermal_sense.persist import dataset_to_csv
@@ -9,12 +15,15 @@ from thermal_sense.simulate import (
     PersonConfig,
     PointSource,
     SceneConfig,
+    SimParams,
     duvet_factor,
     generate_main,
     generate_variational,
     load_sim_params,
     render,
 )
+
+from oracles import reference_render, reference_scene
 
 
 class TestDuvetFactor:
@@ -68,6 +77,83 @@ class TestRender:
         assert fresh.max() < base.max()
 
 
+_coords = st.floats(-1.0, 8.0)
+_sources = st.builds(
+    PointSource,
+    st.tuples(_coords, _coords) | st.just((1e200, -1e200)),  # far off: d * d overflows
+    st.floats(0.0, 1.0),
+    st.floats(20.0, 45.0),
+)
+# A half-extent is at most the longer semi-axis, so each of these people fits the grid.
+_people = st.builds(
+    PersonConfig,
+    st.tuples(st.floats(3.0, 4.0), st.floats(3.0, 4.0)),
+    st.floats(-90.0, 90.0),
+    st.tuples(st.floats(0.5, 2.5), st.floats(0.5, 2.5)),
+    st.floats(28.0, 37.0),
+)
+
+
+@st.composite
+def scenes(draw):
+    person = draw(st.none() | _people)
+    return SceneConfig(
+        room_temp_c=draw(st.floats(15.0, 35.0)),
+        person=person,
+        heat_sources=tuple(draw(st.lists(_sources, max_size=3))),
+        duvet_minutes=None if person is None else draw(st.none() | st.floats(0.0, 30.0)),
+        noise_sigma=draw(st.just(0.0) | st.floats(0.01, 2.0)),
+        seed=draw(st.integers(0, 2**64)),
+        duvet_f0=draw(st.floats(0.05, 1.0)),
+        duvet_tau_min=draw(st.floats(0.5, 10.0)),
+    )
+
+
+class TestBatchRender:
+    BLOCK = 4  # so that short lists cross block boundaries
+
+    @settings(max_examples=60)
+    @given(cfgs=st.lists(scenes(), min_size=BLOCK + 1, max_size=3 * BLOCK))
+    def test_blocks_and_render_match_the_per_frame_reference(self, cfgs):
+        expected = np.array([reference_render(cfg) for cfg in cfgs])
+        plan = [(0, i, Label.PERSON, ConditionTag.BASELINE, lambda key, cfg=cfg: cfg)
+                for i, cfg in enumerate(cfgs)]
+        with mock.patch.object(simulate, "BLOCK", self.BLOCK):
+            rows = simulate._render_dataset(plan, 0).x
+        assert rows.tobytes() == expected.tobytes()
+        for cfg, frame in zip(cfgs, expected):
+            assert render(cfg).tobytes() == frame.tobytes()
+
+
+_MIXES = [{"person": True}, {}, {"hot": True, "person": True}, {"hot": True},
+          {"person": True, "bottle": True}, {"bottle": True},
+          {"person": True, "duvet_minutes": 5.0}]
+# Seeds at the edges of reading an int as uint32 words, then ordinary ones.
+_EDGE_SEEDS = [0, 1, 7, 1013, 2**32 - 1, 2**32, 2**40 + 5, 2**63, 2**64 + 7, 2**100 + 3]
+
+
+def _keys(count):
+    rng = np.random.default_rng(5)
+    for n in range(count):
+        seed = _EDGE_SEEDS[n] if n < len(_EDGE_SEEDS) else int(rng.integers(0, 2**40))
+        yield seed, n % 8, int(rng.integers(0, 5000))
+
+
+class TestSceneDraws:
+    @pytest.mark.parametrize("mix", _MIXES, ids=lambda mix: "+".join(mix) or "empty")
+    def test_one_random_call_draws_what_sequential_uniform_calls_draw(self, mix):
+        # Equal reprs are equal bits; the frame seed is the generator's next integers draw.
+        draw = simulate._mix(DEFAULT_SIM_PARAMS, **mix)
+        for key in _keys(1000):
+            assert repr(draw(key)) == repr(reference_scene(key, DEFAULT_SIM_PARAMS, **mix))
+
+    def test_a_key_as_uint32_words_seeds_the_same_generator(self):
+        for seed, stream, i in _keys(1000):
+            words = np.array([*simulate._uint32_words(seed), stream, i], dtype=np.uint32)
+            assert (np.random.default_rng(words).bit_generator.state
+                    == np.random.default_rng((seed, stream, i)).bit_generator.state)
+
+
 class TestSceneValidation:
     def test_room_range(self):
         with pytest.raises(InvalidInputError):
@@ -88,6 +174,41 @@ class TestSceneValidation:
     def test_source_ceiling(self):
         with pytest.raises(InvalidInputError):
             PointSource((3.0, 3.0), temp_c=50.0)
+
+
+# SHA-256 of dataset_to_csv for the datasets the bench's workloads are built from; each
+# renders more than one block.
+@pytest.mark.parametrize("generate, args, digest", [
+    (generate_main, (960, 7), "70cf67bbec7a942447773a8828e8b3837c30f908045cd9a859e21e2493ce67a6"),
+    (generate_variational, (30, 8),
+     "751d1232430d723594d7f55a304aa2f1b81146c18d2794f317c2fa637f2a2cf8"),
+    (generate_main, (240, 1013),
+     "75c416fa1bfa7eed971ee7902fbb23634c3ba4ab1ab40613703faae040251d34"),
+], ids=["main-960-7", "variational-30-8", "main-240-1013"])
+def test_bench_scale_dataset_digests(generate, args, digest):
+    assert hashlib.sha256(dataset_to_csv(generate(*args)).encode()).hexdigest() == digest
+
+
+# Each message is the one rendering frame by frame gives: that of the first failing frame
+# in plan order. In the last case a non-finite frame is rendered before the first failing
+# scene; with the larger block, both are in one block.
+@pytest.mark.parametrize("block", [simulate.BLOCK, 1000])
+@pytest.mark.parametrize("generate, args, params, message", [
+    (generate_main, (5, 7), SimParams(skin_lo=50, skin_hi=51),
+     "skin temperature 50.005265304565576 outside [28, 37]"),
+    (generate_main, (300, 7), SimParams(skin_lo=36.0, skin_hi=38.0),
+     "skin temperature 37.52506148093758 outside [28, 37]"),
+    (generate_variational, (30, 8), SimParams(bottle_temp_c=46.0),
+     "point source at 46.0 exceeds 45 C"),
+    (generate_variational, (300, 8), SimParams(bottle_radius_lo=-0.2),
+     "radius must be finite and >= 0, got -0.19883397099053102"),
+    (generate_variational, (30, 9), SimParams(bottle_temp_c=float("nan"), bottle_radius_lo=-0.2),
+     "non-finite value at pixel (0, 0)"),
+], ids=["skin-all", "skin-some", "bottle-hot", "bottle-radius", "nan-before-bad-radius"])
+def test_scene_checks_survive_batching(generate, args, params, message, block):
+    with mock.patch.object(simulate, "BLOCK", block), pytest.raises(InvalidInputError) as info:
+        generate(*args, params=params)
+    assert str(info.value) == message
 
 
 class TestGenerateMain:
