@@ -24,6 +24,7 @@ GRID_SIZE = 8
 NUM_PIXELS = GRID_SIZE * GRID_SIZE
 TEMP_MIN_C = 20.0
 TEMP_MAX_C = 100.0
+_LO, _HI, _FOUR, _HALF = map(np.array, (TEMP_MIN_C, TEMP_MAX_C, 4.0, 0.5))  # 0-d: fast operands
 
 
 class Label(IntEnum):
@@ -77,7 +78,7 @@ def quantize(raw) -> np.ndarray:
     # Clamped (np.clip's value, at less overhead), then rounded: 20 and 100
     # are on the grid, so this is rounding then clamping bit for bit, and
     # the scaling of a pixel near the largest double cannot overflow.
-    frame = np.floor(np.minimum(np.maximum(arr, TEMP_MIN_C), TEMP_MAX_C) * 4.0 + 0.5) / 4.0
+    frame = np.floor(np.minimum(np.maximum(arr, _LO), _HI) * _FOUR + _HALF) / _FOUR
     frame.flags.writeable = False
     return frame
 

@@ -13,13 +13,10 @@ up, so frames taken right after covering are the hardest to tell apart
 from an empty bed.
 
 Every frame is seeded independently, so datasets are reproducible
-byte-for-byte and frames may be rendered in any order. A dataset is
-made in two phases, BLOCK frames at a time. Per frame, a scene's values
-are drawn from the frame's own generator, in a fixed order, and the
-scene is checked. Then the block is rendered over (n, 8, 8) arrays:
-each frame's noise comes from its own generator, and every other step
-is elementwise, so a frame's bytes are those it renders to alone.
-`render` is the same path with one frame.
+byte-for-byte and frames may be rendered in any order. A dataset renders
+BLOCK frames at a time: each frame's scene is drawn from its own generator
+and checked, then the block renders elementwise over (n, 8, 8) arrays, each
+frame's noise from its own generator; `render` is that path for one frame.
 """
 
 from __future__ import annotations
@@ -136,6 +133,8 @@ class SceneConfig:
             check_real("duvet_minutes", self.duvet_minutes, closed=True)
         if self.person is not None and not self.person.footprint_within_grid():
             raise InvalidInputError("person footprint extends outside the 8x8 grid")
+        if self.duvet_minutes is not None:  # f0 and tau here too, so a render cannot fail on them
+            duvet_factor(self.duvet_minutes, self.duvet_f0, self.duvet_tau_min)
 
 
 BLOCK = 64  # frames rendered together: a block's arrays are 32 KB each
@@ -153,46 +152,47 @@ def _person_values(s: SceneConfig) -> tuple[float, ...]:
             s.room_temp_c + (pc.skin_temp_c - s.room_temp_c) * factor)
 
 
-def _grids(rows: list) -> np.ndarray:
-    """Per-frame scalars, (m,) or (m, k), as float64 grids (m, 8, 8) or (k, m, 8, 8): each value
-    repeated over its frame's pixels, so no arithmetic on the grids broadcasts a scalar."""
-    cols = np.array(rows, dtype=np.float64).T
-    return cols.repeat(NUM_PIXELS).reshape(*cols.shape, GRID_SIZE, GRID_SIZE)
+# 0 C stand-ins for a frame's missing person or sources: rooms are >= 15 C, so 0 never wins a max.
+_NO_PERSON, _NO_SOURCE = (0.0, 0.0, 1.0, 1.0, 0.0, -0.0, 1.0, 1.0, 1.0, 0.0), (0.0,) * 4
+_ONE, _ZERO, _MINUS_HALF = map(np.array, (1.0, 0.0, -0.5))  # 0-d: faster operands than floats
 
 
 def _render_block(scenes: list[SceneConfig]) -> np.ndarray:
-    """Render scenes as one (n, 8, 8) array: max-composed contributions + noise, quantized."""
-    field = _grids([s.room_temp_c for s in scenes])
+    """Render scenes as one (n, 8, 8) array: max-composed contributions + noise, quantized.
 
-    people = [k for k, s in enumerate(scenes) if s.person is not None]
+    A frame's values (room, person, then each source's center, radius and temperature) are
+    repeated over its pixels, so that each elementwise step has operands of one shape."""
+    people = any([s.person is not None for s in scenes])
+    n_src = max(map(len, [s.heat_sources for s in scenes]))
+    values = np.array([
+        (s.room_temp_c, *((_NO_PERSON if s.person is None else _person_values(s)) if people else ()),
+         *(v for h in s.heat_sources for v in (*h.center, h.radius, h.temp_c)),
+         *_NO_SOURCE * (n_src - len(s.heat_sources))) for s in scenes], dtype=np.float64).T
+    grids = values.repeat(NUM_PIXELS).reshape(len(values), len(scenes), GRID_SIZE, GRID_SIZE)
+    field, g = grids[0], grids[1:]
+
     if people:
-        g = _grids([_person_values(scenes[k]) for k in people])
         offset = _CENTERS - g[0:2]  # (dr, dc)
         # u = (dr * cos + dc * sin) / a and v = (dc * cos + dr * -sin) / b, which is
         # (-dr * sin + dc * cos) / b bit for bit: negation and addition order are exact.
         u, v = (offset * g[2:4] + offset[::-1] * g[4:6]) / g[6:8]
         # Distance (grid units, approximate) of each pixel outside the ellipse; 0 inside.
-        d = np.maximum(np.hypot(u, v) - 1.0, 0.0) * g[8]
-        at = people if len(people) < len(scenes) else slice(None)  # a slice needs no gather
-        field[at] = np.maximum(field[at], g[9] * np.exp(-0.5 * d * d))
+        d = np.maximum(np.hypot(u, v) - _ONE, _ZERO) * g[8]
+        field = np.maximum(field, g[9] * np.exp(_MINUS_HALF * d * d))
+        g = g[10:]
 
-    sources = [s.heat_sources for s in scenes]
-    for j in range(max(map(len, sources), default=0)):  # each frame's j-th source, in order
-        warm = [k for k, h in enumerate(sources) if len(h) > j]
-        g = _grids([(*sources[k][j].center, sources[k][j].radius, sources[k][j].temp_c)
-                    for k in warm])
-        dr, dc = _CENTERS - g[0:2]
-        d = np.maximum(np.hypot(dr, dc) - g[2], 0.0)
-        at = warm if len(warm) < len(scenes) else slice(None)
+    for j in range(0, 4 * n_src, 4):  # each frame's j-th source, in order
+        dr, dc = _CENTERS - g[j:j + 2]
+        d = np.maximum(np.hypot(dr, dc) - g[j + 2], _ZERO)
         # d * d overflows only for a source too far away to warm any pixel, and
         # exp(-inf) is exactly 0, so the overflow changes no value: silence it.
         with np.errstate(over="ignore"):
-            field[at] = np.maximum(field[at], g[3] * np.exp(-0.5 * d * d))
+            field = np.maximum(field, g[j + 3] * np.exp(_MINUS_HALF * d * d))
 
-    for k, s in enumerate(scenes):
-        rng = np.random.default_rng(s.seed)
+    for frame, s in zip(field, scenes):
+        rng = np.random.Generator(np.random.PCG64(s.seed))  # default_rng(s.seed), made faster
         if s.noise_sigma > 0:
-            field[k] += rng.normal(0.0, s.noise_sigma, (GRID_SIZE, GRID_SIZE))
+            frame += rng.normal(0.0, s.noise_sigma, (GRID_SIZE, GRID_SIZE))
     return quantize(field)
 
 
@@ -233,6 +233,7 @@ class SimParams:
 
 
 DEFAULT_SIM_PARAMS = SimParams()
+_DRAWN = [f.name[:-3] for f in fields(SimParams) if f.name.endswith("_lo")] + ["person_orient_deg"]
 # The check that enforces each fixed bound a scene puts on a key's value, or on both ends
 # of a drawn range (`room` for room_lo and room_hi), called with that value alone.
 _SCENE_CHECKS = {
@@ -249,12 +250,16 @@ _SCENE_CHECKS = {
 }
 
 
-def _draw_widths(p: SimParams):  # the keys and width of each range frames are drawn from
-    for f in fields(p):
-        if f.name.endswith("_lo"):
-            hi = f.name[:-3] + "_hi"
-            yield (f.name, hi), getattr(p, hi) - getattr(p, f.name)
-    yield ("person_orient_deg",), 2 * p.person_orient_deg  # drawn from [-this, this]
+def _draw_range(p: SimParams, stem: str) -> tuple[float, float]:
+    """The ends of a range frames are drawn from, by the stem of its keys (`room`: room_lo and
+    room_hi; `person_orient_deg`: [-it, it]), checked drawable: a finite width, >= 0."""
+    orient = stem == "person_orient_deg"
+    lo, hi = (-p.person_orient_deg, p.person_orient_deg) if orient else (
+        getattr(p, f"{stem}_lo"), getattr(p, f"{stem}_hi"))
+    if not 0 <= hi - lo < math.inf:
+        keys = stem if orient else f"{stem}_lo and {stem}_hi"
+        raise InvalidInputError(f"the range of {keys} has width {hi - lo!r}, not finite and >= 0")
+    return lo, hi
 
 
 def load_sim_params(path) -> SimParams:
@@ -285,12 +290,15 @@ def load_sim_params(path) -> SimParams:
             raise DataFormatError(f"{path}:{lineno}: {key} must be finite, got {value.strip()}")
         where[key] = lineno
     params = replace(SimParams(), **overrides)
-    for keys, width in _draw_widths(params):
-        if not 0 <= width < math.inf:
-            raise DataFormatError(f"{path}:{max(where.get(k, 0) for k in keys)}: the range of "
-                                  f"{' and '.join(keys)} has width {width!r}, not finite and >= 0")
+    stem = {key: key.removesuffix("_lo").removesuffix("_hi") for key in where}  # a range's keys
+    for name in _DRAWN:
+        try:
+            _draw_range(params, name)
+        except InvalidInputError as exc:
+            line = max((where[k] for k in where if stem[k] == name), default=0)
+            raise DataFormatError(f"{path}:{line}: {exc}") from None
     for key in sorted(where, key=where.get):
-        bound = key.removesuffix("_lo").removesuffix("_hi")  # a range shares its ends' entry
+        bound = stem[key]  # a range shares its ends' entry
         check = _SCENE_CHECKS.get(bound, float)  # float: the key has no scene bound
         try:
             check(overrides[key])
@@ -313,26 +321,17 @@ def _mix(p: SimParams, *, hot: bool = False, person: bool = False, bottle: bool 
          duvet_minutes: float | None = None):
     """The scene drawer of one mix of options: a seed key -> its SceneConfig. Each value is
     lo + (hi - lo) * u, with u from one rng.random(k) call: bit for bit what k uniform(lo, hi)
-    calls in this order give, leaving the same generator state. The noise seed is drawn last."""
-    ranges = [(p.hot_room_lo, p.hot_room_hi) if hot else (p.room_lo, p.room_hi)]
-    if person:
-        ranges += [(p.person_row_lo, p.person_row_hi), (p.person_col_lo, p.person_col_hi),
-                   (-p.person_orient_deg, p.person_orient_deg),
-                   (p.person_semi_a_lo, p.person_semi_a_hi),
-                   (p.person_semi_b_lo, p.person_semi_b_hi), (p.skin_lo, p.skin_hi)]
-    if bottle:
-        ranges += [(p.bottle_row_lo, p.bottle_row_hi), (p.bottle_col_lo, p.bottle_col_hi),
-                   (p.bottle_radius_lo, p.bottle_radius_hi)]
-    lo, hi = np.array(ranges, dtype=np.float64).T
+    calls in this order give, leaving the same generator state. The noise seed is drawn last.
+    A range the mix draws from that is not drawable raises InvalidInputError here."""
+    stems = (["hot_room" if hot else "room"] + person * ["person_row", "person_col",
+             "person_orient_deg", "person_semi_a", "person_semi_b", "skin"]
+             + bottle * ["bottle_row", "bottle_col", "bottle_radius"])
+    lo, hi = np.array([_draw_range(p, stem) for stem in stems], dtype=np.float64).T
     width = hi - lo
-    drawable = bool(((width >= 0) & (width < math.inf)).all())  # what rng.uniform accepts
 
     def scene(key) -> SceneConfig:
         rng = np.random.default_rng(key)
-        if not drawable:
-            for a, b in ranges:
-                rng.uniform(a, b)  # raises numpy's own error at the first bad range
-        v = (lo + width * rng.random(len(ranges))).tolist()
+        v = (lo + width * rng.random(len(stems))).tolist()
         return SceneConfig(
             v[0], PersonConfig((v[1], v[2]), v[3], (v[4], v[5]), v[6]) if person else None,
             (PointSource((v[-3], v[-2]), v[-1], p.bottle_temp_c),) if bottle else (),
@@ -359,7 +358,8 @@ def _render_dataset(plan, seed: int) -> Dataset:
             for stream, i, _, _, draw in plan[start:start + BLOCK]:
                 scenes.append(draw(np.array([*words, stream, i], dtype=np.uint32)))
         finally:
-            x[start:start + len(scenes)] = _render_block(scenes).reshape(-1, NUM_PIXELS)
+            if scenes:
+                x[start:start + len(scenes)] = _render_block(scenes).reshape(-1, NUM_PIXELS)
     labels = [label for _, _, label, _, _ in plan]
     codes = [CONDITIONS.index(tag) for _, _, _, tag, _ in plan]
     return Dataset(x, labels, codes)

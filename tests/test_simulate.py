@@ -190,8 +190,8 @@ def test_bench_scale_dataset_digests(generate, args, digest):
 
 
 # Each message is the one rendering frame by frame gives: that of the first failing frame
-# in plan order. In the last case a non-finite frame is rendered before the first failing
-# scene; with the larger block, both are in one block.
+# in plan order. In the nan-before-* cases a non-finite frame is rendered before the first
+# failing scene; with the larger block (and for variational(3), with both), both are in one block.
 @pytest.mark.parametrize("block", [simulate.BLOCK, 1000])
 @pytest.mark.parametrize("generate, args, params, message", [
     (generate_main, (5, 7), SimParams(skin_lo=50, skin_hi=51),
@@ -204,11 +204,34 @@ def test_bench_scale_dataset_digests(generate, args, digest):
      "radius must be finite and >= 0, got -0.19883397099053102"),
     (generate_variational, (30, 9), SimParams(bottle_temp_c=float("nan"), bottle_radius_lo=-0.2),
      "non-finite value at pixel (0, 0)"),
-], ids=["skin-all", "skin-some", "bottle-hot", "bottle-radius", "nan-before-bad-radius"])
+    (generate_variational, (3, 7), SimParams(duvet_f0=2.0), "f0 2.0 outside (0, 1]"),
+    (generate_variational, (3, 7), SimParams(duvet_f0=2.0, bottle_temp_c=float("nan")),
+     "non-finite value at pixel (0, 0)"),
+], ids=["skin-all", "skin-some", "bottle-hot", "bottle-radius", "nan-before-bad-radius",
+        "duvet-f0", "nan-before-bad-duvet-f0"])
 def test_scene_checks_survive_batching(generate, args, params, message, block):
     with mock.patch.object(simulate, "BLOCK", block), pytest.raises(InvalidInputError) as info:
         generate(*args, params=params)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("generate, params, message", [
+    (generate_main, SimParams(room_lo=1.0, room_hi=0.0),
+     "the range of room_lo and room_hi has width -1.0, not finite and >= 0"),
+    (generate_main, SimParams(person_orient_deg=float("inf")),
+     "the range of person_orient_deg has width inf, not finite and >= 0"),
+    (generate_variational, SimParams(bottle_col_lo=-1e308, bottle_col_hi=1e308),
+     "the range of bottle_col_lo and bottle_col_hi has width inf, not finite and >= 0"),
+], ids=["room-reversed", "orientation-inf", "bottle-col-overflows"])
+def test_an_undrawable_range_is_invalid_input(generate, params, message):
+    with pytest.raises(InvalidInputError) as info:
+        generate(6, 7, params=params)
+    assert str(info.value) == message
+
+
+def test_a_range_the_dataset_does_not_draw_from_is_not_checked():
+    params = SimParams(bottle_radius_lo=1.0, bottle_radius_hi=0.0)  # main draws no bottle
+    assert dataset_to_csv(generate_main(3, 7, params)) == dataset_to_csv(generate_main(3, 7))
 
 
 class TestGenerateMain:
