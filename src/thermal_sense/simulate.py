@@ -14,9 +14,9 @@ from an empty bed.
 
 Every frame is seeded independently, so datasets are reproducible
 byte-for-byte and frames may be rendered in any order. A dataset renders
-BLOCK frames at a time: each frame's scene is drawn from its own generator
-and checked, then the block renders elementwise over (n, 8, 8) arrays, each
-frame's noise from its own generator; `render` is that path for one frame.
+BLOCK frames at a time (`render` is one frame): scenes are drawn and checked
+per frame, then the block renders over (n, 8, 8) arrays, elementwise but for
+each frame's own noise generator, so a frame's bytes do not depend on its block.
 """
 
 from __future__ import annotations
