@@ -13,19 +13,21 @@ squared norms as one read-only C-contiguous (65, n) matrix
 query's squared distances less its |q|^2: the same for every row of a
 query, so dropping it moves no row's rank, and scaling by -2 is exact.
 Every row within a rounding margin of a query's k-th smallest value
-(the row minimum when k = 1) is a candidate, and only candidates get
-the exact per-row distance sqrt(sum((t - q)^2)). The margin bounds the
-error of both forms, so the true k nearest rows, all rows tied with the
-k-th included, are always candidates: labels are those of a full sort
-of the exact distances. The margin holds only while nothing overflows;
-a query whose |q|^2 + max|t|^2 is too large to rule that out keeps
-every row. When every query of a block has exactly k candidates, its
-neighbors are its candidates (k = 1) or a reshape of the sorted
-candidates. A single query is a block of one on the same path. The
-neighbour lists at a smaller k are prefixes of those at a larger one,
-so predict_knn_grid serves several (k, weighting) settings on one set
-of rows from one search at their largest k; predict_knn_batch is its
-one-setting case.
+(the row minimum when k = 1) is a candidate. The margin bounds the
+error of the product and of the exact distance sqrt(sum((t - q)^2)),
+so the true k nearest rows, all rows tied with the k-th included, are
+always candidates: labels are those of a full sort of the exact
+distances. The margin holds only while nothing overflows; a query whose
+|q|^2 + max|t|^2 is too large to rule that out keeps every row. So
+exactly k candidates are the k nearest rows, and a uniform vote at that
+k reads only their labels: a block gets its candidates' exact distances
+(the refine) only for a distance-weighted setting, a setting whose k is
+below the search's, or a query with more than k candidates. A refined
+block needs no sort at k = 1 with one candidate per query. A single
+query is a block of one on the same path. The neighbour lists at a
+smaller k are prefixes of those at a larger one, so predict_knn_grid
+serves several (k, weighting) settings on one set of rows from one
+search at their largest k; predict_knn_batch is its one-setting case.
 
 A block's votes are array operations over its (m, k) neighbor labels and
 distances, bit for bit the per-query vote. The uniform vote compares
@@ -96,6 +98,7 @@ class KnnModel:
             np.einsum("ji,ji->i", rows[:width], rows[:width], out=rows[width])
         rows.flags.writeable = False  # before the view, which inherits it
         object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "train_y", np.asarray(self.train_y, dtype=np.int64))
         object.__setattr__(self, "train_x", rows[:width].T)
         object.__setattr__(self, "sq_max", float(rows[width].max()))
 
@@ -146,7 +149,9 @@ def _votes(labels: np.ndarray, dists: np.ndarray, weighting: str) -> np.ndarray:
     return wins.astype(np.int64)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # only in queries that keep every row
+# Overflow happens only in queries that keep every row. The decorator costs
+# less than a guard (a norm or a max of the block) that rules it out first.
+@np.errstate(over="ignore", invalid="ignore")
 def _candidates(model: KnnModel, q: np.ndarray,
                 k: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """(query, row) index pairs, by query, then row, that hold each query's k nearest rows."""
@@ -166,7 +171,7 @@ def _candidates(model: KnnModel, q: np.ndarray,
     # The negated test keeps every row, NaN entries included, of a query
     # whose margin is inf (its bound inf or NaN). nonzero lists the pairs
     # in C order: by query, then row.
-    return np.nonzero(~(approx > bound[:, None]))
+    return (~(approx > bound[:, None])).nonzero()
 
 
 def _nearest(model: KnnModel, q: np.ndarray,
@@ -178,12 +183,16 @@ def _nearest(model: KnnModel, q: np.ndarray,
     and the smaller k's candidates are a subset of the larger k's.
     """
     k = model.k if k is None else k
-    qi, ti = _candidates(model, q, k)
-    # Every query has at least k candidates; keep the first k of each. All
-    # have exactly k in 99% of the single queries of a served night. At
-    # k = 1 those are the neighbours, one per query in query order;
-    # otherwise the sorted candidates reshape to them. Ties send a block
-    # to searchsorted.
+    return _refine(model, q, *_candidates(model, q, k), k)
+
+
+def _refine(model: KnnModel, q: np.ndarray, qi: np.ndarray, ti: np.ndarray,
+            k: int) -> tuple[np.ndarray, np.ndarray]:
+    """_nearest from the candidates (qi, ti) of the queries q at k."""
+    # Every query has at least k candidates; keep the first k of each. At
+    # k = 1 with one candidate each, those are the neighbours, in query
+    # order; otherwise the sorted candidates reshape to them when every
+    # query has exactly k. Ties send a block to searchsorted.
     m = len(q)
     one_each = k == 1 and len(ti) == m
     diff = model.train_x[ti] - (q if one_each else q[qi])
@@ -210,7 +219,7 @@ def predict_knn_grid(model: KnnModel, xs: np.ndarray, settings) -> np.ndarray:
         raise InvalidInputError("no (k, weighting) settings to predict")
     for k, weighting in settings:
         _check_setting(k, weighting, len(model.train_y))
-    return _predict(model, xs, settings, max(k for k, _ in settings))
+    return np.array(_predict(model, xs, settings, max(k for k, _ in settings)))
 
 
 def predict_knn_batch(model: KnnModel, xs: np.ndarray) -> np.ndarray:
@@ -218,15 +227,27 @@ def predict_knn_batch(model: KnnModel, xs: np.ndarray) -> np.ndarray:
     return _predict(model, xs, ((model.k, model.weighting),), model.k)[0]
 
 
-def _predict(model: KnnModel, xs: np.ndarray, settings, top: int) -> np.ndarray:
-    """predict_knn_grid for checked settings whose largest k is top."""
+def _predict(model: KnnModel, xs: np.ndarray, settings, top: int) -> list[np.ndarray]:
+    """predict_knn_grid's rows, for checked settings whose largest k is top."""
     queries = query_rows(xs, model.train_x.shape[1])
-    step = max(1, BLOCK // len(model.train_x))
-    out = np.empty((len(settings), len(queries)), dtype=np.int64)
-    for start in range(0, len(queries), step):
-        idx, dists = _nearest(model, queries[start:start + step], top)
-        labels = model.train_y[idx]
-        for row, (k, weighting) in zip(out, settings):  # slicing costs a single query 2%
-            row[start:start + step] = (_votes(labels, dists, weighting) if k == top
-                                       else _votes(labels[:, :k], dists[:, :k], weighting))
-    return out
+    # Only a distance vote or a shorter prefix reads the neighbours' order
+    # and distances; a uniform vote at k = top reads just their labels.
+    refine = any(k < top or weighting == "distance" for k, weighting in settings)
+    step = max(1, BLOCK // len(model.train_y))
+    blocks = []
+    for start in range(0, max(len(queries), 1), step):  # an empty batch is one empty block
+        q = queries[start:start + step]
+        qi, ti = _candidates(model, q, top)
+        m = len(q)
+        if refine or len(ti) != m * top:
+            idx, dists = _refine(model, q, qi, ti, top)
+            labels = model.train_y[idx]
+            blocks.append([_votes(labels, dists, weighting) if k == top  # slicing costs 2%
+                           else _votes(labels[:, :k], dists[:, :k], weighting)
+                           for k, weighting in settings])
+        else:  # exactly top candidates each: the top nearest rows, in stored order
+            labels = model.train_y[ti]  # at top = 1, each query's neighbour's label
+            if top > 1:
+                labels = _votes(labels.reshape(m, top), None, "uniform")
+            blocks.append([labels] * len(settings))
+    return blocks[0] if len(blocks) == 1 else [np.concatenate(rows) for rows in zip(*blocks)]

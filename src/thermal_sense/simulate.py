@@ -65,6 +65,11 @@ def duvet_factor(minutes: float, f0: float = DEFAULT_DUVET_F0,
     if not 0.0 < f0 <= 1.0:
         raise InvalidInputError(f"f0 {f0} outside (0, 1]")
     check_real("tau_min", tau_min)
+    return _duvet_factor(minutes, f0, tau_min)
+
+
+def _duvet_factor(minutes: float, f0: float, tau_min: float) -> float:
+    """duvet_factor for arguments it has checked."""
     return 1.0 - (1.0 - f0) * math.exp(-minutes / tau_min)
 
 
@@ -106,6 +111,8 @@ class PointSource:
 
     def __post_init__(self) -> None:
         check_real("radius", self.radius, closed=True)
+        if not math.isfinite(self.temp_c):
+            raise InvalidInputError(f"temp_c must be finite, got {self.temp_c!r}")
         if self.temp_c > 45.0:
             raise InvalidInputError(f"point source at {self.temp_c} exceeds 45 C")
 
@@ -122,6 +129,7 @@ class SceneConfig:
     duvet_tau_min: float = DEFAULT_DUVET_TAU_MIN
 
     def __post_init__(self) -> None:
+        check_int("seed", self.seed, 0)
         if not (15.0 <= self.room_temp_c <= 35.0):
             raise InvalidInputError(f"room temperature {self.room_temp_c} outside [15, 35]")
         if not (0.0 <= self.noise_sigma <= TEMP_MAX_C - TEMP_MIN_C):  # at most the sensor's span
@@ -144,7 +152,7 @@ def _person_values(s: SceneConfig) -> tuple[float, ...]:
     """s's person: center, (cos, cos), (sin, -sin) of the orientation, semi-axes, the shorter
     one, and the effective (duvet-attenuated) body temperature."""
     pc = s.person
-    factor = 1.0 if s.duvet_minutes is None else duvet_factor(
+    factor = 1.0 if s.duvet_minutes is None else _duvet_factor(  # checked by s
         s.duvet_minutes, s.duvet_f0, s.duvet_tau_min)
     th = math.radians(pc.orientation_deg)
     cos, sin = math.cos(th), math.sin(th)

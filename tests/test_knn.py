@@ -64,6 +64,13 @@ class TestTrain:
         model = KnnModel(np.zeros((4, 64)), np.array([0, 1, 0, 1]), np.int64(3), "uniform")
         assert predict_knn_batch(model, np.zeros((1, 64))).tolist() == [0]
 
+    @pytest.mark.parametrize("labels", [[True, False, True], [1.0, 0.0, 1.0], [1, 0, 1]])
+    def test_labels_are_stored_and_predicted_as_int64(self, labels):
+        model = KnnModel(np.eye(3, 64), np.array(labels), 1, "uniform")
+        assert model.train_y.dtype == np.int64
+        got = predict_knn_batch(model, np.eye(3, 64))
+        assert got.dtype == np.int64 and got.tolist() == [1, 0, 1]
+
     def test_labels_must_be_one_column(self):
         with pytest.raises(InvalidInputError, match="one column"):
             KnnModel(np.zeros((4, 64)), np.array([[0], [1], [0], [1]]), 1, "uniform")
@@ -394,6 +401,70 @@ class TestSingleQueryStream:
             assert d.tolist() == [batch_d[i].tolist()] == [[dist for dist, _ in nearest[:k]]], i
 
 
+def refined_blocks(model, queries, settings, per_block):
+    """predict_knn_grid's labels, and the sizes of the blocks it refined, in blocks of per_block."""
+    with mock.patch.object(knn, "BLOCK", per_block * len(model.train_y)), \
+            mock.patch.object(knn, "_refine", wraps=knn._refine) as refine:
+        labels = predict_knn_grid(model, queries, settings)
+    return labels, [len(call.args[1]) for call in refine.call_args_list]
+
+
+class TestRefineShortcut:
+    """A uniform vote at the search's k reads only the labels of exactly k candidates."""
+
+    def test_served_frames_refine_only_ties(self, served_stream):
+        train, queries, neighbours = served_stream
+        model = train_knn(train, 1)
+        y, ties = train.y.tolist(), 0
+        for i, (q, nearest) in enumerate(zip(queries, neighbours)):
+            candidates = len(knn._candidates(model, q[None, :])[1])
+            with mock.patch.object(knn, "_refine", wraps=knn._refine) as refine:
+                label = predict_knn_batch(model, q[None, :])
+            assert refine.call_count == (candidates > 1), i
+            assert label.tolist() == [brute_force_knn(None, y, 1, "uniform", q, nearest)], i
+            ties += candidates > 1
+        assert 0 < ties < len(queries) // 10  # both paths run
+
+    @pytest.mark.parametrize("k", [1, 3, 5, 7])
+    def test_fold_blocks_refine_only_with_extra_candidates(self, main_fold, rng, k):
+        x, _, queries = main_fold
+        y = rng.integers(0, 2, len(x))  # random labels, so neighbours disagree
+        model = KnnModel(x, y, k, "uniform")
+        per_block = 5
+        labels, refined = refined_blocks(model, queries, [(k, "uniform")], per_block)
+        want = []
+        for start in range(0, len(queries), per_block):
+            block = queries[start:start + per_block]
+            if len(knn._candidates(model, block)[1]) != len(block) * k:
+                want.append(len(block))
+        assert refined == want
+        assert 0 < len(want) < len(queries) // per_block  # both paths run
+        # the labels of a search that refines every block: a distance setting rides along
+        both = predict_knn_grid(model, queries, [(k, "uniform"), (k, "distance")])
+        assert np.array_equal(labels[0], both[0])
+        assert np.array_equal(labels[0], [per_row_knn(x, y, k, "uniform", q) for q in queries])
+
+    @pytest.mark.parametrize("settings", [
+        [(1, "distance")],
+        [(3, "distance")],
+        [(1, "uniform"), (3, "uniform")],
+        [(3, "uniform"), (1, "distance")],
+    ])
+    def test_distances_or_a_shorter_prefix_always_refine(self, served_stream, settings):
+        train, queries, _ = served_stream
+        model = train_knn(train, 1)
+        labels, refined = refined_blocks(model, queries, settings, 7)
+        assert refined == [len(queries[start:start + 7]) for start in range(0, len(queries), 7)]
+        for row, (k, weighting) in zip(labels, settings):
+            assert np.array_equal(row, predict_knn_batch(train_knn(train, k, weighting), queries))
+
+    def test_empty_batch(self, main_fold):
+        x, y, _ = main_fold
+        for settings in ([(1, "uniform")], [(3, "uniform"), (1, "distance")]):
+            labels = predict_knn_grid(KnnModel(x, y, 3, "uniform"), np.empty((0, 64)), settings)
+            assert labels.shape == (len(settings), 0) and labels.dtype == np.int64
+
+
 GRID_SETTINGS = tuple((k, w) for k in (1, 3, 5, 7) for w in WEIGHTINGS)
 
 
@@ -457,15 +528,17 @@ class TestSharedSearch:
 
 
 @st.composite
-def small_problems(draw):
-    """(train_x, train_y, queries, k, queries per block) on a small grid at one scale."""
+def small_problems(draw, max_copies=1):
+    """(train_x, train_y, queries, k, queries per block) on a small grid at one scale. Each
+    drawn row is stored up to max_copies times, each copy with its own label."""
     n = draw(st.integers(1, 8))
     scale = draw(st.sampled_from([0.25, 3.0, 1e-160, 5e-324, 1e154]))
     x = draw(hnp.arrays(np.int64, (n, 64), elements=st.integers(-2, 2))) * scale
+    x = np.repeat(x, draw(hnp.arrays(np.int64, n, elements=st.integers(1, max_copies))), axis=0)
     queries = draw(hnp.arrays(np.int64, (draw(st.integers(1, 9)), 64),
                               elements=st.integers(-2, 2))) * scale
-    y = draw(hnp.arrays(np.int64, n, elements=st.integers(0, 1)))
-    return x, y, queries, draw(st.integers(1, n)), draw(st.integers(1, 4))
+    y = draw(hnp.arrays(np.int64, len(x), elements=st.integers(0, 1)))
+    return x, y, queries, draw(st.integers(1, len(x))), draw(st.integers(1, 4))
 
 
 class TestSmallProblems:
@@ -473,6 +546,14 @@ class TestSmallProblems:
     @given(problem=small_problems())
     def test_batches_match_the_per_row_reference(self, problem):
         # Blocks of 1-4 queries, so most batches straddle a block.
+        x, y, queries, k, per_block = problem
+        with mock.patch.object(knn, "BLOCK", per_block * len(x)):
+            TestPerRowEquivalence.assert_matches(x, y, queries, (k,))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @given(problem=small_problems(max_copies=3))
+    def test_duplicated_rows_match_the_per_row_reference(self, problem):
+        # A copy ties with its row, so a query can have more than k candidates.
         x, y, queries, k, per_block = problem
         with mock.patch.object(knn, "BLOCK", per_block * len(x)):
             TestPerRowEquivalence.assert_matches(x, y, queries, (k,))

@@ -175,6 +175,29 @@ class TestSceneValidation:
         with pytest.raises(InvalidInputError):
             PointSource((3.0, 3.0), temp_c=50.0)
 
+    @pytest.mark.parametrize("temp_c", [float("nan"), float("inf"), float("-inf")])
+    def test_source_temperature_must_be_finite(self, temp_c):
+        with pytest.raises(InvalidInputError, match=r"^temp_c must be finite, got "):
+            PointSource((3.0, 3.0), temp_c=temp_c)
+
+    @pytest.mark.parametrize("seed, message", [
+        (-1, "seed must be at least 0, got -1"),
+        (1.5, "seed must be an integer, got 1.5"),
+        (True, "seed must be an integer, got True"),
+    ])
+    def test_seed_is_checked_before_render(self, seed, message):
+        with pytest.raises(InvalidInputError) as info:
+            render(SceneConfig(20.5, seed=seed))
+        assert str(info.value) == message
+
+    def test_duvet_factor_is_checked_once_per_frame(self):
+        person = PersonConfig((3.5, 3.5), 0.0, (2.8, 1.2), 33.0)
+        with mock.patch.object(simulate, "duvet_factor", wraps=duvet_factor) as checked:
+            frame = render(SceneConfig(20.5, person=person, duvet_minutes=3.0, seed=0))
+        assert checked.call_count == 1  # by SceneConfig; the render reuses the formula
+        body = 20.5 + (33.0 - 20.5) * duvet_factor(3.0)  # inside the ellipse, exp(0) = 1
+        assert frame.max() == simulate.quantize(np.full((8, 8), body))[0, 0]
+
 
 # SHA-256 of dataset_to_csv for the datasets the bench's workloads are built from; each
 # renders more than one block.
@@ -190,8 +213,8 @@ def test_bench_scale_dataset_digests(generate, args, digest):
 
 
 # Each message is the one rendering frame by frame gives: that of the first failing frame
-# in plan order. In the nan-before-* cases a non-finite frame is rendered before the first
-# failing scene; with the larger block (and for variational(3), with both), both are in one block.
+# in plan order. In the nan-before-* cases the first bottle scene, whose temperature is nan,
+# fails before the first scene with a bad radius or duvet f0.
 @pytest.mark.parametrize("block", [simulate.BLOCK, 1000])
 @pytest.mark.parametrize("generate, args, params, message", [
     (generate_main, (5, 7), SimParams(skin_lo=50, skin_hi=51),
@@ -203,10 +226,10 @@ def test_bench_scale_dataset_digests(generate, args, digest):
     (generate_variational, (300, 8), SimParams(bottle_radius_lo=-0.2),
      "radius must be finite and >= 0, got -0.19883397099053102"),
     (generate_variational, (30, 9), SimParams(bottle_temp_c=float("nan"), bottle_radius_lo=-0.2),
-     "non-finite value at pixel (0, 0)"),
+     "temp_c must be finite, got nan"),
     (generate_variational, (3, 7), SimParams(duvet_f0=2.0), "f0 2.0 outside (0, 1]"),
     (generate_variational, (3, 7), SimParams(duvet_f0=2.0, bottle_temp_c=float("nan")),
-     "non-finite value at pixel (0, 0)"),
+     "temp_c must be finite, got nan"),
 ], ids=["skin-all", "skin-some", "bottle-hot", "bottle-radius", "nan-before-bad-radius",
         "duvet-f0", "nan-before-bad-duvet-f0"])
 def test_scene_checks_survive_batching(generate, args, params, message, block):
