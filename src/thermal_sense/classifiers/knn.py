@@ -20,14 +20,17 @@ always candidates: labels are those of a full sort of the exact
 distances. The margin holds only while nothing overflows; a query whose
 |q|^2 + max|t|^2 is too large to rule that out keeps every row. So
 exactly k candidates are the k nearest rows, and a uniform vote at that
-k reads only their labels: a block gets its candidates' exact distances
-(the refine) only for a distance-weighted setting, a setting whose k is
-below the search's, or a query with more than k candidates. A refined
-block needs no sort at k = 1 with one candidate per query. A single
-query is a block of one on the same path. The neighbour lists at a
-smaller k are prefixes of those at a larger one, so predict_knn_grid
-serves several (k, weighting) settings on one set of rows from one
-search at their largest k; predict_knn_batch is its one-setting case.
+k reads only their labels; if all of a block's candidates carry one
+label, so do all its queries' k nearest rows, and every such vote is
+that label. A block gets its candidates' exact distances (the refine)
+only for a distance-weighted setting, a setting whose k is below the
+search's, or a query with more than k candidates where the block's
+candidates' labels differ. A refined block needs no sort at k = 1 with
+one candidate per query. A single query is a block of one on the same
+path. The neighbour lists at a smaller k are prefixes of those at a
+larger one, so predict_knn_grid serves several (k, weighting) settings
+on one set of rows from one search at their largest k; predict_knn_batch
+is its one-setting case.
 
 A block's votes are array operations over its (m, k) neighbor labels and
 distances, bit for bit the per-query vote. The uniform vote compares
@@ -239,15 +242,19 @@ def _predict(model: KnnModel, xs: np.ndarray, settings, top: int) -> list[np.nda
         q = queries[start:start + step]
         qi, ti = _candidates(model, q, top)
         m = len(q)
-        if refine or len(ti) != m * top:
-            idx, dists = _refine(model, q, qi, ti, top)
-            labels = model.train_y[idx]
-            blocks.append([_votes(labels, dists, weighting) if k == top  # slicing costs 2%
-                           else _votes(labels[:, :k], dists[:, :k], weighting)
-                           for k, weighting in settings])
-        else:  # exactly top candidates each: the top nearest rows, in stored order
-            labels = model.train_y[ti]  # at top = 1, each query's neighbour's label
-            if top > 1:
-                labels = _votes(labels.reshape(m, top), None, "uniform")
-            blocks.append([labels] * len(settings))
+        if not refine:
+            labels = model.train_y[ti]
+            if len(ti) == m * top:  # exactly top each: the top nearest rows, in stored order
+                if top > 1:  # at top = 1, each query's neighbour's label
+                    labels = _votes(labels.reshape(m, top), None, "uniform")
+                blocks.append([labels] * len(settings))
+                continue
+            if np.count_nonzero(labels) in (0, len(ti)):  # one label L: every vote is L
+                blocks.append([np.full(m, labels[0])] * len(settings))
+                continue
+        idx, dists = _refine(model, q, qi, ti, top)
+        labels = model.train_y[idx]
+        blocks.append([_votes(labels, dists, weighting) if k == top  # slicing costs 2%
+                       else _votes(labels[:, :k], dists[:, :k], weighting)
+                       for k, weighting in settings])
     return blocks[0] if len(blocks) == 1 else [np.concatenate(rows) for rows in zip(*blocks)]

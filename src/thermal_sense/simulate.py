@@ -73,6 +73,12 @@ def _duvet_factor(minutes: float, f0: float, tau_min: float) -> float:
     return 1.0 - (1.0 - f0) * math.exp(-minutes / tau_min)
 
 
+def _check_finite(name: str, value) -> None:
+    """InvalidInputError naming `name` unless value, a number or a sequence of them, is finite."""
+    if not all(map(math.isfinite, value if isinstance(value, (tuple, list)) else (value,))):
+        raise InvalidInputError(f"{name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class PersonConfig:
     """A lying body modeled as a warm rotated ellipse in grid coordinates."""
@@ -83,6 +89,8 @@ class PersonConfig:
     skin_temp_c: float = 32.0
 
     def __post_init__(self) -> None:
+        _check_finite("center", self.center)
+        _check_finite("orientation_deg", self.orientation_deg)
         a, b = self.semi_axes
         check_real("semi_axes[0]", a)
         check_real("semi_axes[1]", b)
@@ -110,9 +118,9 @@ class PointSource:
     temp_c: float = 37.0
 
     def __post_init__(self) -> None:
+        _check_finite("center", self.center)
         check_real("radius", self.radius, closed=True)
-        if not math.isfinite(self.temp_c):
-            raise InvalidInputError(f"temp_c must be finite, got {self.temp_c!r}")
+        _check_finite("temp_c", self.temp_c)
         if self.temp_c > 45.0:
             raise InvalidInputError(f"point source at {self.temp_c} exceeds 45 C")
 

@@ -410,39 +410,60 @@ def refined_blocks(model, queries, settings, per_block):
 
 
 class TestRefineShortcut:
-    """A uniform vote at the search's k reads only the labels of exactly k candidates."""
+    """A uniform vote at the search's k reads only candidate labels: a block is refined only
+    if a query has more than k candidates and the block's candidates' labels differ."""
+
+    @staticmethod
+    def needs_refine(model, block, k):
+        ti = knn._candidates(model, block, k)[1]
+        return len(ti) != len(block) * k and len(np.unique(model.train_y[ti])) > 1
 
     def test_served_frames_refine_only_ties(self, served_stream):
         train, queries, neighbours = served_stream
         model = train_knn(train, 1)
         y, ties = train.y.tolist(), 0
         for i, (q, nearest) in enumerate(zip(queries, neighbours)):
-            candidates = len(knn._candidates(model, q[None, :])[1])
             with mock.patch.object(knn, "_refine", wraps=knn._refine) as refine:
                 label = predict_knn_batch(model, q[None, :])
-            assert refine.call_count == (candidates > 1), i
+            assert refine.call_count == self.needs_refine(model, q[None, :], 1), i
             assert label.tolist() == [brute_force_knn(None, y, 1, "uniform", q, nearest)], i
-            ties += candidates > 1
-        assert 0 < ties < len(queries) // 10  # both paths run
+            ties += len(knn._candidates(model, q[None, :])[1]) > 1
+        assert 0 < ties < len(queries) // 10  # the label test runs
+
+    @pytest.mark.parametrize("first", [Label.PERSON, Label.NO_PERSON])
+    def test_a_mixed_label_tie_is_refined_and_the_lower_index_wins(self, first):
+        # rows 1 and 2 are both at distance 1 from the query, rows 0 and 3 farther
+        x = np.vstack([unit_vector(0, 5.0), unit_vector(1), unit_vector(2), unit_vector(3, 2.0)])
+        y = np.array([1 - first, first, 1 - first, first])
+        model = KnnModel(x, y, 1, "uniform")
+        q = np.zeros((1, 64))
+        assert knn._candidates(model, q)[1].tolist() == [1, 2]
+        with mock.patch.object(knn, "_refine", wraps=knn._refine) as refine:
+            assert predict_knn_batch(model, q).tolist() == [first]
+        assert refine.call_count == 1
 
     @pytest.mark.parametrize("k", [1, 3, 5, 7])
     def test_fold_blocks_refine_only_with_extra_candidates(self, main_fold, rng, k):
-        x, _, queries = main_fold
-        y = rng.integers(0, 2, len(x))  # random labels, so neighbours disagree
-        model = KnnModel(x, y, k, "uniform")
+        # The dataset's labels give blocks of each kind; random ones make neighbours disagree.
+        x, own_y, queries = main_fold
         per_block = 5
-        labels, refined = refined_blocks(model, queries, [(k, "uniform")], per_block)
-        want = []
-        for start in range(0, len(queries), per_block):
-            block = queries[start:start + per_block]
-            if len(knn._candidates(model, block)[1]) != len(block) * k:
-                want.append(len(block))
-        assert refined == want
-        assert 0 < len(want) < len(queries) // per_block  # both paths run
-        # the labels of a search that refines every block: a distance setting rides along
-        both = predict_knn_grid(model, queries, [(k, "uniform"), (k, "distance")])
-        assert np.array_equal(labels[0], both[0])
-        assert np.array_equal(labels[0], [per_row_knn(x, y, k, "uniform", q) for q in queries])
+        for y in (own_y, rng.integers(0, 2, len(x))):
+            model = KnnModel(x, y, k, "uniform")
+            labels, refined = refined_blocks(model, queries, [(k, "uniform")], per_block)
+            want, extra = [], 0
+            for start in range(0, len(queries), per_block):
+                block = queries[start:start + per_block]
+                extra += len(knn._candidates(model, block)[1]) != len(block) * k
+                if self.needs_refine(model, block, k):
+                    want.append(len(block))
+            assert refined == want
+            assert 0 < len(want) <= extra < len(queries) // per_block  # the refine runs
+            assert y is not own_y or len(want) < extra  # so does the label test
+            # the labels of a search that refines every block: a distance setting rides along
+            both = predict_knn_grid(model, queries, [(k, "uniform"), (k, "distance")])
+            assert np.array_equal(labels[0], both[0])
+            assert np.array_equal(labels[0],
+                                  [per_row_knn(x, y, k, "uniform", q) for q in queries])
 
     @pytest.mark.parametrize("settings", [
         [(1, "distance")],
@@ -557,6 +578,24 @@ class TestSmallProblems:
         x, y, queries, k, per_block = problem
         with mock.patch.object(knn, "BLOCK", per_block * len(x)):
             TestPerRowEquivalence.assert_matches(x, y, queries, (k,))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @given(problem=small_problems(max_copies=3), data=st.data())
+    def test_copies_that_keep_or_flip_a_label_match_the_per_row_reference(self, problem, data):
+        # Each copy of a row keeps the label drawn for the row or flips it, so a tie's
+        # candidates often carry one label (no refine) and sometimes not (refined).
+        x, y, queries, _, per_block = problem
+        _, first, copy_of = np.unique(x, axis=0, return_index=True, return_inverse=True)
+        flip = data.draw(hnp.arrays(np.int64, len(x), elements=st.integers(0, 1)))
+        y = y[first][copy_of.ravel()] ^ flip
+        for k in (1, 3, 5, 7):
+            if k > len(x):
+                break
+            model = KnnModel(x, y, k, "uniform")
+            want = [per_row_knn(x, y, k, "uniform", q) for q in queries]
+            with mock.patch.object(knn, "BLOCK", per_block * len(x)):
+                assert predict_knn_batch(model, queries).tolist() == want, k
+            assert [predict_one(model, q) for q in queries] == want, k
 
 
 def vote_cases(rng, k, m=300):

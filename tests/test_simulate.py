@@ -180,6 +180,25 @@ class TestSceneValidation:
         with pytest.raises(InvalidInputError, match=r"^temp_c must be finite, got "):
             PointSource((3.0, 3.0), temp_c=temp_c)
 
+    @pytest.mark.parametrize("center, orientation, message", [
+        ((3.5, 3.5), float("inf"), "orientation_deg must be finite, got inf"),
+        ((3.5, 3.5), float("nan"), "orientation_deg must be finite, got nan"),
+        ((float("nan"), 3.5), 0.0, "center must be finite, got (nan, 3.5)"),
+        ((3.5, float("-inf")), 0.0, "center must be finite, got (3.5, -inf)"),
+    ])
+    def test_person_pose_must_be_finite(self, center, orientation, message):
+        # named before the footprint test, which would fail with the wrong cause
+        with pytest.raises(InvalidInputError) as info:
+            SceneConfig(20.5, person=PersonConfig(center, orientation))
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("center", [(float("nan"), 3.0), (float("inf"), 3.0),
+                                        (3.0, float("-inf"))])
+    def test_source_center_must_be_finite(self, center):
+        with pytest.raises(InvalidInputError) as info:
+            render(SceneConfig(20.5, heat_sources=(PointSource(center),)))
+        assert str(info.value) == f"center must be finite, got {center!r}"
+
     @pytest.mark.parametrize("seed, message", [
         (-1, "seed must be at least 0, got -1"),
         (1.5, "seed must be an integer, got 1.5"),
