@@ -19,11 +19,15 @@ two backward products `[a1 | 1].T @ d` and `[x | 1].T @ d_z1` fill the
 weight and bias gradients together. b2 alone is added after its product.
 _step scales the output error by the `scale` it is given: 1 / rows for
 nn_gradient and nn_loss, lr / rows in training, so that an update is
-`theta -= grad`. A step writes into arrays allocated once per fit.
+`theta -= grad`. A step writes into arrays allocated once per fit, and
+reads two records built once per fit: the parameter and gradient views
+(_net) and, for each batch, its slices, their transposes and column
+views, its scale as a 0-d array and its workspace (_batch).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,29 +111,41 @@ def _one_hot(y: np.ndarray) -> np.ndarray:
     return onehot
 
 
-class _Workspace:
-    """Scratch arrays for one forward/backward pass over `rows` samples."""
-
-    def __init__(self, rows: int, hidden: int):
-        self.z1 = np.empty((rows, hidden))
-        self.a1_ones = np.ones((rows, hidden + 1))  # [a1 | 1]: only a1 is ever written
-        self.a1 = self.a1_ones[:, :hidden]
-        self.relu = np.empty((rows, hidden))  # 1.0 or 0.0: a float product, not a bool cast
-        self.d_a1 = np.empty((rows, hidden))
-        self.d_logits = np.empty((rows, 2))
-        self.row = np.empty((rows, 1))  # per-row max, then per-row sum
+# The ReLU's threshold: a 0-d array, so no step converts a Python float.
+_ZERO = np.array(0.0)
 
 
-def _step(w1b1: np.ndarray, w2b2: np.ndarray, g1: np.ndarray, g2: np.ndarray,
-          x_aug: np.ndarray, onehot: np.ndarray, probs: np.ndarray, scale: float,
-          ws: _Workspace) -> None:
+def _workspace(rows: int, hidden: int) -> tuple[np.ndarray, ...]:
+    """Scratch arrays for one forward/backward pass over `rows` samples, with the views _step
+    reads: z1, a1, [a1 | 1].T, relu, d_a1, d_logits, row and row[:, 0]. relu holds 1.0 or
+    0.0 (a float product, not a bool cast); row the per-row max, then the per-row sum."""
+    a1_ones = np.ones((rows, hidden + 1))  # [a1 | 1]: only a1 is ever written
+    row = np.empty((rows, 1))
+    z1, relu, d_a1 = (np.empty((rows, hidden)) for _ in range(3))
+    return z1, a1_ones[:, :hidden], a1_ones.T, relu, d_a1, np.empty((rows, 2)), row, row[:, 0]
+
+
+def _net(theta: np.ndarray, grad: np.ndarray, d: int, h: int) -> tuple[np.ndarray, ...]:
+    """[w1; b1], w2, b2, w2.T and the gradient blocks [gw1; gb1], [gw2; gb2] as views."""
+    w1b1, w2b2 = _blocks(theta, d, h)
+    return (w1b1, w2b2[:h], w2b2[h], w2b2[:h].T, *_blocks(grad, d, h))
+
+
+def _batch(x_aug: np.ndarray, onehot: np.ndarray, probs: np.ndarray, scale: float,
+           ws: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
+    """Everything _step reads of one batch: x_aug and its .T, onehot, probs and its two
+    columns, the scale as a 0-d array, then the workspace."""
+    return (x_aug, x_aug.T, onehot, probs, probs[:, 0], probs[:, 1], np.array(scale), *ws)
+
+
+def _step(net: tuple[np.ndarray, ...], batch: tuple[np.ndarray, ...]) -> None:
     """Forward and backward pass over one batch, in place.
 
-    `x_aug` is the batch's standardized features with a ones column;
-    `w1b1`, `w2b2` are the parameter blocks [w1; b1], [w2; b2] and `g1`,
-    `g2` the gradient blocks of the same shapes. Fills `probs` (softmax
-    output) and the gradient blocks, `scale` times the gradient of the
-    summed cross-entropy, with the operations, in order, of
+    `net` is the record _net builds, `batch` the one _batch builds,
+    each once per fit. `x_aug` is the batch's standardized features with
+    a ones column. Fills `probs` (softmax output) and the gradient blocks
+    [gw1; gb1], [gw2; gb2], `scale` times the gradient of the summed
+    cross-entropy, with the operations, in order, of
 
         z1 = x_aug @ [w1; b1];  a1 = maximum(z1, 0);  logits = a1 @ w2 + b2
         e = exp(logits - logits.max(axis=1));  probs = e / e.sum(axis=1)
@@ -142,14 +158,13 @@ def _step(w1b1: np.ndarray, w2b2: np.ndarray, g1: np.ndarray, g2: np.ndarray,
     not folded into it: with two output columns BLAS takes another path,
     and the logits would move in the last bit.
     """
-    h = len(w2b2) - 1
-    w2, b2 = w2b2[:h], w2b2[h]
-    z1, a1, relu, d_a1, d_logits, row = ws.z1, ws.a1, ws.relu, ws.d_a1, ws.d_logits, ws.row
+    w1b1, w2, b2, w2_t, g1, g2 = net
+    x_aug, x_t, onehot, probs, p0, p1, scale, z1, a1, a1_ones_t, relu, d_a1, d_logits, row, r \
+        = batch
     np.matmul(x_aug, w1b1, out=z1)
-    np.maximum(z1, 0.0, out=a1)
+    np.maximum(z1, _ZERO, out=a1)
     np.matmul(a1, w2, out=probs)
     probs += b2
-    p0, p1, r = probs[:, 0], probs[:, 1], row[:, 0]
     np.maximum(p0, p1, out=r)
     probs -= row
     np.exp(probs, out=probs)
@@ -157,11 +172,11 @@ def _step(w1b1: np.ndarray, w2b2: np.ndarray, g1: np.ndarray, g2: np.ndarray,
     probs /= row
     np.subtract(probs, onehot, out=d_logits)
     d_logits *= scale
-    np.matmul(ws.a1_ones.T, d_logits, out=g2)
-    np.matmul(d_logits, w2.T, out=d_a1)
-    np.greater(z1, 0.0, out=relu)
+    np.matmul(a1_ones_t, d_logits, out=g2)
+    np.matmul(d_logits, w2_t, out=d_a1)
+    np.greater(z1, _ZERO, out=relu)
     d_a1 *= relu
-    np.matmul(x_aug.T, d_a1, out=g1)
+    np.matmul(x_t, d_a1, out=g1)
 
 
 def _mean_loss(probs: np.ndarray, onehot: np.ndarray) -> float:
@@ -169,12 +184,13 @@ def _mean_loss(probs: np.ndarray, onehot: np.ndarray) -> float:
 
     That probability is the row sum of probs * onehot, written out over
     the two columns. A softmax row is in [0, 1] or NaN in both columns,
-    so the other column adds an exact zero, or NaN to a NaN row.
+    so the other column adds an exact zero, or NaN to a NaN row. The
+    mean is np.mean's one reduction and one division, bit for bit.
     """
     p = probs[:, 0] * onehot[:, 0]
     p += probs[:, 1] * onehot[:, 1]
     p += 1e-300
-    return float(-np.mean(np.log(p, out=p)))
+    return -float(np.add.reduce(np.log(p, out=p))) / len(p)
 
 
 def train_nn(train: Dataset, hidden: int, params: TrainingParams = TrainingParams(),
@@ -189,11 +205,11 @@ def train_nn(train: Dataset, hidden: int, params: TrainingParams = TrainingParam
 
     rng = np.random.default_rng(seed)
     theta = np.zeros(_param_count(d, hidden))
-    w1b1, w2b2 = blocks = _blocks(theta, d, hidden)
-    w1b1[:d] = rng.uniform(-1.0, 1.0, (d, hidden)) / np.sqrt(d)
-    w2b2[:hidden] = rng.uniform(-1.0, 1.0, (hidden, 2)) / np.sqrt(hidden)
     grad = np.empty_like(theta)
-    grads = _blocks(grad, d, hidden)
+    net = _net(theta, grad, d, hidden)
+    w1b1, w2 = net[:2]
+    w1b1[:d] = rng.uniform(-1.0, 1.0, (d, hidden)) / np.sqrt(d)
+    w2[:] = rng.uniform(-1.0, 1.0, (hidden, 2)) / np.sqrt(hidden)
 
     # Each epoch's shuffled copy of the data; batches are slices of it. A
     # batch's gradient is scaled by lr / rows, so an update is theta -= grad.
@@ -202,22 +218,22 @@ def train_nn(train: Dataset, hidden: int, params: TrainingParams = TrainingParam
     probs = np.empty((n, 2))
     starts = range(0, n, params.batch_size)
     lengths = [min(params.batch_size, n - s) for s in starts]
-    spaces = {rows: _Workspace(rows, hidden) for rows in set(lengths)}
+    spaces = {rows: _workspace(rows, hidden) for rows in set(lengths)}
     lr = params.learning_rate
-    batches = [(x_epoch[s:s + rows], onehot_epoch[s:s + rows], probs[s:s + rows], lr / rows,
-                spaces[rows]) for s, rows in zip(starts, lengths)]
+    batches = [_batch(x_epoch[s:s + rows], onehot_epoch[s:s + rows], probs[s:s + rows],
+                      lr / rows, spaces[rows]) for s, rows in zip(starts, lengths)]
 
     # Overflow here is legitimate divergence; it surfaces as a non-finite
     # epoch loss and is raised as TrainingError.
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(params.epochs):
             perm = rng.permutation(n)
-            np.take(x_aug, perm, axis=0, out=x_epoch)
-            np.take(onehot, perm, axis=0, out=onehot_epoch)
+            x_aug.take(perm, axis=0, out=x_epoch)
+            onehot.take(perm, axis=0, out=onehot_epoch)
             for batch in batches:
-                _step(*blocks, *grads, *batch)
+                _step(net, batch)
                 theta -= grad
-            if not np.isfinite(_mean_loss(probs, onehot_epoch)):
+            if not math.isfinite(_mean_loss(probs, onehot_epoch)):
                 raise TrainingError(f"loss diverged at epoch {epoch}")
     if not np.all(np.isfinite(theta)):
         raise TrainingError("non-finite weights after training")
@@ -233,8 +249,8 @@ def _loss_and_gradient(model: NnModel, batch: Dataset) -> tuple[float, np.ndarra
     probs, onehot = np.empty((n, 2)), _one_hot(batch.y)
     grad = np.empty(_param_count(d, model.hidden))
     with np.errstate(over="ignore", invalid="ignore"):
-        _step(*_blocks(flatten_weights(model), d, model.hidden), *_blocks(grad, d, model.hidden),
-              x_aug, onehot, probs, 1 / n, _Workspace(n, model.hidden))
+        _step(_net(flatten_weights(model), grad, d, model.hidden),
+              _batch(x_aug, onehot, probs, 1 / n, _workspace(n, model.hidden)))
         return _mean_loss(probs, onehot), grad
 
 

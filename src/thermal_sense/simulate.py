@@ -79,6 +79,12 @@ def _check_finite(name: str, value) -> None:
         raise InvalidInputError(f"{name} must be finite, got {value!r}")
 
 
+def _check_pair(name: str, value) -> None:
+    """InvalidInputError naming `name` unless value is a tuple or list of two items."""
+    if not isinstance(value, (tuple, list)) or len(value) != 2:
+        raise InvalidInputError(f"{name} must hold two numbers, got {value!r}")
+
+
 @dataclass(frozen=True)
 class PersonConfig:
     """A lying body modeled as a warm rotated ellipse in grid coordinates."""
@@ -89,8 +95,10 @@ class PersonConfig:
     skin_temp_c: float = 32.0
 
     def __post_init__(self) -> None:
+        _check_pair("center", self.center)
         _check_finite("center", self.center)
         _check_finite("orientation_deg", self.orientation_deg)
+        _check_pair("semi_axes", self.semi_axes)
         a, b = self.semi_axes
         check_real("semi_axes[0]", a)
         check_real("semi_axes[1]", b)
@@ -118,6 +126,7 @@ class PointSource:
     temp_c: float = 37.0
 
     def __post_init__(self) -> None:
+        _check_pair("center", self.center)
         _check_finite("center", self.center)
         check_real("radius", self.radius, closed=True)
         _check_finite("temp_c", self.temp_c)

@@ -197,6 +197,42 @@ def backprop_gradient(model, batch):
                            d.sum(axis=0)])
 
 
+def reference_train_nn(train, hidden, params, seed):
+    """Reference mini-batch training: theta -= lr * backprop_gradient(...), batch by batch.
+
+    Replays the library's seeded draws: fan-in-scaled uniform w1, then w2, zero
+    biases, then one rng.permutation(n) per epoch, whose rows are cut into batches
+    of batch_size, the last one ragged. Features are standardized by their mean and
+    population std (1 for a constant feature). Returns the flat weights w1, b1, w2,
+    b2. No ones columns, no scale folded into the error, no buffer shared between
+    batches: it agrees with the library to rounding, not bit for bit.
+    """
+    from types import SimpleNamespace
+
+    import numpy as np
+
+    x, y = train.x, train.y
+    n, d = x.shape
+    std = x.std(axis=0)
+    rng = np.random.default_rng(seed)
+    model = SimpleNamespace(
+        feature_mean=x.mean(axis=0), feature_scale=np.where(std < 1e-12, 1.0, std),
+        w1=rng.uniform(-1.0, 1.0, (d, hidden)) / np.sqrt(d), b1=np.zeros(hidden),
+        w2=rng.uniform(-1.0, 1.0, (hidden, 2)) / np.sqrt(hidden), b2=np.zeros(2))
+    ends = np.cumsum([d * hidden, hidden, hidden * 2])
+    for _ in range(params.epochs):
+        perm = rng.permutation(n)
+        for start in range(0, n, params.batch_size):
+            rows = perm[start:start + params.batch_size]
+            grad = backprop_gradient(model, SimpleNamespace(x=x[rows], y=y[rows]))
+            gw1, gb1, gw2, gb2 = np.split(params.learning_rate * grad, ends)
+            model.w1 = model.w1 - gw1.reshape(d, hidden)
+            model.b1 = model.b1 - gb1
+            model.w2 = model.w2 - gw2.reshape(hidden, 2)
+            model.b2 = model.b2 - gb2
+    return np.concatenate([model.w1.ravel(), model.b1, model.w2.ravel(), model.b2])
+
+
 def pairwise_kernel(spec, x, y):
     """Reference kernel value for one pair of equal-length vectors.
 

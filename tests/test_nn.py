@@ -3,6 +3,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from thermal_sense.classifiers import nn
 from thermal_sense.classifiers.nn import (
@@ -24,7 +26,7 @@ from conftest import dataset_from_arrays
 
 def predict_one(model, x):
     return predict_nn_batch(model, np.asarray(x)[None, :])[0]
-from oracles import backprop_gradient, central_difference_gradient
+from oracles import backprop_gradient, central_difference_gradient, reference_train_nn
 
 
 def embedded(points):
@@ -162,6 +164,23 @@ class TestOneStep:
         want = theta0 - lr * grad
         got = flatten_weights(trained)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+class TestManyBatches:
+    """Every batch of every epoch is one step of the textbook gradient, from the seed's draws."""
+
+    @given(n=st.integers(1, 40), hidden=st.integers(1, 12), batch_size=st.integers(1, 48),
+           epochs=st.integers(1, 3), lr=st.sampled_from([0.01, 0.1, 0.5]),
+           data_seed=st.integers(0, 2**32 - 1), seed=st.integers(0, 2**32 - 1))
+    def test_training_matches_the_reference_batch_by_batch(self, n, hidden, batch_size, epochs,
+                                                           lr, data_seed, seed):
+        # batch sizes that divide n, leave a ragged last batch, or exceed n
+        rng = np.random.default_rng(data_seed)
+        ds = dataset_from_arrays(rng.normal(0, 1, (n, 64)), rng.integers(0, 2, n))
+        params = TrainingParams(lr, batch_size, epochs)
+        got = flatten_weights(train_nn(ds, hidden, params, seed))
+        want = reference_train_nn(ds, hidden, params, seed)
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
 
 class TestModelShapes:

@@ -185,6 +185,9 @@ class TestSceneValidation:
         ((3.5, 3.5), float("nan"), "orientation_deg must be finite, got nan"),
         ((float("nan"), 3.5), 0.0, "center must be finite, got (nan, 3.5)"),
         ((3.5, float("-inf")), 0.0, "center must be finite, got (3.5, -inf)"),
+        ((3.5,), 0.0, "center must hold two numbers, got (3.5,)"),
+        ((3.5, 3.5, 0.0), 0.0, "center must hold two numbers, got (3.5, 3.5, 0.0)"),
+        (3.5, 0.0, "center must hold two numbers, got 3.5"),
     ])
     def test_person_pose_must_be_finite(self, center, orientation, message):
         # named before the footprint test, which would fail with the wrong cause
@@ -198,6 +201,20 @@ class TestSceneValidation:
         with pytest.raises(InvalidInputError) as info:
             render(SceneConfig(20.5, heat_sources=(PointSource(center),)))
         assert str(info.value) == f"center must be finite, got {center!r}"
+
+    @pytest.mark.parametrize("field, build, value", [
+        ("semi_axes", lambda v: PersonConfig((3.5, 3.5), semi_axes=v), (2.0,)),
+        ("semi_axes", lambda v: PersonConfig((3.5, 3.5), semi_axes=v), (2.0, 1.0, 1.0)),
+        ("center", lambda v: PointSource(v), (3.0,)),
+        ("center", lambda v: PointSource(v), (3.0, 3.0, 9.0)),
+        ("center", lambda v: PointSource(v), ()),
+    ], ids=["semi_axes-1", "semi_axes-3", "source-center-1", "source-center-3",
+            "source-center-0"])
+    def test_pairs_must_hold_two_numbers(self, field, build, value):
+        # checked first: a third source value would shift the renderer's value table
+        with pytest.raises(InvalidInputError) as info:
+            build(value)
+        assert str(info.value) == f"{field} must hold two numbers, got {value!r}"
 
     @pytest.mark.parametrize("seed, message", [
         (-1, "seed must be at least 0, got -1"),
