@@ -8,7 +8,9 @@ Deterministic tie handling, documented once here:
 
 Search is exact filter-and-refine. A model stores its rows and their
 squared norms as one read-only C-contiguous (65, n) matrix
-[t | |t|^2]^T, of which train_x is a view. One matrix product of
+[t | |t|^2]^T, of which train_x is a view; train_knn builds it once
+per Dataset (Dataset.derived), and every model fit on that set shares
+it. One matrix product of
 [-2q | 1] against it per block of queries gives |t|^2 - 2 q.t, a
 query's squared distances less its |q|^2: the same for every row of a
 query, so dropping it moves no row's rank, and scaling by -2 is exact.
@@ -44,6 +46,7 @@ query (see _MASKED_SUM_K).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -73,6 +76,31 @@ _MARGIN_FLOOR = np.finfo(np.float64).tiny
 _MASKED_SUM_K = 8
 
 
+class _Store(NamedTuple):
+    """Training rows as the search reads them: KnnModel's fields of the same names."""
+
+    train_x: np.ndarray
+    train_y: np.ndarray
+    rows: np.ndarray
+    sq_max: float
+
+
+def _store(train_x, train_y) -> _Store:
+    """The store of checked, non-empty training rows and labels."""
+    n, width = np.shape(train_x)
+    rows = np.empty((width + 1, n))
+    rows[:width] = np.transpose(train_x)
+    with np.errstate(over="ignore"):
+        np.einsum("ji,ji->i", rows[:width], rows[:width], out=rows[width])
+    rows.flags.writeable = False  # before the view, which inherits it
+    return _Store(rows[:width].T, np.asarray(train_y, dtype=np.int64), rows,
+                  float(rows[width].max()))
+
+
+def _dataset_store(train: Dataset) -> _Store:
+    return _store(train.x, train.y)
+
+
 @dataclass(frozen=True, eq=False)
 class KnnModel:
     train_x: np.ndarray  # (n, 64), a read-only view of `rows`
@@ -94,16 +122,13 @@ class KnnModel:
         if not np.isfinite(self.train_x).all():
             raise InvalidInputError("non-finite training feature value")
         _check_setting(self.k, self.weighting, len(self.train_y))
-        n, width = np.shape(self.train_x)
-        rows = np.empty((width + 1, n))
-        rows[:width] = np.transpose(self.train_x)
-        with np.errstate(over="ignore"):
-            np.einsum("ji,ji->i", rows[:width], rows[:width], out=rows[width])
-        rows.flags.writeable = False  # before the view, which inherits it
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "train_y", np.asarray(self.train_y, dtype=np.int64))
-        object.__setattr__(self, "train_x", rows[:width].T)
-        object.__setattr__(self, "sq_max", float(rows[width].max()))
+        _bind(self, **_store(self.train_x, self.train_y)._asdict())
+
+
+def _bind(model: KnnModel, **fields) -> KnnModel:
+    for name, value in fields.items():
+        object.__setattr__(model, name, value)
+    return model
 
 
 def _check_setting(k, weighting: str, n: int) -> None:
@@ -114,7 +139,14 @@ def _check_setting(k, weighting: str, n: int) -> None:
 
 
 def train_knn(train: Dataset, k: int, weighting: str = "uniform") -> KnnModel:
-    return KnnModel(train.x, train.y, k, weighting)
+    """A model on train's store, built by the first fit on train and shared by every later one.
+
+    The setting is checked first, so a bad one fails as KnnModel's does
+    and builds no store. A Dataset's rows and labels need no other check.
+    """
+    _check_setting(k, weighting, len(train))
+    return _bind(object.__new__(KnnModel), k=k, weighting=weighting,
+                 **train.derived(_dataset_store)._asdict())
 
 
 def _distance_vote(labels: np.ndarray, dists: np.ndarray) -> int:

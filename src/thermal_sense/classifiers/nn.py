@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import Dataset, Label, query_rows
+from ..core import Dataset, Label, query_rows, read_only
 from ..errors import InvalidInputError, TrainingError, check_int, check_real
 from .svm import check_scale, standardize_fit
 
@@ -73,6 +73,8 @@ class NnModel:
                 f"shapes of w1, b1, w2, b2, feature mean and scale {shapes} "
                 f"do not fit hidden width {h}")
         check_scale(self.feature_scale)
+        for name in ("w1", "b1", "w2", "b2", "feature_mean", "feature_scale"):
+            object.__setattr__(self, name, read_only(getattr(self, name)))
 
 
 def _param_count(d: int, h: int) -> int:

@@ -6,7 +6,8 @@ with Q[i, j] = y_i y_j k(x_i, x_j), selecting the maximal-violating pair
 at each step and stopping when the largest KKT violation drops below
 tol. Features are standardized internally (per-feature z-score fitted
 on the training set); the model stores the standardization constants
-and standardized support vectors.
+and standardized support vectors. Every fit on one training set reads
+one standardization record (`_standardized`, through `Dataset.derived`).
 
 The solver reads the Gram matrix one row at a time, and a fit computes
 row i only when SMO first reads it, as `kernel_matrix(spec, x_std[i:i+1],
@@ -24,10 +25,11 @@ mapped to PERSON (the tie at exactly 0 goes to PERSON).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
-from ..core import Dataset, Label, query_rows
+from ..core import Dataset, Label, query_rows, read_only
 from ..errors import InvalidInputError, TrainingError, check_int, check_real
 from .kernels import KernelSpec, kernel_matrix
 
@@ -70,6 +72,8 @@ class SvmModel:
             raise InvalidInputError("dual coefficients violate sum(alpha * y) = 0")
         if not np.isfinite(self.bias):
             raise InvalidInputError("bias must be finite")
+        for name in ("feature_mean", "feature_scale", "support_x", "support_alpha", "support_y"):
+            object.__setattr__(self, name, read_only(getattr(self, name)))
 
 
 def standardize_fit(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -80,11 +84,28 @@ def standardize_fit(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean, scale
 
 
-def _resolve_kernel(spec: KernelSpec, x_std: np.ndarray) -> KernelSpec:
+class _Standardized(NamedTuple):
+    """What every SVM fit on one training set reads of it."""
+
+    mean: np.ndarray
+    scale: np.ndarray
+    x_std: np.ndarray  # (x - mean) / scale
+    var: float  # x_std.var(), for the default gamma
+    y: np.ndarray  # -1 / +1
+
+
+def _standardized(train: Dataset) -> _Standardized:
+    mean, scale = standardize_fit(train.x)
+    x_std = (train.x - mean) / scale
+    return _Standardized(mean, scale, x_std, float(x_std.var()),
+                         np.where(train.y == Label.PERSON, 1.0, -1.0))
+
+
+def _resolve_kernel(spec: KernelSpec, prep: _Standardized) -> KernelSpec:
     if spec.kind == "linear" or spec.gamma is not None:
         return spec
-    var = float(x_std.var())
-    gamma = 1.0 / (x_std.shape[1] * var) if var > 0 else 1.0 / x_std.shape[1]
+    width = prep.x_std.shape[1]
+    gamma = 1.0 / (width * prep.var) if prep.var > 0 else 1.0 / width
     return replace(spec, gamma=gamma)
 
 
@@ -205,22 +226,19 @@ def train_svm(train: Dataset, kernel: KernelSpec, c: float = DEFAULT_C,
     max_iter = check_int("max_iter", max_iter, 1)
     if len(np.unique(train.y)) < 2:
         raise InvalidInputError("training set must contain both classes")
-    x = train.x
-    mean, scale = standardize_fit(x)
-    x_std = (x - mean) / scale
-    spec = _resolve_kernel(kernel, x_std)
-    y = np.where(train.y == Label.PERSON, 1.0, -1.0)
-    alpha, bias = _smo(_KernelRows(spec, x_std), y, c, tol, max_iter)
+    prep = train.derived(_standardized)
+    spec = _resolve_kernel(kernel, prep)
+    alpha, bias = _smo(_KernelRows(spec, prep.x_std), prep.y, c, tol, max_iter)
 
     sv = alpha > 0
     return SvmModel(
         kernel=spec,
         c=c,
-        feature_mean=mean,
-        feature_scale=scale,
-        support_x=x_std[sv],
+        feature_mean=prep.mean,
+        feature_scale=prep.scale,
+        support_x=prep.x_std[sv],
         support_alpha=alpha[sv],
-        support_y=y[sv],
+        support_y=prep.y[sv],
         bias=bias,
     )
 

@@ -62,6 +62,13 @@ def _frozen(values, dtype) -> np.ndarray:
     return arr
 
 
+def read_only(arr) -> np.ndarray:
+    """A read-only view of the array arr: no copy, and arr keeps its own flags."""
+    view = np.asarray(arr).view()
+    view.flags.writeable = False
+    return view
+
+
 def quantize(raw) -> np.ndarray:
     """Quantize an 8x8 array of Celsius floats, or a stack (..., 8, 8), to the sensor's grid.
 
@@ -138,6 +145,7 @@ class Dataset:
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", _frozen(y, np.int64))
         object.__setattr__(self, "conditions", _frozen(codes, np.int8))
+        object.__setattr__(self, "_derived", {})
 
     def __len__(self) -> int:
         return len(self.y)
@@ -170,7 +178,23 @@ class Dataset:
             rows = getattr(self, field)[idx]
             rows.flags.writeable = False
             object.__setattr__(out, field, rows)
+        object.__setattr__(out, "_derived", {})
         return out
+
+    def derived(self, build):
+        """build(self), built on the first request and kept for this dataset's lifetime.
+
+        Keyed by the builder, so every model fit on this dataset that asks
+        for the same preparation shares one value. The value's arrays (the
+        value itself, or the fields of a tuple) are stored read-only.
+        """
+        if build not in self._derived:
+            value = build(self)
+            for part in value if isinstance(value, tuple) else (value,):
+                if isinstance(part, np.ndarray):
+                    part.flags.writeable = False
+            self._derived[build] = value
+        return self._derived[build]
 
 
 @dataclass(frozen=True)

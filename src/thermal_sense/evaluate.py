@@ -247,17 +247,16 @@ def sweep(ds: Dataset, plan: FoldPlan, family: str, seed: int = 0,
 def _fold_labels(grid, seeds, train: Dataset, xs) -> list[np.ndarray]:
     """Train each spec of grid on train with its seed; return each one's labels for xs.
 
-    The k-NN models on the first one's rows and labels are dropped once
-    their (k, weighting) is noted, and vote on its one neighbour search.
-    Any other model predicts as soon as it is trained.
+    The k-NN models on the first one's store (the same object: train_knn
+    builds one per training set) are dropped once their (k, weighting)
+    is noted, and vote on its one neighbour search. Any other model
+    predicts as soon as it is trained.
     """
     labels: list = [None] * len(grid)
     shared, settings = None, {}  # the first k-NN model; index -> (k, weighting)
     for index, (spec, spec_seed) in enumerate(zip(grid, seeds)):
         model = spec.train_model(train, spec_seed)
-        if isinstance(model, KnnModel) and (shared is None or (
-                np.array_equal(model.rows, shared.rows)
-                and np.array_equal(model.train_y, shared.train_y))):
+        if isinstance(model, KnnModel) and (shared is None or model.rows is shared.rows):
             if shared is None:
                 shared = model
             settings[index] = (model.k, model.weighting)

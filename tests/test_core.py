@@ -268,6 +268,19 @@ class TestTypes:
         with pytest.raises(InvalidInputError, match="row indices must be integers"):
             ds.subset(indices)
 
+    def test_subset_starts_with_no_derived_values(self):
+        ds = balanced_dataset(3)
+        built = []
+
+        def build(d):
+            built.append(d)
+            return len(d)
+
+        ds.derived(build)
+        part = ds.subset(range(len(ds)))
+        assert part.derived(build) == 6 and ds.derived(build) == 6
+        assert built == [ds, part]
+
     def test_samples_view(self):
         ds = Dataset(np.arange(128.0).reshape(2, 64), [1, 0], [3, 0])
         (a, b) = ds.samples
@@ -286,3 +299,60 @@ class TestTypes:
         assert Label.from_text("no_person") is Label.NO_PERSON
         with pytest.raises(InvalidInputError):
             Label.from_text("maybe")
+
+
+class TestDerived:
+    def test_built_on_first_request_and_kept(self):
+        ds = balanced_dataset(3)
+        built = []
+
+        def build(d):
+            built.append(d)
+            return d.x.sum(axis=1), len(d)
+
+        assert built == []
+        first = ds.derived(build)
+        assert ds.derived(build) is first
+        assert built == [ds]
+        assert np.array_equal(first[0], ds.x.sum(axis=1)) and first[1] == 6
+
+    def test_keyed_by_builder(self):
+        ds = balanced_dataset(2)
+
+        def total(d):
+            return d.x.sum()
+
+        def first_row(d):
+            return d.x[0] + 0.0
+
+        assert ds.derived(total) == ds.x.sum()
+        assert np.array_equal(ds.derived(first_row), ds.x[0])
+        assert ds.derived(total) == ds.x.sum()
+
+    @pytest.mark.parametrize("shape", ["array", "tuple"])
+    def test_arrays_are_stored_read_only(self, shape):
+        ds = balanced_dataset(2)
+
+        def build(d):
+            arr = d.x * 2.0
+            return arr if shape == "array" else (arr, arr[0], 3)
+
+        value = ds.derived(build)
+        for arr in (value,) if shape == "array" else value[:2]:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 0.0
+
+    def test_a_failed_build_keeps_nothing(self):
+        ds = balanced_dataset(2)
+        calls = []
+
+        def build(d):
+            calls.append(d)
+            if len(calls) == 1:
+                raise InvalidInputError("first build fails")
+            return len(calls)
+
+        with pytest.raises(InvalidInputError, match="first build fails"):
+            ds.derived(build)
+        assert ds.derived(build) == 2 and ds.derived(build) == 2

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from thermal_sense import evaluate
+from thermal_sense.classifiers import knn, svm
 from thermal_sense.classifiers.kernels import KernelSpec
 from thermal_sense.classifiers.knn import KnnModel, train_knn
 from thermal_sense.classifiers.nn import TrainingParams
@@ -339,6 +340,23 @@ class TestFoldMajorSweep:
 
         with pytest.raises(TrainingError, match="^fold 1$"):
             sweep(ds, plan, "mixed", specs=(FailsInFold(3), FailsInFold(1)))
+
+
+class TestPreparedOncePerFold:
+    """Every spec of a fold reads one preparation of the fold's training set."""
+
+    @pytest.mark.parametrize("family, module, builder", [
+        ("svm-kernels", svm, "_standardized"), ("knn-grid", knn, "_dataset_store")])
+    def test_one_build_per_fold(self, family, module, builder):
+        ds = generate_main(60, 7)
+        plan = make_folds(ds, 10, 7)
+        with mock.patch.object(module, builder, wraps=getattr(module, builder)) as build:
+            rows = sweep(ds, plan, family, seed=11)
+        # 4 or 8 specs per fold, one build: 10 in all, not 40 or 80
+        assert build.call_count == plan.num_folds == 10
+        trains = [call.args[0] for call in build.call_args_list]
+        assert [len(train) for train in trains] == [len(ds) - len(ds) // 10] * 10
+        TestFoldMajorSweep.assert_rows_are_standalone_cvs(ds, plan, rows, sweep_specs(family), 11)
 
 
 class TestEvaluateByCondition:

@@ -54,6 +54,40 @@ class TestTrain:
         with pytest.raises(InvalidInputError):
             train_knn(ds, 0)
 
+    @pytest.mark.parametrize("stored", [False, True])
+    def test_setting_is_checked_before_the_store_is_built(self, stored):
+        ds = dataset_from_arrays(np.zeros((40, 64)), [0, 1] * 20)
+        if stored:
+            train_knn(ds, 40)
+        with mock.patch.object(knn, "_dataset_store", wraps=knn._dataset_store) as build:
+            with pytest.raises(InvalidInputError,
+                               match="^k=41 out of range for 40 training samples$"):
+                train_knn(ds, 41)
+            with pytest.raises(InvalidInputError, match="^unknown weighting 'cosine'$"):
+                train_knn(ds, 1, "cosine")
+        assert build.call_count == 0
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_empty_set_names_k(self, k):
+        ds = dataset_from_arrays(np.zeros((0, 64)), np.zeros(0, dtype=int))
+        with pytest.raises(InvalidInputError, match=f"^k={k} out of range for 0 training samples$"):
+            train_knn(ds, k)
+
+    def test_models_of_one_set_share_its_store(self, rng):
+        x = rng.normal(25, 2, (10, 64))
+        y = rng.integers(0, 2, 10)
+        ds = dataset_from_arrays(x, y)
+        first, second = train_knn(ds, 1), train_knn(ds, 3, "distance")
+        assert (first.k, first.weighting) == (1, "uniform")
+        assert (second.k, second.weighting) == (3, "distance")
+        for name in ("rows", "train_x", "train_y"):
+            assert getattr(first, name) is getattr(second, name)
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(second, name)[...] = 0
+        lone = KnnModel(x, y, 3, "distance")
+        assert np.array_equal(lone.rows, second.rows) and lone.sq_max == second.sq_max
+        assert train_knn(ds.subset(range(10)), 1).rows is not first.rows
+
     @pytest.mark.parametrize("k", [2.5, True, np.float64(1.0), "1"])
     def test_k_must_be_an_integer(self, k):
         ds = dataset_from_arrays(np.zeros((4, 64)), [0, 1, 0, 1])

@@ -193,6 +193,17 @@ class TestModelShapes:
         with pytest.raises(InvalidInputError):
             dataclasses.replace(model, **{field: np.zeros(shape)})
 
+    def test_arrays_are_read_only_views(self, rng):
+        model = train_nn(random_batch(rng, 10), 4, TrainingParams(0.1, 4, 1), 0)
+        flat = flatten_weights(model)
+        for m in (model, replace_weights(model, flat)):
+            for name in ("w1", "b1", "w2", "b2", "feature_mean", "feature_scale"):
+                with pytest.raises(ValueError, match="read-only"):
+                    getattr(m, name)[...] = 0.0
+            # views of one parameter buffer, not copies
+            assert m.w1.base is m.b1.base is m.w2.base is m.b2.base
+        assert flat.flags.writeable  # replace_weights leaves the caller's buffer writeable
+
 
 class TestGradient:
     def test_matches_central_differences(self, rng):

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -246,11 +247,9 @@ class TestSmoOracle:
 
     @pytest.mark.parametrize("kind", KERNELS)
     def test_fold_rows_on_demand(self, main_fold, kind):
-        x = main_fold.x
-        mean, scale = svm.standardize_fit(x)
-        x_std = (x - mean) / scale
-        spec = svm._resolve_kernel(KernelSpec(kind), x_std)
-        y = np.where(main_fold.y == Label.PERSON, 1.0, -1.0)
+        prep = svm._standardized(main_fold)
+        x_std, y = prep.x_std, prep.y
+        spec = svm._resolve_kernel(KernelSpec(kind), prep)
         got = smo_outcome(svm._smo, svm._KernelRows(spec, x_std), y, 1.0, MAX_PAIR_UPDATES)
         want = smo_outcome(reference_smo, svm._KernelRows(spec, x_std), y, 1.0,
                            MAX_PAIR_UPDATES)
@@ -326,6 +325,45 @@ class TestTrain:
         model = train_svm(dataset_from_arrays(XOR_X, XOR_Y), KernelSpec("linear"), c=1.0)
         acc = np.mean(predict_svm_batch(model, XOR_X) == XOR_Y)
         assert acc <= 0.75
+
+    def test_single_class_builds_no_record(self):
+        ds = dataset_from_arrays(np.zeros((3, 64)), [1, 1, 1])
+        with mock.patch.object(svm, "_standardized", wraps=svm._standardized) as build:
+            with pytest.raises(InvalidInputError,
+                               match="^training set must contain both classes$"):
+                train_svm(ds, KernelSpec("rbf"))
+        assert build.call_count == 0
+
+    def test_models_of_one_set_share_its_record(self, rng):
+        x = rng.normal(25, 2, (40, 64))
+        ds = dataset_from_arrays(x, np.arange(40) % 2)
+        models = [train_svm(ds, KernelSpec(kind)) for kind in KERNELS]
+        prep = ds.derived(svm._standardized)
+        mean, scale = svm.standardize_fit(x)
+        x_std = (x - mean) / scale
+        assert np.array_equal(prep.mean, mean) and np.array_equal(prep.scale, scale)
+        assert np.array_equal(prep.x_std, x_std) and prep.var == float(x_std.var())
+        assert np.array_equal(prep.y, np.where(ds.y == Label.PERSON, 1.0, -1.0))
+        for arr in (prep.mean, prep.scale, prep.x_std, prep.y):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 0.0
+        for model in models:
+            assert np.shares_memory(model.feature_mean, prep.mean)
+            assert np.shares_memory(model.feature_scale, prep.scale)
+        assert models[2].kernel.gamma == 1.0 / (64 * float(x_std.var()))
+
+    def test_model_arrays_are_read_only(self, rng):
+        mean = rng.normal(0, 1, 64)
+        model = svm.SvmModel(KernelSpec("linear"), 1.0, mean, np.ones(64), np.zeros((2, 64)),
+                             np.array([0.5, 0.5]), np.array([-1.0, 1.0]), 0.0)
+        assert mean.flags.writeable  # the caller's array keeps its flags
+        trained = train_svm(dataset_from_arrays(rng.normal(0, 1, (20, 64)), np.arange(20) % 2),
+                            KernelSpec("rbf"))
+        for m in (model, trained):
+            for name in ("feature_mean", "feature_scale", "support_x", "support_alpha",
+                         "support_y"):
+                with pytest.raises(ValueError, match="read-only"):
+                    getattr(m, name)[...] = 0.0
 
     def test_single_class_rejected(self):
         ds = dataset_from_arrays(np.zeros((3, 64)), [1, 1, 1])
