@@ -27,8 +27,7 @@ label, so do all its queries' k nearest rows, and every such vote is
 that label. A block gets its candidates' exact distances (the refine)
 only for a distance-weighted setting, a setting whose k is below the
 search's, or a query with more than k candidates where the block's
-candidates' labels differ. A refined block needs no sort at k = 1 with
-one candidate per query. A single query is a block of one on the same
+candidates' labels differ. A single query is a block of one on the same
 path. The neighbour lists at a smaller k are prefixes of those at a
 larger one, so predict_knn_grid serves several (k, weighting) settings
 on one set of rows from one search at their largest k; predict_knn_batch
@@ -164,8 +163,6 @@ def _votes(labels: np.ndarray, dists: np.ndarray, weighting: str) -> np.ndarray:
     """(m,) labels from the (m, k) labels (0/1) and distances of each query's neighbors."""
     k = labels.shape[1]
     if weighting == "uniform":  # labels are 0/1, so a row sum counts PERSON votes
-        if k == 1:  # the neighbour's label
-            return labels[:, 0]
         return np.greater(labels.sum(axis=1), k / 2).astype(np.int64)
     # A zero or subnormal distance weighs inf; a row with an exact match is
     # decided by the exact matches alone.
@@ -224,21 +221,11 @@ def _nearest(model: KnnModel, q: np.ndarray,
 def _refine(model: KnnModel, q: np.ndarray, qi: np.ndarray, ti: np.ndarray,
             k: int) -> tuple[np.ndarray, np.ndarray]:
     """_nearest from the candidates (qi, ti) of the queries q at k."""
-    # Every query has at least k candidates; keep the first k of each. At
-    # k = 1 with one candidate each, those are the neighbours, in query
-    # order; otherwise the sorted candidates reshape to them when every
-    # query has exactly k. Ties send a block to searchsorted.
-    m = len(q)
-    one_each = k == 1 and len(ti) == m
-    diff = model.train_x[ti] - (q if one_each else q[qi])
+    # Every query has at least k candidates; keep the first k of each.
+    diff = model.train_x[ti] - q[qi]
     d = np.sqrt(np.add.reduce(np.square(diff, out=diff), axis=1))
-    if one_each:
-        return ti[:, None], d[:, None]
     order = np.lexsort((ti, d, qi))  # by query, then distance, then stored index
-    if len(order) == m * k:
-        top = order.reshape(m, k)
-    else:
-        top = order[np.searchsorted(qi, np.arange(m))[:, None] + np.arange(k)]
+    top = order[np.searchsorted(qi, np.arange(len(q)))[:, None] + np.arange(k)]
     return ti[top], d[top]
 
 
@@ -286,7 +273,6 @@ def _predict(model: KnnModel, xs: np.ndarray, settings, top: int) -> list[np.nda
                 continue
         idx, dists = _refine(model, q, qi, ti, top)
         labels = model.train_y[idx]
-        blocks.append([_votes(labels, dists, weighting) if k == top  # slicing costs 2%
-                       else _votes(labels[:, :k], dists[:, :k], weighting)
+        blocks.append([_votes(labels[:, :k], dists[:, :k], weighting)
                        for k, weighting in settings])
     return blocks[0] if len(blocks) == 1 else [np.concatenate(rows) for rows in zip(*blocks)]

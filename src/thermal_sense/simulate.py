@@ -215,8 +215,8 @@ def _render_block(scenes: list[SceneConfig]) -> np.ndarray:
             field = np.maximum(field, g[j + 3] * np.exp(_MINUS_HALF * d * d))
 
     for frame, s in zip(field, scenes):
-        rng = np.random.Generator(np.random.PCG64(s.seed))  # default_rng(s.seed), made faster
-        if s.noise_sigma > 0:
+        if s.noise_sigma > 0:  # a noiseless frame draws nothing, so needs no generator
+            rng = np.random.Generator(np.random.PCG64(s.seed))  # default_rng(s.seed), made faster
             frame += rng.normal(0.0, s.noise_sigma, (GRID_SIZE, GRID_SIZE))
     return quantize(field)
 

@@ -423,7 +423,7 @@ class TestSingleQueryStream:
         model = train_knn(train, k, weighting)
         batch = predict_knn_batch(model, queries)
         batch_idx, batch_d = knn._nearest(model, queries)
-        if k == 1:  # most frames have one candidate (no sort), a few tie (sorted)
+        if k == 1:  # most frames have one candidate, a few tie
             counts = [len(knn._candidates(model, q[None, :])[1]) for q in queries]
             assert 0 < sum(c > 1 for c in counts) < len(queries) // 10
         y = train.y.tolist()
