@@ -17,12 +17,11 @@ is computed, so an entry of a row that is never read cannot fail a fit.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import InvalidInputError, check_int, check_real
+from ..errors import InvalidInputError, check_finite, check_int, check_real
 
 KERNEL_KINDS = ("linear", "poly", "rbf", "sigmoid")
 
@@ -46,8 +45,7 @@ class KernelSpec:
         check_int("degree", self.degree, 1)
         if self.gamma is not None:
             check_real("gamma", self.gamma)
-        if not math.isfinite(self.coef0):
-            raise InvalidInputError(f"coef0 must be finite, got {self.coef0!r}")
+        check_finite("coef0", self.coef0)
 
 
 def _power(base: np.ndarray, degree: int) -> np.ndarray:

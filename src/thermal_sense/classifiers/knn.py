@@ -45,7 +45,6 @@ query (see _MASKED_SUM_K).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -75,28 +74,20 @@ _MARGIN_FLOOR = np.finfo(np.float64).tiny
 _MASKED_SUM_K = 8
 
 
-class _Store(NamedTuple):
-    """Training rows as the search reads them: KnnModel's fields of the same names."""
-
-    train_x: np.ndarray
-    train_y: np.ndarray
-    rows: np.ndarray
-    sq_max: float
-
-
-def _store(train_x, train_y) -> _Store:
-    """The store of checked, non-empty training rows and labels."""
+def _store(train_x, train_y) -> dict:
+    """KnnModel's search fields (train_x, train_y, rows, sq_max) for checked, non-empty training
+    rows and labels: read-only copies, which share no memory with the caller's arrays."""
     n, width = np.shape(train_x)
     rows = np.empty((width + 1, n))
     rows[:width] = np.transpose(train_x)
     with np.errstate(over="ignore"):
         np.einsum("ji,ji->i", rows[:width], rows[:width], out=rows[width])
-    rows.flags.writeable = False  # before the view, which inherits it
-    return _Store(rows[:width].T, np.asarray(train_y, dtype=np.int64), rows,
-                  float(rows[width].max()))
+    labels = np.array(train_y, dtype=np.int64)
+    rows.flags.writeable = labels.flags.writeable = False  # before the view, which inherits it
+    return dict(train_x=rows[:width].T, train_y=labels, rows=rows, sq_max=float(rows[width].max()))
 
 
-def _dataset_store(train: Dataset) -> _Store:
+def _dataset_store(train: Dataset) -> dict:
     return _store(train.x, train.y)
 
 
@@ -121,7 +112,7 @@ class KnnModel:
         if not np.isfinite(self.train_x).all():
             raise InvalidInputError("non-finite training feature value")
         _check_setting(self.k, self.weighting, len(self.train_y))
-        _bind(self, **_store(self.train_x, self.train_y)._asdict())
+        _bind(self, **_store(self.train_x, self.train_y))
 
 
 def _bind(model: KnnModel, **fields) -> KnnModel:
@@ -145,7 +136,7 @@ def train_knn(train: Dataset, k: int, weighting: str = "uniform") -> KnnModel:
     """
     _check_setting(k, weighting, len(train))
     return _bind(object.__new__(KnnModel), k=k, weighting=weighting,
-                 **train.derived(_dataset_store)._asdict())
+                 **train.derived(_dataset_store))
 
 
 def _distance_vote(labels: np.ndarray, dists: np.ndarray) -> int:

@@ -1,11 +1,13 @@
-"""Exception hierarchy shared across the package, and the two checks of a numeric setting.
+"""Exception hierarchy shared across the package, and the checks of a numeric value.
 
 The CLI maps these onto exit codes: data/format problems exit 2,
 training failures exit 3 (command-line usage errors, from argparse, exit 1).
 """
 
 import math
-from numbers import Integral, Real
+from numbers import Integral
+
+import numpy as np
 
 
 class ThermalSenseError(Exception):
@@ -34,10 +36,25 @@ def check_int(name: str, value, low: int, high: int | None = None) -> int:
     return int(value)
 
 
+def is_finite(value) -> bool:
+    """Whether value is one finite number: not a bool, str, None or int beyond float range."""
+    if type(value) is float:  # the common case, and the fastest test
+        return math.isfinite(value)
+    try:
+        return math.isfinite(value) and not isinstance(value, (bool, np.bool_))
+    except (TypeError, OverflowError):
+        return False
+
+
+def check_finite(name: str, value, *items) -> None:
+    """InvalidInputError naming `name` unless value is finite: each of its items, if given."""
+    if not all(map(is_finite, items or (value,))):
+        raise InvalidInputError(f"{name} must be finite, got {value!r}")
+
+
 def check_real(name: str, value, low: float = 0.0, closed: bool = False) -> float:
-    """value as a float, or InvalidInputError unless a finite non-bool > low (>= low if closed)."""
-    if (isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value)
-            or (value < low if closed else value <= low)):
+    """value as a float, or InvalidInputError unless a finite number > low (>= low if closed)."""
+    if not is_finite(value) or (value < low if closed else value <= low):
         bound = f">= {low:g}" if closed else f"> {low:g}" if low else "positive"
         raise InvalidInputError(f"{name} must be finite and {bound}, got {value!r}")
     return float(value)

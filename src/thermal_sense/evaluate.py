@@ -19,7 +19,7 @@ from .classifiers.nn import NnModel, TrainingParams, predict_nn_batch, train_nn
 from .classifiers.svm import (DEFAULT_C, DEFAULT_TOL, MAX_PAIR_UPDATES, SvmModel,
                               predict_svm_batch, train_svm)
 from .core import CONDITIONS, ConditionTag, Dataset, FoldPlan, Label
-from .errors import InvalidInputError, check_int, check_real
+from .errors import InvalidInputError
 
 
 @dataclass(frozen=True)
@@ -110,11 +110,6 @@ class SvmSpec:
     c: float = DEFAULT_C
     tol: float = DEFAULT_TOL
     max_iter: int = MAX_PAIR_UPDATES
-
-    def __post_init__(self) -> None:
-        check_real("C", self.c)
-        check_real("tol", self.tol)
-        check_int("max_iter", self.max_iter, 1)
 
     def label(self) -> str:
         return f"svm {self.kernel.kind}"

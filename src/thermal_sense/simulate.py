@@ -37,7 +37,8 @@ from .core import (
     Label,
     quantize,
 )
-from .errors import DataFormatError, InvalidInputError, check_int, check_real
+from .errors import (DataFormatError, InvalidInputError, check_finite, check_int, check_real,
+                     is_finite)
 from .persist import read_lines
 
 DEFAULT_DUVET_F0 = 0.35
@@ -62,7 +63,7 @@ def duvet_factor(minutes: float, f0: float = DEFAULT_DUVET_F0,
     f0 at t=0 toward 1 as the duvet warms up.
     """
     check_real("minutes", minutes, closed=True)
-    if not 0.0 < f0 <= 1.0:
+    if not (is_finite(f0) and 0.0 < f0 <= 1.0):
         raise InvalidInputError(f"f0 {f0} outside (0, 1]")
     check_real("tau_min", tau_min)
     return _duvet_factor(minutes, f0, tau_min)
@@ -71,12 +72,6 @@ def duvet_factor(minutes: float, f0: float = DEFAULT_DUVET_F0,
 def _duvet_factor(minutes: float, f0: float, tau_min: float) -> float:
     """duvet_factor for arguments it has checked."""
     return 1.0 - (1.0 - f0) * math.exp(-minutes / tau_min)
-
-
-def _check_finite(name: str, value) -> None:
-    """InvalidInputError naming `name` unless value, a number or a sequence of them, is finite."""
-    if not all(map(math.isfinite, value if isinstance(value, (tuple, list)) else (value,))):
-        raise InvalidInputError(f"{name} must be finite, got {value!r}")
 
 
 def _check_pair(name: str, value) -> None:
@@ -96,13 +91,13 @@ class PersonConfig:
 
     def __post_init__(self) -> None:
         _check_pair("center", self.center)
-        _check_finite("center", self.center)
-        _check_finite("orientation_deg", self.orientation_deg)
+        check_finite("center", self.center, *self.center)
+        check_finite("orientation_deg", self.orientation_deg)
         _check_pair("semi_axes", self.semi_axes)
         a, b = self.semi_axes
         check_real("semi_axes[0]", a)
         check_real("semi_axes[1]", b)
-        if not (28.0 <= self.skin_temp_c <= 37.0):
+        if not (is_finite(self.skin_temp_c) and 28.0 <= self.skin_temp_c <= 37.0):
             raise InvalidInputError(f"skin temperature {self.skin_temp_c} outside [28, 37]")
 
     def footprint_within_grid(self) -> bool:
@@ -127,15 +122,18 @@ class PointSource:
 
     def __post_init__(self) -> None:
         _check_pair("center", self.center)
-        _check_finite("center", self.center)
+        check_finite("center", self.center, *self.center)
         check_real("radius", self.radius, closed=True)
-        _check_finite("temp_c", self.temp_c)
+        check_finite("temp_c", self.temp_c)
         if self.temp_c > 45.0:
             raise InvalidInputError(f"point source at {self.temp_c} exceeds 45 C")
 
 
 @dataclass(frozen=True)
 class SceneConfig:
+    """A frame's scene. A numeric field's wrong type or huge int is InvalidInputError; a wrong
+    `person` or `heat_sources` object is the caller's TypeError or AttributeError."""
+
     room_temp_c: float
     person: PersonConfig | None = None
     heat_sources: tuple[PointSource, ...] = ()
@@ -147,11 +145,11 @@ class SceneConfig:
 
     def __post_init__(self) -> None:
         check_int("seed", self.seed, 0)
-        if not (15.0 <= self.room_temp_c <= 35.0):
+        if not (is_finite(self.room_temp_c) and 15.0 <= self.room_temp_c <= 35.0):
             raise InvalidInputError(f"room temperature {self.room_temp_c} outside [15, 35]")
-        if not (0.0 <= self.noise_sigma <= TEMP_MAX_C - TEMP_MIN_C):  # at most the sensor's span
-            raise InvalidInputError(
-                f"noise sigma {self.noise_sigma} outside [0, {TEMP_MAX_C - TEMP_MIN_C:g}]")
+        span = TEMP_MAX_C - TEMP_MIN_C  # noise is at most the sensor's span
+        if not (is_finite(self.noise_sigma) and 0.0 <= self.noise_sigma <= span):
+            raise InvalidInputError(f"noise sigma {self.noise_sigma} outside [0, {span:g}]")
         if self.duvet_minutes is not None:
             if self.person is None:
                 raise InvalidInputError("duvet_minutes given without a person")
@@ -182,6 +180,9 @@ _NO_PERSON, _NO_SOURCE = (0.0, 0.0, 1.0, 1.0, 0.0, -0.0, 1.0, 1.0, 1.0, 0.0), (0
 _ONE, _ZERO, _MINUS_HALF = map(np.array, (1.0, 0.0, -0.5))  # 0-d: faster operands than floats
 
 
+# A pixel's ellipse coordinate over a subnormal semi-axis, or its squared distance to a far
+# source, can overflow to inf; exp(-inf) is exactly 0, so no value changes: silence it.
+@np.errstate(over="ignore")
 def _render_block(scenes: list[SceneConfig]) -> np.ndarray:
     """Render scenes as one (n, 8, 8) array: max-composed contributions + noise, quantized.
 
@@ -209,10 +210,7 @@ def _render_block(scenes: list[SceneConfig]) -> np.ndarray:
     for j in range(0, 4 * n_src, 4):  # each frame's j-th source, in order
         dr, dc = _CENTERS - g[j:j + 2]
         d = np.maximum(np.hypot(dr, dc) - g[j + 2], _ZERO)
-        # d * d overflows only for a source too far away to warm any pixel, and
-        # exp(-inf) is exactly 0, so the overflow changes no value: silence it.
-        with np.errstate(over="ignore"):
-            field = np.maximum(field, g[j + 3] * np.exp(_MINUS_HALF * d * d))
+        field = np.maximum(field, g[j + 3] * np.exp(_MINUS_HALF * d * d))
 
     for frame, s in zip(field, scenes):
         if s.noise_sigma > 0:  # a noiseless frame draws nothing, so needs no generator

@@ -30,7 +30,8 @@ DS = balanced_dataset(4)
 SVM = train_svm(DS, KernelSpec())
 NN = train_nn(DS, 2, TrainingParams(0.1, 4, 1))
 NOT_INT = (True, 2.5, math.nan, math.inf)  # each int setting also gets its low bound - 1
-NOT_REAL = (True, math.nan, math.inf, -math.inf)  # each real setting also gets a value below
+# Each real setting also gets a value below; 10**400 is beyond float range.
+NOT_REAL = (True, np.True_, math.nan, math.inf, -math.inf, 10**400, "1.0")
 
 # (where, the name its message starts with, build from the value, values outside the domain)
 SETTINGS = [
@@ -43,9 +44,9 @@ SETTINGS = [
     ("KernelSpec", "degree", lambda v: KernelSpec("poly", degree=v), NOT_INT + (0,)),
     ("KernelSpec", "gamma", lambda v: KernelSpec("rbf", gamma=v), NOT_REAL + (0.0,)),
     ("KnnModel", "k", lambda v: KnnModel(DS.x, DS.y, v, "uniform"), NOT_INT + (0,)),
-    ("SvmSpec", "C", lambda v: SvmSpec(c=v), NOT_REAL + (0.0,)),
-    ("SvmSpec", "tol", lambda v: SvmSpec(tol=v), NOT_REAL + (0.0,)),
-    ("SvmSpec", "max_iter", lambda v: SvmSpec(max_iter=v), NOT_INT + (0,)),
+    ("SvmSpec", "C", lambda v: SvmSpec(c=v).train_model(DS, 0), NOT_REAL + (0.0,)),
+    ("SvmSpec", "tol", lambda v: SvmSpec(tol=v).train_model(DS, 0), NOT_REAL + (0.0,)),
+    ("SvmSpec", "max_iter", lambda v: SvmSpec(max_iter=v).train_model(DS, 0), NOT_INT + (0,)),
     ("train_svm", "C", lambda v: train_svm(DS, KernelSpec(), c=v), NOT_REAL + (0.0,)),
     ("train_svm", "tol", lambda v: train_svm(DS, KernelSpec(), tol=v), NOT_REAL + (0.0,)),
     ("train_svm", "max_iter", lambda v: train_svm(DS, KernelSpec(), max_iter=v), NOT_INT + (0,)),
@@ -70,7 +71,7 @@ SETTINGS = [
      lambda v: SceneConfig(20.0, person=PersonConfig((3.5, 3.5)), duvet_minutes=v),
      NOT_REAL + (-1.0,)),
     ("SceneConfig", "noise sigma", lambda v: SceneConfig(20.0, noise_sigma=v),
-     (math.nan, math.inf, -0.1, 80.5)),
+     (True, math.nan, math.inf, 10**400, "1.0", -0.1, 80.5)),
     ("duvet_factor", "minutes", lambda v: duvet_factor(v), NOT_REAL + (-1.0,)),
     ("duvet_factor", "tau_min", lambda v: duvet_factor(0.0, tau_min=v), NOT_REAL + (0.0,)),
 ]

@@ -16,6 +16,7 @@ from thermal_sense.classifiers.knn import (
 )
 from thermal_sense.core import Label, flatten, make_folds, quantize
 from thermal_sense.errors import InvalidInputError
+from thermal_sense.persist import load_model, save_model
 from thermal_sense.simulate import generate_main, generate_variational
 
 from conftest import dataset_from_arrays
@@ -73,18 +74,24 @@ class TestTrain:
         with pytest.raises(InvalidInputError, match=f"^k={k} out of range for 0 training samples$"):
             train_knn(ds, k)
 
-    def test_models_of_one_set_share_its_store(self, rng):
+    def test_models_of_one_set_share_its_store(self, rng, tmp_path):
         x = rng.normal(25, 2, (10, 64))
         y = rng.integers(0, 2, 10)
         ds = dataset_from_arrays(x, y)
         first, second = train_knn(ds, 1), train_knn(ds, 3, "distance")
         assert (first.k, first.weighting) == (1, "uniform")
         assert (second.k, second.weighting) == (3, "distance")
+        lone = KnnModel(x, y, 3, "distance")
+        save_model(lone, tmp_path / "knn.model")
+        loaded = load_model(tmp_path / "knn.model")
         for name in ("rows", "train_x", "train_y"):
             assert getattr(first, name) is getattr(second, name)
-            with pytest.raises(ValueError, match="read-only"):
-                getattr(second, name)[...] = 0
-        lone = KnnModel(x, y, 3, "distance")
+            for model in (second, lone, loaded):
+                with pytest.raises(ValueError, match="read-only"):
+                    getattr(model, name)[...] = 0
+        assert not np.shares_memory(lone.train_y, y) and not np.shares_memory(lone.train_x, x)
+        y[...] = 1 - y  # the caller's labels are theirs: the model keeps its copy
+        assert np.array_equal(lone.train_y, second.train_y)
         assert np.array_equal(lone.rows, second.rows) and lone.sq_max == second.sq_max
         assert train_knn(ds.subset(range(10)), 1).rows is not first.rows
 

@@ -1,13 +1,15 @@
 import hashlib
+import math
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from thermal_sense import simulate
-from thermal_sense.core import ConditionTag, Label
+from thermal_sense.core import TEMP_MAX_C, TEMP_MIN_C, ConditionTag, Label, quantize
 from thermal_sense.errors import DataFormatError, InvalidInputError
 from thermal_sense.persist import dataset_to_csv
 from thermal_sense.simulate import (
@@ -235,6 +237,81 @@ class TestSceneValidation:
         assert frame.max() == simulate.quantize(np.full((8, 8), body))[0, 0]
 
 
+# The one-field perturbation of a valid scene (a person under a duvet, a source and noise, so
+# that every field is read). Each numeric field, and each item of a pair, takes every value of
+# _ODD_VALUES and the values at and just past its bounds. `person` and `heat_sources` hold
+# objects, and a wrong one is the caller's TypeError or AttributeError, so they are left out.
+_VALID = {"person": {"center": (3.5, 3.5), "orientation_deg": 20.0, "semi_axes": (2.0, 1.0),
+                     "skin_temp_c": 33.0},
+          "source": {"center": (1.0, 6.0), "radius": 0.35, "temp_c": 37.0},
+          "scene": {"room_temp_c": 20.5, "duvet_minutes": 3.0, "noise_sigma": 0.1, "seed": 7,
+                    "duvet_f0": 0.35, "duvet_tau_min": 4.0}}
+_ODD_VALUES = (None, "1.0", True, (1.0, 2.0), np.array([1.0, 2.0]), 10**400, -10**400,
+               math.inf, -math.inf, math.nan, 5e-324, 1e308, -1e308)
+_FOOTPRINT = "person footprint extends outside the 8x8 grid"
+
+
+def _edges(*bounds):
+    """Each (bound, side) as the bound and the float just past it (side -1: below, 1: above)."""
+    return tuple(v for bound, side in bounds
+                 for v in (bound, math.nextafter(bound, side * math.inf)))
+
+
+# (part, field, item of a pair or None, what an InvalidInputError's message may start with,
+# values at and just past the field's bounds)
+_FIELDS = [
+    ("person", "center", None, ("center ", _FOOTPRINT), ()),
+    ("person", "center", 0, ("center ", _FOOTPRINT), ()),
+    ("person", "center", 1, ("center ", _FOOTPRINT), ()),
+    ("person", "orientation_deg", None, ("orientation_deg ", _FOOTPRINT), ()),
+    ("person", "semi_axes", None, ("semi_axes ", _FOOTPRINT), ()),
+    ("person", "semi_axes", 0, ("semi_axes[0] ", _FOOTPRINT), _edges((0.0, -1))),
+    ("person", "semi_axes", 1, ("semi_axes[1] ", _FOOTPRINT), _edges((0.0, -1))),
+    ("person", "skin_temp_c", None, ("skin temperature ",), _edges((28.0, -1), (37.0, 1))),
+    ("source", "center", None, ("center ",), ()),
+    ("source", "center", 0, ("center ",), ()),
+    ("source", "center", 1, ("center ",), ()),
+    ("source", "radius", None, ("radius ",), _edges((0.0, -1))),
+    ("source", "temp_c", None, ("temp_c ", "point source at "), _edges((45.0, 1))),
+    ("scene", "room_temp_c", None, ("room temperature ",), _edges((15.0, -1), (35.0, 1))),
+    ("scene", "duvet_minutes", None, ("duvet_minutes ",), _edges((0.0, -1))),
+    ("scene", "noise_sigma", None, ("noise sigma ",),
+     _edges((0.0, -1), (TEMP_MAX_C - TEMP_MIN_C, 1))),
+    ("scene", "seed", None, ("seed ",), (0, -1, 2**64)),
+    ("scene", "duvet_f0", None, ("f0 ",), _edges((0.0, -1), (1.0, 1))),
+    ("scene", "duvet_tau_min", None, ("tau_min ",), _edges((0.0, -1))),
+]
+
+
+def _with_every_edge(test):
+    """test, run on every field with each of _ODD_VALUES and its bound values first."""
+    for field in _FIELDS:
+        for value in _ODD_VALUES + field[4]:
+            test = example(field=field, value=value)(test)
+    return test
+
+
+@_with_every_edge
+@settings(max_examples=200)
+@given(field=st.sampled_from(_FIELDS),
+       value=st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4))
+def test_a_scene_with_one_odd_field_renders_or_names_it(field, value):
+    part, name, item, prefixes, _ = field
+    kwargs = {key: dict(values) for key, values in _VALID.items()}
+    if item is not None:
+        value = tuple(value if i == item else v for i, v in enumerate(kwargs[part][name]))
+    kwargs[part][name] = value
+    try:
+        frame = render(SceneConfig(person=PersonConfig(**kwargs["person"]),
+                                   heat_sources=(PointSource(**kwargs["source"]),),
+                                   **kwargs["scene"]))
+    except InvalidInputError as exc:
+        assert str(exc).startswith(prefixes), str(exc)
+    else:  # within the sensor contract: quantizing leaves it as it is (finite, quarter
+        # degrees in [20, 100])
+        assert frame.shape == (8, 8) and np.array_equal(quantize(frame), frame)
+
+
 # SHA-256 of dataset_to_csv for the datasets the bench's workloads are built from; each
 # renders more than one block.
 @pytest.mark.parametrize("generate, args, digest", [
@@ -447,6 +524,10 @@ class TestSimParams:
             load_sim_params(cfg)
         assert str(info.value) == (
             f"{cfg}:{lineno}: the range of {keys} has width {width}, not finite and >= 0")
+
+    def test_the_defaults_file_states_the_defaults(self):
+        path = Path(__file__).resolve().parents[1] / "configs" / "simulator_defaults.cfg"
+        assert load_sim_params(path) == SimParams()
 
     def test_scene_bounds_load_at_their_ends(self, tmp_path):
         cfg = tmp_path / "sim.cfg"

@@ -375,7 +375,7 @@ class TestTrain:
         x = embedded([[-1.0], [1.0]])
         model = train_svm(dataset_from_arrays(x, [0, 1]), KernelSpec("linear"))
         for build in (lambda: train_svm(dataset_from_arrays(x, [0, 1]), KernelSpec("linear"), c=c),
-                      lambda: SvmSpec(c=c),
+                      lambda: SvmSpec(c=c).train_model(dataset_from_arrays(x, [0, 1]), 0),
                       lambda: dataclasses.replace(model, c=c)):
             with pytest.raises(InvalidInputError, match="C must be finite and positive"):
                 build()
