@@ -75,8 +75,7 @@ _MASKED_SUM_K = 8
 
 
 def _store(train_x, train_y) -> dict:
-    """KnnModel's search fields (train_x, train_y, rows, sq_max) for checked, non-empty training
-    rows and labels: read-only copies, which share no memory with the caller's arrays."""
+    """KnnModel's search fields for checked, non-empty rows and labels: read-only copies."""
     n, width = np.shape(train_x)
     rows = np.empty((width + 1, n))
     rows[:width] = np.transpose(train_x)

@@ -9,6 +9,8 @@ from numbers import Integral
 
 import numpy as np
 
+_BOOLS = frozenset((bool, np.bool_))  # exact types, as isinstance is slower on every float
+
 
 class ThermalSenseError(Exception):
     pass
@@ -37,12 +39,12 @@ def check_int(name: str, value, low: int, high: int | None = None) -> int:
 
 
 def is_finite(value) -> bool:
-    """Whether value is one finite number: not a bool, str, None or int beyond float range."""
-    if type(value) is float:  # the common case, and the fastest test
-        return math.isfinite(value)
+    """Whether value is one finite number: not a bool, str, None, non-0-d array or huge int."""
+    if type(value) is np.ndarray:  # a 0-d array stands for its one item
+        value = value[()] if value.ndim == 0 else None
     try:
-        return math.isfinite(value) and not isinstance(value, (bool, np.bool_))
-    except (TypeError, OverflowError):
+        return math.isfinite(value) and type(value) not in _BOOLS
+    except (TypeError, ValueError, OverflowError):  # ValueError: a signalling Decimal NaN
         return False
 
 

@@ -131,8 +131,7 @@ class PointSource:
 
 @dataclass(frozen=True)
 class SceneConfig:
-    """A frame's scene. A numeric field's wrong type or huge int is InvalidInputError; a wrong
-    `person` or `heat_sources` object is the caller's TypeError or AttributeError."""
+    """A frame's scene. A bad number is InvalidInputError; a bad person or source object is not."""
 
     room_temp_c: float
     person: PersonConfig | None = None

@@ -3,6 +3,7 @@ whose message starts with the setting's name."""
 
 import dataclasses
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -30,8 +31,10 @@ DS = balanced_dataset(4)
 SVM = train_svm(DS, KernelSpec())
 NN = train_nn(DS, 2, TrainingParams(0.1, 4, 1))
 NOT_INT = (True, 2.5, math.nan, math.inf)  # each int setting also gets its low bound - 1
-# Each real setting also gets a value below; 10**400 is beyond float range.
-NOT_REAL = (True, np.True_, math.nan, math.inf, -math.inf, 10**400, "1.0")
+# Each real setting also gets a value below; 10**400 is beyond float range, and a signalling
+# NaN makes math.isfinite raise ValueError.
+NOT_REAL = (True, np.True_, np.array(True), np.array([2.0]), math.nan, math.inf, -math.inf,
+            10**400, "1.0", Decimal("sNaN"))
 
 # (where, the name its message starts with, build from the value, values outside the domain)
 SETTINGS = [
@@ -93,7 +96,9 @@ def test_check_int_returns_an_int(value):
 
 
 @pytest.mark.parametrize("value, low, closed", [(0.0, 0.0, True), (1e-300, 0.0, False),
-                                                (3, -1.0, False), (-1.0, -1.0, True)])
+                                                (3, -1.0, False), (-1.0, -1.0, True),
+                                                (np.array(2.0), 0.0, False),
+                                                (Decimal("0.5"), 0.0, False)])
 def test_check_real_accepts_its_domain(value, low, closed):
     got = check_real("x", value, low, closed)
     assert got == value and type(got) is float

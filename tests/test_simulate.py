@@ -1,5 +1,6 @@
 import hashlib
 import math
+from decimal import Decimal
 from pathlib import Path
 from unittest import mock
 
@@ -246,8 +247,9 @@ _VALID = {"person": {"center": (3.5, 3.5), "orientation_deg": 20.0, "semi_axes":
           "source": {"center": (1.0, 6.0), "radius": 0.35, "temp_c": 37.0},
           "scene": {"room_temp_c": 20.5, "duvet_minutes": 3.0, "noise_sigma": 0.1, "seed": 7,
                     "duvet_f0": 0.35, "duvet_tau_min": 4.0}}
-_ODD_VALUES = (None, "1.0", True, (1.0, 2.0), np.array([1.0, 2.0]), 10**400, -10**400,
-               math.inf, -math.inf, math.nan, 5e-324, 1e308, -1e308)
+_ODD_VALUES = (None, "1.0", True, np.array(True), (1.0, 2.0), np.array([2.0]),
+               np.array([1.0, 2.0]), Decimal("sNaN"), 10**400, -10**400, math.inf, -math.inf,
+               math.nan, 5e-324, 1e308, -1e308)
 _FOOTPRINT = "person footprint extends outside the 8x8 grid"
 
 
