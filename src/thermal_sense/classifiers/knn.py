@@ -8,12 +8,13 @@ Deterministic tie handling, documented once here:
 
 Search is exact filter-and-refine. A model stores its rows and their
 squared norms as one read-only C-contiguous (65, n) matrix
-[t | |t|^2]^T, of which train_x is a view; train_knn builds it once
-per Dataset (Dataset.derived), and every model fit on that set shares
-it. One matrix product of
-[-2q | 1] against it per block of queries gives |t|^2 - 2 q.t, a
-query's squared distances less its |q|^2: the same for every row of a
-query, so dropping it moves no row's rank, and scaling by -2 is exact.
+[t | |t|^2]^T, of which train_x is a view, and keeps its Dataset's
+labels. KnnModel(train, k, weighting), the one constructor, builds the
+store once per Dataset (Dataset.derived), and every model on that set
+shares it. One matrix product of [-2q | 1] against it per block of
+queries gives |t|^2 - 2 q.t, a query's squared distances less its
+|q|^2: the same for every row of a query, so dropping it moves no
+row's rank, and scaling by -2 is exact.
 Every row within a rounding margin of a query's k-th smallest value
 (the row minimum when k = 1) is a candidate. The margin bounds the
 error of the product and of the exact distance sqrt(sum((t - q)^2)),
@@ -44,7 +45,7 @@ query (see _MASKED_SUM_K).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -74,50 +75,34 @@ _MARGIN_FLOOR = np.finfo(np.float64).tiny
 _MASKED_SUM_K = 8
 
 
-def _store(train_x, train_y) -> dict:
-    """KnnModel's search fields for checked, non-empty rows and labels: read-only copies."""
-    n, width = np.shape(train_x)
+def _store(train: Dataset) -> dict:
+    """KnnModel's search fields for a non-empty Dataset: a read-only copy of its rows."""
+    n, width = train.x.shape
     rows = np.empty((width + 1, n))
-    rows[:width] = np.transpose(train_x)
+    rows[:width] = train.x.T
     with np.errstate(over="ignore"):
         np.einsum("ji,ji->i", rows[:width], rows[:width], out=rows[width])
-    labels = np.array(train_y, dtype=np.int64)
-    rows.flags.writeable = labels.flags.writeable = False  # before the view, which inherits it
-    return dict(train_x=rows[:width].T, train_y=labels, rows=rows, sq_max=float(rows[width].max()))
-
-
-def _dataset_store(train: Dataset) -> dict:
-    return _store(train.x, train.y)
+    rows.flags.writeable = False  # before the view, which inherits it
+    return dict(train_x=rows[:width].T, train_y=train.y, rows=rows, sq_max=float(rows[width].max()))
 
 
 @dataclass(frozen=True, eq=False)
 class KnnModel:
-    train_x: np.ndarray  # (n, 64), a read-only view of `rows`
-    train_y: np.ndarray  # (n,) 0/1
+    """k and weighting on the store of `train`, shared by its models. The setting is checked
+    first, so a bad one builds no store; the Dataset has checked the rows and labels."""
+
+    train: InitVar[Dataset]
     k: int
     weighting: str
+    train_x: np.ndarray = field(init=False)  # (n, 64), a read-only view of `rows`
+    train_y: np.ndarray = field(init=False)  # (n,) 0/1, the Dataset's read-only labels
     rows: np.ndarray = field(init=False, repr=False)  # (65, n) read-only [t | |t|^2]^T
     sq_max: float = field(init=False, repr=False)  # max |t|^2, inf if a row's overflows
 
-    def __post_init__(self) -> None:
-        if np.ndim(self.train_y) != 1:
-            raise InvalidInputError(
-                f"training labels must be one column, got shape {np.shape(self.train_y)}")
-        if not np.isin(self.train_y, (0, 1)).all():
-            raise InvalidInputError("training labels must be 0 or 1")
-        if np.ndim(self.train_x) != 2 or len(self.train_x) != len(self.train_y):
-            raise InvalidInputError(
-                f"expected {len(self.train_y)} training rows, got shape {np.shape(self.train_x)}")
-        if not np.isfinite(self.train_x).all():
-            raise InvalidInputError("non-finite training feature value")
-        _check_setting(self.k, self.weighting, len(self.train_y))
-        _bind(self, **_store(self.train_x, self.train_y))
-
-
-def _bind(model: KnnModel, **fields) -> KnnModel:
-    for name, value in fields.items():
-        object.__setattr__(model, name, value)
-    return model
+    def __post_init__(self, train: Dataset) -> None:
+        _check_setting(self.k, self.weighting, len(train))
+        for name, value in train.derived(_store).items():
+            object.__setattr__(self, name, value)
 
 
 def _check_setting(k, weighting: str, n: int) -> None:
@@ -128,14 +113,8 @@ def _check_setting(k, weighting: str, n: int) -> None:
 
 
 def train_knn(train: Dataset, k: int, weighting: str = "uniform") -> KnnModel:
-    """A model on train's store, built by the first fit on train and shared by every later one.
-
-    The setting is checked first, so a bad one fails as KnnModel's does
-    and builds no store. A Dataset's rows and labels need no other check.
-    """
-    _check_setting(k, weighting, len(train))
-    return _bind(object.__new__(KnnModel), k=k, weighting=weighting,
-                 **train.derived(_dataset_store))
+    """KnnModel(train, k, weighting), under the name the evaluation layer trains by."""
+    return KnnModel(train, k, weighting)
 
 
 def _distance_vote(labels: np.ndarray, dists: np.ndarray) -> int:

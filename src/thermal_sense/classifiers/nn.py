@@ -17,12 +17,13 @@ standardized features carry a ones column and so do the hidden
 activations, so `[x | 1] @ [w1; b1]` is the hidden pre-activation and the
 two backward products `[a1 | 1].T @ d` and `[x | 1].T @ d_z1` fill the
 weight and bias gradients together. b2 alone is added after its product.
-_step scales the output error by the `scale` it is given: 1 / rows for
+A step scales the output error by the `scale` it is given: 1 / rows for
 nn_gradient and nn_loss, lr / rows in training, so that an update is
-`theta -= grad`. A step writes into arrays allocated once per fit, and
-reads two records built once per fit: the parameter and gradient views
-(_net) and, for each batch, its slices, their transposes and column
-views, its scale as a 0-d array and its workspace (_batch).
+`theta -= grad`. _stepper builds one step per batch, once per fit: a
+closure over the parameter and gradient views and the batch's slices,
+their transposes and column views, its scale as a 0-d array and its
+workspace, so a step writes into arrays allocated once per fit and
+builds no view.
 """
 
 from __future__ import annotations
@@ -118,7 +119,7 @@ _ZERO = np.array(0.0)
 
 
 def _workspace(rows: int, hidden: int) -> tuple[np.ndarray, ...]:
-    """Scratch arrays for one forward/backward pass over `rows` samples, with the views _step
+    """Scratch arrays for one forward/backward pass over `rows` samples, with the views a step
     reads: z1, a1, [a1 | 1].T, relu, d_a1, d_logits, row and row[:, 0]. relu holds 1.0 or
     0.0 (a float product, not a bool cast); row the per-row max, then the per-row sum."""
     a1_ones = np.ones((rows, hidden + 1))  # [a1 | 1]: only a1 is ever written
@@ -127,27 +128,16 @@ def _workspace(rows: int, hidden: int) -> tuple[np.ndarray, ...]:
     return z1, a1_ones[:, :hidden], a1_ones.T, relu, d_a1, np.empty((rows, 2)), row, row[:, 0]
 
 
-def _net(theta: np.ndarray, grad: np.ndarray, d: int, h: int) -> tuple[np.ndarray, ...]:
-    """[w1; b1], w2, b2, w2.T and the gradient blocks [gw1; gb1], [gw2; gb2] as views."""
-    w1b1, w2b2 = _blocks(theta, d, h)
-    return (w1b1, w2b2[:h], w2b2[h], w2b2[:h].T, *_blocks(grad, d, h))
+def _stepper(theta: np.ndarray, grad: np.ndarray, d: int, h: int, x_aug: np.ndarray,
+             onehot: np.ndarray, probs: np.ndarray, scale: float, workspace: tuple):
+    """A no-argument step: the forward and backward pass over one batch, in place.
 
-
-def _batch(x_aug: np.ndarray, onehot: np.ndarray, probs: np.ndarray, scale: float,
-           ws: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
-    """Everything _step reads of one batch: x_aug and its .T, onehot, probs and its two
-    columns, the scale as a 0-d array, then the workspace."""
-    return (x_aug, x_aug.T, onehot, probs, probs[:, 0], probs[:, 1], np.array(scale), *ws)
-
-
-def _step(net: tuple[np.ndarray, ...], batch: tuple[np.ndarray, ...]) -> None:
-    """Forward and backward pass over one batch, in place.
-
-    `net` is the record _net builds, `batch` the one _batch builds,
-    each once per fit. `x_aug` is the batch's standardized features with
-    a ones column. Fills `probs` (softmax output) and the gradient blocks
-    [gw1; gb1], [gw2; gb2], `scale` times the gradient of the summed
-    cross-entropy, with the operations, in order, of
+    Every view it reads is bound here, once. `x_aug` is the batch's
+    standardized features with a ones column and `workspace` one that
+    _workspace built for its length. A step fills `probs` (softmax
+    output) and the gradient blocks [gw1; gb1], [gw2; gb2] of `grad`,
+    `scale` times the gradient of the summed cross-entropy at `theta`,
+    with the operations, in order, of
 
         z1 = x_aug @ [w1; b1];  a1 = maximum(z1, 0);  logits = a1 @ w2 + b2
         e = exp(logits - logits.max(axis=1));  probs = e / e.sum(axis=1)
@@ -158,27 +148,33 @@ def _step(net: tuple[np.ndarray, ...], batch: tuple[np.ndarray, ...]) -> None:
     The two-column row max and row sum are elementwise ops on the columns,
     bitwise equal to the axis-1 reductions. b2 is added after its product,
     not folded into it: with two output columns BLAS takes another path,
-    and the logits would move in the last bit.
+    and the logits would move in the last bit. The in-place updates are
+    ufunc calls with `out=`: an augmented assignment would make its name
+    local to the step.
     """
-    w1b1, w2, b2, w2_t, g1, g2 = net
-    x_aug, x_t, onehot, probs, p0, p1, scale, z1, a1, a1_ones_t, relu, d_a1, d_logits, row, r \
-        = batch
-    np.matmul(x_aug, w1b1, out=z1)
-    np.maximum(z1, _ZERO, out=a1)
-    np.matmul(a1, w2, out=probs)
-    probs += b2
-    np.maximum(p0, p1, out=r)
-    probs -= row
-    np.exp(probs, out=probs)
-    np.add(p0, p1, out=r)
-    probs /= row
-    np.subtract(probs, onehot, out=d_logits)
-    d_logits *= scale
-    np.matmul(a1_ones_t, d_logits, out=g2)
-    np.matmul(d_logits, w2_t, out=d_a1)
-    np.greater(z1, _ZERO, out=relu)
-    d_a1 *= relu
-    np.matmul(x_t, d_a1, out=g1)
+    (w1b1, w2b2), (g1, g2) = _blocks(theta, d, h), _blocks(grad, d, h)
+    w2, b2, w2_t = w2b2[:h], w2b2[h], w2b2[:h].T
+    x_t, p0, p1, scale = x_aug.T, probs[:, 0], probs[:, 1], np.array(scale)
+    z1, a1, a1_ones_t, relu, d_a1, d_logits, row, r = workspace
+
+    def step() -> None:
+        np.matmul(x_aug, w1b1, out=z1)
+        np.maximum(z1, _ZERO, out=a1)
+        np.matmul(a1, w2, out=probs)
+        np.add(probs, b2, out=probs)
+        np.maximum(p0, p1, out=r)
+        np.subtract(probs, row, out=probs)
+        np.exp(probs, out=probs)
+        np.add(p0, p1, out=r)
+        np.divide(probs, row, out=probs)
+        np.subtract(probs, onehot, out=d_logits)
+        np.multiply(d_logits, scale, out=d_logits)
+        np.matmul(a1_ones_t, d_logits, out=g2)
+        np.matmul(d_logits, w2_t, out=d_a1)
+        np.greater(z1, _ZERO, out=relu)
+        np.multiply(d_a1, relu, out=d_a1)
+        np.matmul(x_t, d_a1, out=g1)
+    return step
 
 
 def _mean_loss(probs: np.ndarray, onehot: np.ndarray) -> float:
@@ -208,10 +204,9 @@ def train_nn(train: Dataset, hidden: int, params: TrainingParams = TrainingParam
     rng = np.random.default_rng(seed)
     theta = np.zeros(_param_count(d, hidden))
     grad = np.empty_like(theta)
-    net = _net(theta, grad, d, hidden)
-    w1b1, w2 = net[:2]
+    w1b1, w2b2 = _blocks(theta, d, hidden)
     w1b1[:d] = rng.uniform(-1.0, 1.0, (d, hidden)) / np.sqrt(d)
-    w2[:] = rng.uniform(-1.0, 1.0, (hidden, 2)) / np.sqrt(hidden)
+    w2b2[:hidden] = rng.uniform(-1.0, 1.0, (hidden, 2)) / np.sqrt(hidden)
 
     # Each epoch's shuffled copy of the data; batches are slices of it. A
     # batch's gradient is scaled by lr / rows, so an update is theta -= grad.
@@ -221,9 +216,9 @@ def train_nn(train: Dataset, hidden: int, params: TrainingParams = TrainingParam
     starts = range(0, n, params.batch_size)
     lengths = [min(params.batch_size, n - s) for s in starts]
     spaces = {rows: _workspace(rows, hidden) for rows in set(lengths)}
-    lr = params.learning_rate
-    batches = [_batch(x_epoch[s:s + rows], onehot_epoch[s:s + rows], probs[s:s + rows],
-                      lr / rows, spaces[rows]) for s, rows in zip(starts, lengths)]
+    steps = [_stepper(theta, grad, d, hidden, x_epoch[s:s + rows], onehot_epoch[s:s + rows],
+                      probs[s:s + rows], params.learning_rate / rows, spaces[rows])
+             for s, rows in zip(starts, lengths)]
 
     # Overflow here is legitimate divergence; it surfaces as a non-finite
     # epoch loss and is raised as TrainingError.
@@ -232,8 +227,8 @@ def train_nn(train: Dataset, hidden: int, params: TrainingParams = TrainingParam
             perm = rng.permutation(n)
             x_aug.take(perm, axis=0, out=x_epoch)
             onehot.take(perm, axis=0, out=onehot_epoch)
-            for batch in batches:
-                _step(net, batch)
+            for step in steps:
+                step()
                 theta -= grad
             if not math.isfinite(_mean_loss(probs, onehot_epoch)):
                 raise TrainingError(f"loss diverged at epoch {epoch}")
@@ -243,7 +238,7 @@ def train_nn(train: Dataset, hidden: int, params: TrainingParams = TrainingParam
 
 
 def _loss_and_gradient(model: NnModel, batch: Dataset) -> tuple[float, np.ndarray]:
-    """Mean cross-entropy over the batch and its flat gradient, via _step."""
+    """Mean cross-entropy over the batch and its flat gradient, by one training step."""
     if len(batch) == 0:
         raise InvalidInputError("batch must be non-empty")
     n, d = batch.x.shape
@@ -251,8 +246,8 @@ def _loss_and_gradient(model: NnModel, batch: Dataset) -> tuple[float, np.ndarra
     probs, onehot = np.empty((n, 2)), _one_hot(batch.y)
     grad = np.empty(_param_count(d, model.hidden))
     with np.errstate(over="ignore", invalid="ignore"):
-        _step(_net(flatten_weights(model), grad, d, model.hidden),
-              _batch(x_aug, onehot, probs, 1 / n, _workspace(n, model.hidden)))
+        _stepper(flatten_weights(model), grad, d, model.hidden, x_aug, onehot, probs, 1 / n,
+                 _workspace(n, model.hidden))()
         return _mean_loss(probs, onehot), grad
 
 

@@ -93,13 +93,13 @@ def step(state: MonitorState, label: Label, ts: float,
         streak = state.debounce + 1 if state.candidate is target else 1
         if streak >= cfg.debounce_frames:
             if current is Occupancy.OCCUPIED and target is Occupancy.EMPTY:
-                exit_times = tuple(t for t in exit_times if t > ts - cfg.window_s) + (ts,)
-                if len(exit_times) > cfg.max_exits:
-                    if not frequent_alerted:
-                        events.append(Event(ts, EventKind.FREQUENT_EXITS))
-                        frequent_alerted = True
-                else:
-                    frequent_alerted = False
+                # Re-arm if the windowed count (it only falls between exits) fell to max_exits.
+                exit_times = tuple(t for t in exit_times if t > ts - cfg.window_s)
+                frequent_alerted &= len(exit_times) > cfg.max_exits
+                exit_times += (ts,)
+                if len(exit_times) > cfg.max_exits and not frequent_alerted:
+                    events.append(Event(ts, EventKind.FREQUENT_EXITS))
+                    frequent_alerted = True
             if current is Occupancy.EMPTY and target is Occupancy.OCCUPIED:
                 events.append(Event(ts, EventKind.RETURN))
             current, since, fired = target, ts, False

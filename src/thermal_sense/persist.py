@@ -78,10 +78,14 @@ _LINES_BLOCK = 1 << 14
 
 
 def atomic_write_text(path, text: str) -> None:
+    """Write text to path through a renamed temporary file, with `open(path, "w")`'s mode."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+            umask = os.umask(0)  # read by setting it: the package starts no threads
+            os.umask(umask)
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -328,8 +332,10 @@ def _knn_load(payload: list[str], v: dict, at) -> KnnModel:
                "label must be 0 or 1, got {tokens[0]!r}"),)
     rows = _payload_rows(payload, "n-samples", "sample", v, at, _KNN_ROW, v["n-features"] + 1,
                          checks)
+    train = Dataset(rows[:, 1:], rows[:, 0])
+    del rows  # so that the parsed table is freed before the store copies the rows again
     with at("k"):  # k is checked against the row count
-        return KnnModel(rows[:, 1:], rows[:, 0].astype(np.int64), v["k"], v["weighting"])
+        return KnnModel(train, v["k"], v["weighting"])
 
 
 def _svm_load(payload: list[str], v: dict, at) -> SvmModel:
@@ -431,10 +437,10 @@ def load_model(path):
     """The model in a file of any of the `_MODELS` formats."""
     lines = read_lines(path)
     with _at(path, 1, "format-version", lines):
-        version = _int(_text(lines, 0, "format-version"))
-    if version > MODEL_FORMAT_VERSION:
-        raise DataFormatError(f"{path}:1: format-version {version} is newer than supported "
-                              f"({MODEL_FORMAT_VERSION})")
+        version = check_int("format-version", _int(_text(lines, 0, "format-version")), 1)
+        if version > MODEL_FORMAT_VERSION:
+            raise DataFormatError(f"format-version {version} is newer than supported "
+                                  f"({MODEL_FORMAT_VERSION})")
     with _at(path, 2):
         kind = _text(lines, 1, "model-kind")
         fmt = next((f for f in _MODELS.values() if f.kind == kind), None)

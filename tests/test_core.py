@@ -232,6 +232,16 @@ class TestTypes:
         with pytest.raises(InvalidInputError):
             Dataset(**arrays)
 
+    @pytest.mark.parametrize("shape, labels, message", [
+        ((4, 64), [[0], [1], [0], [1]], "expected 4 labels, each 0 or 1"),
+        ((3, 64), [0, 1], "expected 3 labels, each 0 or 1"),
+        ((1, 64), [0, 1], "expected 1 labels, each 0 or 1"),
+        ((128,), [0, 1], r"expected rows of 64 features, got shape \(128,\)"),
+    ], ids=["labels-one-column", "3-rows", "1-row", "1-d-rows"])
+    def test_dataset_rows_must_match_labels(self, shape, labels, message):
+        with pytest.raises(InvalidInputError, match=f"^{message}$"):
+            Dataset(np.zeros(shape), np.array(labels))
+
     def test_dataset_arrays_are_read_only_copies(self):
         x = np.full((2, 64), 20.0)
         ds = Dataset(x, [0, 1])

@@ -46,7 +46,7 @@ SETTINGS = [
     ("MonitorConfig", "window_s", lambda v: MonitorConfig(window_s=v), NOT_REAL + (0.0,)),
     ("KernelSpec", "degree", lambda v: KernelSpec("poly", degree=v), NOT_INT + (0,)),
     ("KernelSpec", "gamma", lambda v: KernelSpec("rbf", gamma=v), NOT_REAL + (0.0,)),
-    ("KnnModel", "k", lambda v: KnnModel(DS.x, DS.y, v, "uniform"), NOT_INT + (0,)),
+    ("KnnModel", "k", lambda v: KnnModel(DS, v, "uniform"), NOT_INT + (0,)),
     ("SvmSpec", "C", lambda v: SvmSpec(c=v).train_model(DS, 0), NOT_REAL + (0.0,)),
     ("SvmSpec", "tol", lambda v: SvmSpec(tol=v).train_model(DS, 0), NOT_REAL + (0.0,)),
     ("SvmSpec", "max_iter", lambda v: SvmSpec(max_iter=v).train_model(DS, 0), NOT_INT + (0,)),

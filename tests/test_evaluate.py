@@ -346,7 +346,7 @@ class TestPreparedOncePerFold:
     """Every spec of a fold reads one preparation of the fold's training set."""
 
     @pytest.mark.parametrize("family, module, builder", [
-        ("svm-kernels", svm, "_standardized"), ("knn-grid", knn, "_dataset_store")])
+        ("svm-kernels", svm, "_standardized"), ("knn-grid", knn, "_store")])
     def test_one_build_per_fold(self, family, module, builder):
         ds = generate_main(60, 7)
         plan = make_folds(ds, 10, 7)

@@ -14,7 +14,7 @@ from thermal_sense.classifiers.knn import (
     predict_knn_grid,
     train_knn,
 )
-from thermal_sense.core import Label, flatten, make_folds, quantize
+from thermal_sense.core import Dataset, Label, flatten, make_folds, quantize
 from thermal_sense.errors import InvalidInputError
 from thermal_sense.persist import load_model, save_model
 from thermal_sense.simulate import generate_main, generate_variational
@@ -60,7 +60,7 @@ class TestTrain:
         ds = dataset_from_arrays(np.zeros((40, 64)), [0, 1] * 20)
         if stored:
             train_knn(ds, 40)
-        with mock.patch.object(knn, "_dataset_store", wraps=knn._dataset_store) as build:
+        with mock.patch.object(knn, "_store", wraps=knn._store) as build:
             with pytest.raises(InvalidInputError,
                                match="^k=41 out of range for 40 training samples$"):
                 train_knn(ds, 41)
@@ -81,9 +81,10 @@ class TestTrain:
         first, second = train_knn(ds, 1), train_knn(ds, 3, "distance")
         assert (first.k, first.weighting) == (1, "uniform")
         assert (second.k, second.weighting) == (3, "distance")
-        lone = KnnModel(x, y, 3, "distance")
+        lone = KnnModel(Dataset(x, y), 3, "distance")
         save_model(lone, tmp_path / "knn.model")
         loaded = load_model(tmp_path / "knn.model")
+        assert first.train_y is ds.y  # the Dataset's labels, not a copy
         for name in ("rows", "train_x", "train_y"):
             assert getattr(first, name) is getattr(second, name)
             for model in (second, lone, loaded):
@@ -99,22 +100,18 @@ class TestTrain:
     def test_k_must_be_an_integer(self, k):
         ds = dataset_from_arrays(np.zeros((4, 64)), [0, 1, 0, 1])
         with pytest.raises(InvalidInputError, match="k must be an integer"):
-            KnnModel(ds.x, ds.y, k, "uniform")
+            KnnModel(ds, k, "uniform")
 
     def test_numpy_integer_k_accepted(self):
-        model = KnnModel(np.zeros((4, 64)), np.array([0, 1, 0, 1]), np.int64(3), "uniform")
+        model = KnnModel(Dataset(np.zeros((4, 64)), np.array([0, 1, 0, 1])), np.int64(3), "uniform")
         assert predict_knn_batch(model, np.zeros((1, 64))).tolist() == [0]
 
     @pytest.mark.parametrize("labels", [[True, False, True], [1.0, 0.0, 1.0], [1, 0, 1]])
     def test_labels_are_stored_and_predicted_as_int64(self, labels):
-        model = KnnModel(np.eye(3, 64), np.array(labels), 1, "uniform")
+        model = KnnModel(Dataset(np.eye(3, 64), np.array(labels)), 1, "uniform")
         assert model.train_y.dtype == np.int64
         got = predict_knn_batch(model, np.eye(3, 64))
         assert got.dtype == np.int64 and got.tolist() == [1, 0, 1]
-
-    def test_labels_must_be_one_column(self):
-        with pytest.raises(InvalidInputError, match="one column"):
-            KnnModel(np.zeros((4, 64)), np.array([[0], [1], [0], [1]]), 1, "uniform")
 
     def test_unknown_weighting(self):
         ds = dataset_from_arrays(np.zeros((2, 64)), [0, 1])
@@ -167,7 +164,7 @@ class TestPredict:
     @pytest.mark.parametrize("label", [7, -1, 2])
     def test_labels_must_be_binary(self, label):
         with pytest.raises(InvalidInputError, match="labels"):
-            KnnModel(np.zeros((2, 64)), np.array([0, label]), 1, "uniform")
+            KnnModel(Dataset(np.zeros((2, 64)), np.array([0, label])), 1, "uniform")
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_query_rejected(self, value):
@@ -182,12 +179,7 @@ class TestPredict:
         x = np.zeros((2, 64))
         x[1, 3] = value
         with pytest.raises(InvalidInputError, match="non-finite"):
-            KnnModel(x, np.array([0, 1]), 1, "uniform")
-
-    @pytest.mark.parametrize("shape", [(3, 64), (1, 64), (128,)])
-    def test_training_rows_must_match_labels(self, shape):
-        with pytest.raises(InvalidInputError, match="training rows"):
-            KnnModel(np.zeros(shape), np.array([0, 1]), 1, "uniform")
+            KnnModel(Dataset(x, np.array([0, 1])), 1, "uniform")
 
 
 class TestInvariance:
@@ -314,11 +306,11 @@ class TestPerRowEquivalence:
     def assert_matches(x, y, queries, ks):
         for k in ks:
             for weighting in WEIGHTINGS:
-                got = predict_knn_batch(KnnModel(x, y, k, weighting), queries)
+                got = predict_knn_batch(KnnModel(Dataset(x, y), k, weighting), queries)
                 expected = [per_row_knn(x, y, k, weighting, q) for q in queries]
                 assert got.tolist() == expected, (k, weighting)
             # the same neighbors at the same distances as a full stable sort
-            idx, dists = knn._nearest(KnnModel(x, y, k, "uniform"), queries)
+            idx, dists = knn._nearest(KnnModel(Dataset(x, y), k, "uniform"), queries)
             for q, row_idx, row_d in zip(queries, idx, dists):
                 d = np.sqrt(np.sum((x - q) ** 2, axis=1))
                 order = np.argsort(d, kind="stable")[:k]
@@ -404,7 +396,7 @@ class TestCandidates:
             rows = np.flatnonzero(d2 <= np.partition(d2, k - 1)[k - 1])
             want_q.append(np.full(len(rows), i))
             want_t.append(rows)
-        qi, ti = knn._candidates(KnnModel(x, y, k, "uniform"), queries)
+        qi, ti = knn._candidates(KnnModel(Dataset(x, y), k, "uniform"), queries)
         assert np.array_equal(qi, np.concatenate(want_q))
         assert np.array_equal(ti, np.concatenate(want_t))
 
@@ -476,7 +468,7 @@ class TestRefineShortcut:
         # rows 1 and 2 are both at distance 1 from the query, rows 0 and 3 farther
         x = np.vstack([unit_vector(0, 5.0), unit_vector(1), unit_vector(2), unit_vector(3, 2.0)])
         y = np.array([1 - first, first, 1 - first, first])
-        model = KnnModel(x, y, 1, "uniform")
+        model = KnnModel(Dataset(x, y), 1, "uniform")
         q = np.zeros((1, 64))
         assert knn._candidates(model, q)[1].tolist() == [1, 2]
         with mock.patch.object(knn, "_refine", wraps=knn._refine) as refine:
@@ -489,7 +481,7 @@ class TestRefineShortcut:
         x, own_y, queries = main_fold
         per_block = 5
         for y in (own_y, rng.integers(0, 2, len(x))):
-            model = KnnModel(x, y, k, "uniform")
+            model = KnnModel(Dataset(x, y), k, "uniform")
             labels, refined = refined_blocks(model, queries, [(k, "uniform")], per_block)
             want, extra = [], 0
             for start in range(0, len(queries), per_block):
@@ -522,8 +514,9 @@ class TestRefineShortcut:
 
     def test_empty_batch(self, main_fold):
         x, y, _ = main_fold
+        model = KnnModel(Dataset(x, y), 3, "uniform")
         for settings in ([(1, "uniform")], [(3, "uniform"), (1, "distance")]):
-            labels = predict_knn_grid(KnnModel(x, y, 3, "uniform"), np.empty((0, 64)), settings)
+            labels = predict_knn_grid(model, np.empty((0, 64)), settings)
             assert labels.shape == (len(settings), 0) and labels.dtype == np.int64
 
 
@@ -536,13 +529,14 @@ class TestSharedSearch:
     @staticmethod
     def assert_prefixes(x, y, queries, top=7):
         top = min(top, len(x))
-        model = KnnModel(x, y, top, "uniform")
+        model = KnnModel(Dataset(x, y), top, "uniform")
         idx, dists = knn._nearest(model, queries)
         for k in range(1, top):
             idx_k, dists_k = knn._nearest(model, queries, k)
             assert np.array_equal(idx_k, idx[:, :k]), k
             assert np.array_equal(dists_k, dists[:, :k]), k
-            assert np.array_equal(idx_k, knn._nearest(KnnModel(x, y, k, "uniform"), queries)[0]), k
+            alone = KnnModel(Dataset(x, y), k, "uniform")
+            assert np.array_equal(idx_k, knn._nearest(alone, queries)[0]), k
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_prefixes_on_stress_cases(self, rng):
@@ -560,7 +554,7 @@ class TestSharedSearch:
         x, _, queries = main_fold
         y = rng.integers(0, 2, len(x))  # random labels, so neighbours disagree
         for k, weighting in GRID_SETTINGS:
-            model = KnnModel(x, y, k, weighting)
+            model = KnnModel(Dataset(x, y), k, weighting)
             got = predict_knn_grid(model, queries, [(k, weighting)])
             assert got.shape == (1, len(queries))
             assert np.array_equal(got[0], predict_knn_batch(model, queries)), (k, weighting)
@@ -571,9 +565,9 @@ class TestSharedSearch:
         x, _, queries = main_fold
         y = rng.integers(0, 2, len(x))
         with mock.patch.object(knn, "BLOCK", per_block * len(x)):
-            got = predict_knn_grid(KnnModel(x, y, 2, "distance"), queries, GRID_SETTINGS)
+            got = predict_knn_grid(KnnModel(Dataset(x, y), 2, "distance"), queries, GRID_SETTINGS)
             for row, (k, weighting) in zip(got, GRID_SETTINGS):
-                want = predict_knn_batch(KnnModel(x, y, k, weighting), queries)
+                want = predict_knn_batch(KnnModel(Dataset(x, y), k, weighting), queries)
                 assert np.array_equal(row, want), (k, weighting)
 
     @pytest.mark.parametrize("settings, message", [
@@ -584,7 +578,7 @@ class TestSharedSearch:
         ([(1, "cosine")], "unknown weighting 'cosine'"),
     ])
     def test_bad_settings(self, settings, message):
-        model = KnnModel(np.zeros((10, 64)), np.zeros(10, dtype=int), 1, "uniform")
+        model = KnnModel(Dataset(np.zeros((10, 64)), np.zeros(10, dtype=int)), 1, "uniform")
         with pytest.raises(InvalidInputError, match=message):
             predict_knn_grid(model, np.zeros((1, 64)), settings)
 
@@ -632,7 +626,7 @@ class TestSmallProblems:
         for k in (1, 3, 5, 7):
             if k > len(x):
                 break
-            model = KnnModel(x, y, k, "uniform")
+            model = KnnModel(Dataset(x, y), k, "uniform")
             want = [per_row_knn(x, y, k, "uniform", q) for q in queries]
             with mock.patch.object(knn, "BLOCK", per_block * len(x)):
                 assert predict_knn_batch(model, queries).tolist() == want, k

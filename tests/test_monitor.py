@@ -101,6 +101,14 @@ class TestEvents:
         events = replay(frames, cfg)
         assert sum(1 for e in events if e.kind is EventKind.FREQUENT_EXITS) == 2
 
+    def test_frequent_exits_rearms_when_old_exits_leave_the_window(self):
+        # Exits at 0, 10 and 65 min: the windowed count is back to 1 from minute 60, so the
+        # exit at 65 min crosses again, though the count with it is 2.
+        cfg = MonitorConfig(debounce_frames=1, long_absence_s=1e12, window_s=3600.0, max_exits=1)
+        frames = [(-60.0, P), (0.0, N), (60.0, P), (600.0, N), (660.0, P), (3900.0, N)]
+        assert [e for e in replay(frames, cfg) if e.kind is EventKind.FREQUENT_EXITS] == [
+            Event(600.0, EventKind.FREQUENT_EXITS), Event(3900.0, EventKind.FREQUENT_EXITS)]
+
 
 class TestContract:
     def test_pure_replay(self):

@@ -239,7 +239,7 @@ class TestGradient:
 
 class TestMeanLoss:
     def test_row_sums_pick_the_true_class_probability(self, rng):
-        # softmax rows as _step leaves them: in [0, 1], or NaN in both columns
+        # softmax rows as a training step leaves them: in [0, 1], or NaN in both columns
         p1 = np.concatenate([rng.random(200), [0.0, 1.0, 5e-324, 1 - 2 ** -53, np.nan]])
         probs = np.column_stack([1.0 - p1, p1])
         y = rng.integers(0, 2, len(p1))

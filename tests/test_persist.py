@@ -1,7 +1,9 @@
 import functools
 import json
 import math
+import os
 import re
+import stat
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from thermal_sense.errors import DataFormatError
 from thermal_sense.evaluate import KnnSpec, NnSpec, SvmSpec, predictor
 from thermal_sense.persist import (
     CSV_HEADER,
+    atomic_write_text,
     dataset_from_csv,
     dataset_to_csv,
     load_dataset,
@@ -243,6 +246,20 @@ class TestNonUtf8Files:
             load_sim_params(path)
 
 
+class TestWrittenFileMode:
+    @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+    def test_mode_is_the_one_open_would_create(self, tmp_path, umask):
+        old = os.umask(umask)
+        try:
+            atomic_write_text(tmp_path / "out.txt", "text\n")
+            (tmp_path / "ref.txt").write_text("")  # open(path, "w")
+        finally:
+            os.umask(old)
+        modes = [stat.S_IMODE((tmp_path / name).stat().st_mode) for name in ("out.txt", "ref.txt")]
+        assert modes == [0o666 & ~umask] * 2
+        assert (tmp_path / "out.txt").read_text() == "text\n"
+
+
 class TestModelFormat:
     @pytest.fixture
     def train_ds(self, rng):
@@ -274,6 +291,15 @@ class TestModelFormat:
         path.write_text("format-version: 99\nmodel-kind: knn\n")
         with pytest.raises(DataFormatError, match=":1: format-version 99 is newer than supported"):
             load_model(path)
+
+    @pytest.mark.parametrize("version", ["0", "-7"])
+    def test_version_below_one_rejected(self, tmp_path, version):
+        path = tmp_path / "m.txt"
+        path.write_text(f"format-version: {version}\nmodel-kind: knn\n")
+        with pytest.raises(DataFormatError) as info:
+            load_model(path)
+        assert str(info.value) == (f"{path}:1: bad format-version {version!r}: "
+                                   f"format-version must be at least 1, got {int(version)}")
 
     def test_unknown_kind(self, tmp_path):
         path = tmp_path / "m.txt"
@@ -339,7 +365,7 @@ class TestModelPayloadText:
         # 600 rows are three blocks of the writer
         x, y = values((600, 64)), rng.integers(0, 2, 600)
         want = [f"{label} {line}" for label, line in zip(y.tolist(), per_value_lines(x))]
-        self.assert_payload(KnnModel(x, y, 1, "uniform"), 6, want, tmp_path)
+        self.assert_payload(KnnModel(Dataset(x, y), 1, "uniform"), 6, want, tmp_path)
 
     def test_svm(self, values, tmp_path):
         x = values((4, 64))
@@ -778,7 +804,7 @@ class TestNumberGrammar:
                   2.2250738585072014e-308, 1.7976931348623157e+308, 123456789.0]
         x = np.zeros((2, 64))
         x[0, :len(values)] = values
-        model = KnnModel(x, np.array([0, 1]), 1, "uniform")
+        model = KnnModel(Dataset(x, np.array([0, 1])), 1, "uniform")
         path = tmp_path / "m.txt"
         save_model(model, path)
         loaded = load_model(path)
